@@ -628,6 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(args) -> None:
     if getattr(args, "threads", None) is None and hasattr(args, "threads"):
         args.threads = _default_threads()
+    if getattr(args, "threads", 1) < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if getattr(args, "command", None) == "mean":
         if args.form == "factored":
             if args.output_loadings is None or args.output_noise is None:

@@ -57,6 +57,9 @@ SAMPLE_MAGIC = b"FABLESAMP1"
 
 # model artifact arrays, in on-disk order
 _MODEL_ARRAYS = ("mu", "delta_sq", "v_sq", "l_sq", "u", "spectrum")
+_MODEL_SCALARS = (
+    "n", "p", "k", "tau_sq", "gamma0", "delta0_sq", "gamma_n", "rho", "rho_strategy"
+)
 
 
 @dataclass(frozen=True)
@@ -224,15 +227,7 @@ def preprocess(
 def _model_header(model: FableModel) -> dict:
     return {
         "version": 1,
-        "n": model.n,
-        "p": model.p,
-        "k": model.k,
-        "tau_sq": model.tau_sq,
-        "gamma0": model.gamma0,
-        "delta0_sq": model.delta0_sq,
-        "gamma_n": model.gamma_n,
-        "rho": model.rho,
-        "rho_strategy": model.rho_strategy,
+        **{name: getattr(model, name) for name in _MODEL_SCALARS},
         "shapes": {name: list(getattr(model, name).shape) for name in _MODEL_ARRAYS},
     }
 
@@ -269,12 +264,22 @@ def load_model(path: str | Path) -> FableModel:
         header = json.loads(raw[offset : offset + hlen].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: bad model header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: model header is not a JSON object")
     if header.get("version") != 1:
         raise ParseError(f"{path}: unsupported model version {header.get('version')!r}")
+    try:
+        scalars = {key: header[key] for key in _MODEL_SCALARS}
+        shapes = {name: [int(d) for d in header["shapes"][name]] for name in _MODEL_ARRAYS}
+    except KeyError as exc:
+        raise ParseError(f"{path}: model header missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed model header ({exc})") from exc
     offset += hlen
     arrays = {}
-    for name in _MODEL_ARRAYS:
-        shape = tuple(header["shapes"][name])
+    for name, shape in shapes.items():
+        if any(d < 0 for d in shape):
+            raise ShapeError(f"{path}: negative dimension in shape of {name!r}")
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if len(raw) < offset + nbytes:
@@ -287,18 +292,7 @@ def load_model(path: str | Path) -> FableModel:
         offset += nbytes
     if offset != len(raw):
         raise ShapeError(f"{path}: {len(raw) - offset} trailing bytes")
-    return FableModel(
-        n=header["n"],
-        p=header["p"],
-        k=header["k"],
-        tau_sq=header["tau_sq"],
-        gamma0=header["gamma0"],
-        delta0_sq=header["delta0_sq"],
-        gamma_n=header["gamma_n"],
-        rho=header["rho"],
-        rho_strategy=header["rho_strategy"],
-        **arrays,
-    )
+    return FableModel(**scalars, **arrays)
 
 
 def _floats_csv(row: Iterable[float]) -> str:
@@ -511,7 +505,12 @@ def save_manifest(path: str | Path, manifest: RunManifest) -> None:
 
 def load_manifest(path: str | Path) -> RunManifest:
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: manifest is not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: manifest is not a JSON object")
     try:
         return RunManifest(
             command=payload["command"],

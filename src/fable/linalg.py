@@ -1,7 +1,8 @@
 """Dense linear algebra used by the rest of the package.
 
-Centering, truncated (optionally randomized) SVD with a fixed sign
-convention, a matrix-free spectral norm, and the Gaussian log-likelihood
+Centering, truncated SVD with a fixed sign convention (exact through the
+eigendecomposition of the smaller Gram matrix, or by a randomized
+sketch), a matrix-free spectral norm, and the Gaussian log-likelihood
 for a low-rank-plus-diagonal covariance evaluated without ever forming
 the p x p matrix.
 """
@@ -30,6 +31,7 @@ __all__ = [
     "StructuredCovariance",
     "LinearMap",
     "center_columns",
+    "gram_svd",
     "truncated_svd",
     "spectral_norm",
     "gaussian_loglik",
@@ -37,6 +39,14 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+# gram_svd falls back to LAPACK when s_k^2 / s_1^2 is below this ratio.
+# The Gram matrix squares the condition number: its eigenvalues carry an
+# absolute error of order eps * s_1^2, so singular values under about
+# sqrt(eps) * s_1 are lost, and the vectors formed by dividing by s_i lose
+# orthogonality by about eps * (s_1 / s_i)^2, which at this ratio is still
+# about 2e-10 (TruncatedSvd rejects 1e-8).
+_GRAM_MIN_RATIO = 1e-6
 
 
 def _as_float_matrix(raw: np.ndarray, name: str = "input") -> np.ndarray:
@@ -246,6 +256,61 @@ def _values_of(data: DataMatrix | np.ndarray) -> np.ndarray:
     return _as_float_matrix(data, "data matrix")
 
 
+def _checked_rank(k, shape: tuple[int, int]) -> int:
+    limit = min(shape)
+    if not isinstance(k, (int, np.integer)) or not 1 <= int(k) <= limit:
+        raise RankOutOfRange(f"k={k} outside [1, {limit}] for shape {shape}")
+    return int(k)
+
+
+def gram_svd(
+    data: DataMatrix | np.ndarray,
+    k: int | Callable[[np.ndarray], int],
+) -> TruncatedSvd:
+    """Top-k singular triplets and the whole spectrum, exactly.
+
+    Takes ``eigh`` of the smaller Gram matrix, X X' when n <= p and X' X
+    otherwise. The spectrum is the square root of its eigenvalues clipped
+    at zero, so all min(n, p) singular values are returned; the top-k
+    vectors on the other side come from one product with X. ``k`` is the
+    rank, or a function that picks it from the spectrum.
+
+    Forming the Gram matrix squares the condition number. When
+    s_k^2 < 1e-6 * s_1^2 (a k-th singular value heading for the
+    sqrt(eps) * s_1 floor the Gram matrix can resolve, a rank below k, or
+    the zero matrix) the retained vectors would be unreliable, and the
+    decomposition is redone by LAPACK's SVD. Either way the signs follow
+    :func:`_fix_signs`.
+    """
+    vals = _values_of(data)
+    n, p = vals.shape
+
+    def rank_of(spectrum: np.ndarray) -> int:
+        return _checked_rank(k(spectrum) if callable(k) else k, vals.shape)
+
+    if not callable(k):
+        _checked_rank(k, vals.shape)
+    rows_side = n <= p
+    evals, evecs = np.linalg.eigh(vals @ vals.T if rows_side else vals.T @ vals)
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    spectrum = np.sqrt(np.clip(evals, 0.0, None))
+    rank = rank_of(spectrum)
+
+    if evals[0] <= 0.0 or evals[rank - 1] < _GRAM_MIN_RATIO * evals[0]:
+        u_full, spectrum, vt_full = np.linalg.svd(vals, full_matrices=False)
+        rank = rank_of(spectrum)
+        u, v = _fix_signs(u_full[:, :rank], vt_full[:rank].T)
+        return TruncatedSvd(u=u, singvals=spectrum[:rank], v=v, spectrum=spectrum, k=rank)
+
+    top, s = evecs[:, :rank], spectrum[:rank]
+    if rows_side:
+        u, v = top, (vals.T @ top) / s
+    else:
+        u, v = (vals @ top) / s, top
+    u, v = _fix_signs(u, v)
+    return TruncatedSvd(u=u, singvals=s, v=v, spectrum=spectrum, k=rank)
+
+
 def truncated_svd(
     data: DataMatrix | np.ndarray,
     k: int,
@@ -262,7 +327,7 @@ def truncated_svd(
     k : int
         Number of retained components, 1 <= k <= min(n, p).
     method : {"exact", "randomized"}
-        "exact" runs a full LAPACK SVD and keeps the whole spectrum.
+        "exact" is :func:`gram_svd` and keeps the whole spectrum.
         "randomized" uses a Gaussian sketch with oversampling 10 and two
         power iterations; its spectrum only extends to the sketch width.
     seed : int
@@ -273,21 +338,16 @@ def truncated_svd(
     TruncatedSvd
     """
     vals = _values_of(data)
-    n, p = vals.shape
-    limit = min(n, p)
-    if not isinstance(k, (int, np.integer)) or not 1 <= int(k) <= limit:
-        raise RankOutOfRange(f"k={k} outside [1, {limit}] for shape {vals.shape}")
-    k = int(k)
+    k = _checked_rank(k, vals.shape)
 
     if method == "exact":
-        u_full, s_full, vt_full = np.linalg.svd(vals, full_matrices=False)
-        u, v = _fix_signs(u_full[:, :k], vt_full[:k].T)
-        return TruncatedSvd(u=u, singvals=s_full[:k], v=v, spectrum=s_full, k=k)
+        return gram_svd(vals, k)
 
     if method != "randomized":
         raise ValueError(f"unknown method {method!r}")
 
-    ell = min(k + 10, limit)
+    n, p = vals.shape
+    ell = min(k + 10, n, p)
     rng = np.random.default_rng(seed)
     sketch = vals @ rng.standard_normal((p, ell))
     q, _ = np.linalg.qr(sketch)

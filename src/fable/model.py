@@ -20,11 +20,12 @@ from .errors import (
     BracketFailure,
     DegenerateDenominator,
     DimensionMismatch,
+    NonFinite,
     RankOutOfRange,
     ZeroResidual,
     ZeroResidualVariance,
 )
-from .linalg import DataMatrix, TruncatedSvd, _fix_signs, _frozen, truncated_svd
+from .linalg import DataMatrix, TruncatedSvd, _frozen, gram_svd, truncated_svd
 
 __all__ = [
     "RankSelection",
@@ -97,10 +98,16 @@ class FableModel:
         u = np.asarray(self.u, dtype=np.float64)
         if u.shape != (n, k):
             raise DimensionMismatch(f"u shape {u.shape}, expected {(n, k)}")
+        arrays = {"mu": mu, "u": u, "spectrum": np.asarray(self.spectrum, dtype=np.float64)}
         for name in ("delta_sq", "v_sq", "l_sq"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (p,):
-                raise DimensionMismatch(f"{name} shape {arr.shape}, expected ({p},)")
+            arrays[name] = np.asarray(getattr(self, name), dtype=np.float64)
+            if arrays[name].shape != (p,):
+                raise DimensionMismatch(
+                    f"{name} shape {arrays[name].shape}, expected ({p},)"
+                )
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
+                raise NonFinite(f"{name} contains NaN or infinite entries")
             object.__setattr__(self, name, _frozen(arr))
         if np.any(self.delta_sq <= 0):
             raise ValueError("delta_sq must be strictly positive")
@@ -121,11 +128,6 @@ class FableModel:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "mu", _frozen(mu))
-        object.__setattr__(self, "u", _frozen(u))
-        object.__setattr__(
-            self, "spectrum", _frozen(np.asarray(self.spectrum, dtype=np.float64))
-        )
 
     @property
     def posterior_scale_sq(self) -> float:
@@ -207,7 +209,7 @@ def select_rank(data: DataMatrix, *, S0: float = 0.75) -> RankSelection:
 
     Ties break toward the smaller rank. Needs min(n, p) >= 2.
     """
-    spectrum = np.linalg.svd(data.values, compute_uv=False)
+    spectrum = gram_svd(data, 1).spectrum
     return _select_from_spectrum(data.n, data.p, spectrum, S0)
 
 
@@ -225,15 +227,15 @@ def estimate_tau_sq(
     Raises :class:`ZeroResidualVariance` when any column sits (numerically)
     inside the retained subspace, since the ratio would blow up.
     """
-    proj = svd.u.T @ data.values
-    l_sq, v_sq = _signal_noise_split(data.values, proj, data.n)
-    tau_sq = float(np.mean(l_sq / v_sq) / svd.k)
-    return tau_sq, l_sq, v_sq
+    return _moment_split(data.values, svd.u.T @ data.values, svd.k)
 
 
-def _signal_noise_split(
-    values: np.ndarray, proj: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _moment_split(
+    values: np.ndarray, proj: np.ndarray, k: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """``(tau_sq, l_sq, v_sq)`` from the data and its projection onto the
+    retained left singular subspace; see :func:`estimate_tau_sq`."""
+    n = values.shape[0]
     ysq = np.einsum("ij,ij->j", values, values)
     projsq = np.einsum("kj,kj->j", proj, proj)
     l_sq = projsq / n
@@ -245,7 +247,7 @@ def _signal_noise_split(
             f"column {bad[0]} has numerically zero residual variance "
             f"({bad.size} column(s) total); its noise level is not identifiable"
         )
-    return l_sq, v_sq
+    return float(np.mean(l_sq / v_sq) / k), l_sq, v_sq
 
 
 def factor_estimate(svd: TruncatedSvd, *, c: np.ndarray | None = None) -> np.ndarray:
@@ -354,27 +356,22 @@ def fit(
     n, p = data.n, data.p
 
     if svd_method == "exact":
-        u_full, spectrum, vt_full = np.linalg.svd(data.values, full_matrices=False)
         if k is None:
-            k = _select_from_spectrum(n, p, spectrum, S0).k_hat
+            svd = gram_svd(data, lambda s: _select_from_spectrum(n, p, s, S0).k_hat)
         else:
-            limit = min(n, p)
-            if not 1 <= int(k) <= limit:
-                raise RankOutOfRange(f"k={k} outside [1, {limit}]")
-            k = int(k)
-        u, _ = _fix_signs(u_full[:, :k], vt_full[:k].T)
+            svd = gram_svd(data, int(k))
     elif svd_method == "randomized":
         if k is None:
             raise ValueError("rank selection needs svd_method='exact'")
         svd = truncated_svd(data, k, method="randomized", seed=seed)
-        u, spectrum = svd.u, svd.spectrum
     else:
         raise ValueError(f"unknown svd_method {svd_method!r}")
+    k, u = svd.k, svd.u
 
     proj = u.T @ data.values
-    l_sq, v_sq = _signal_noise_split(data.values, proj, n)
+    estimated_tau_sq, l_sq, v_sq = _moment_split(data.values, proj, k)
     if tau_sq is None:
-        tau_sq = float(np.mean(l_sq / v_sq) / k)
+        tau_sq = estimated_tau_sq
     denom = n + 1.0 / tau_sq
     mu = (np.sqrt(n) / denom) * proj.T
     gamma_n = gamma0 + n
@@ -397,13 +394,16 @@ def fit(
         v_sq=v_sq,
         l_sq=l_sq,
         u=u,
-        spectrum=spectrum,
+        spectrum=svd.spectrum,
     )
 
 
 def _b_blocks(mu: np.ndarray, v_sq: np.ndarray, block: int):
-    """Yield (lo, hi, b_rows) for row blocks of the inflation matrix B.
+    """Yield (lo, hi, b) with b = B[lo:hi, lo:], row blocks of the
+    inflation matrix B from the diagonal rightwards.
 
+    B is symmetric, so these blocks cover its upper triangle; the part of
+    b[:, :hi - lo] below the diagonal mirrors entries above it.
     Off-diagonal rule: b_uv^2 = 1 + (m_u^2 m_v^2 + (mu_u . mu_v)^2) /
     (V_u^2 m_v^2 + V_v^2 m_u^2); on the diagonal b_uu^2 = 1 + m_u^2 /
     (2 V_u^2). A vanishing denominator with a nonzero numerator means a
@@ -413,28 +413,35 @@ def _b_blocks(mu: np.ndarray, v_sq: np.ndarray, block: int):
     m_sq = np.einsum("jk,jk->j", mu, mu)
     for lo in range(0, p, block):
         hi = min(lo + block, p)
-        cross = mu[lo:hi] @ mu.T
-        num = np.outer(m_sq[lo:hi], m_sq) + cross * cross
-        den = np.outer(v_sq[lo:hi], m_sq) + np.outer(m_sq[lo:hi], v_sq)
-        zero = den == 0.0
-        if zero.any():
-            if np.any(num[zero] > 0.0):
+        # b holds the numerator until the division; working in place keeps
+        # the number of block-sized temporaries down
+        b = mu[lo:hi] @ mu[lo:].T
+        b *= b
+        outer = np.multiply.outer(m_sq[lo:hi], m_sq[lo:])
+        b += outer
+        den = np.multiply.outer(v_sq[lo:hi], m_sq[lo:])
+        np.multiply.outer(m_sq[lo:hi], v_sq[lo:], out=outer)
+        den += outer
+        if not den.all():
+            zero = den == 0.0
+            if np.any(b[zero] > 0.0):
                 raise DegenerateDenominator(
                     "variance-ratio denominator vanished off-diagonal with a "
                     "nonzero numerator"
                 )
             den[zero] = 1.0  # num is 0 there, so b becomes exactly 1
-        b = np.sqrt(1.0 + num / den)
-        cols = np.arange(lo, hi)
-        rows = cols - lo
-        dm, dv = m_sq[cols], v_sq[cols]
+        b /= den
+        b += 1.0
+        np.sqrt(b, out=b)
+        dm, dv = m_sq[lo:hi], v_sq[lo:hi]
         if np.any((dv == 0.0) & (dm > 0.0)):
             raise DegenerateDenominator(
                 "diagonal inflation undefined where residual variance is zero"
             )
         with np.errstate(invalid="ignore", divide="ignore"):
             bd = np.sqrt(1.0 + dm / (2.0 * dv))
-        b[rows, cols] = np.where(dm == 0.0, 1.0, bd)
+        rows = np.arange(hi - lo)
+        b[rows, rows] = np.where(dm == 0.0, 1.0, bd)
         yield lo, hi, b
 
 
@@ -446,7 +453,8 @@ def compute_b_matrix(model: FableModel, *, block: int = 512) -> np.ndarray:
     """
     out = np.empty((model.p, model.p))
     for lo, hi, b in _b_blocks(model.mu, model.v_sq, block):
-        out[lo:hi] = b
+        out[lo:, lo:hi] = b.T
+        out[lo:hi, lo:] = b
     return out
 
 
@@ -463,9 +471,10 @@ def compute_rho(
     "mean_b" averages B over its upper triangle (diagonal included),
     "sup_b" takes the maximum, and "solve_mean_coverage" finds by
     bisection the rho whose nominal mean entrywise coverage equals
-    1 - alpha. B is streamed in row blocks so mean and sup never hold
-    the full matrix; the solver keeps the upper-triangle values (about
-    p^2 / 2 floats) to make each bisection step a vector op.
+    1 - alpha. Only the upper triangle of B is computed, in row blocks,
+    so mean and sup never hold the full matrix; the solver keeps the
+    upper-triangle values (about p^2 / 2 floats) to make each bisection
+    step a vector op.
     """
     mu = np.asarray(mu, dtype=np.float64)
     v_sq = np.asarray(v_sq, dtype=np.float64)
@@ -475,12 +484,10 @@ def compute_rho(
 
     if strategy == "mean_b":
         total = 0.0
-        diag = 0.0
         for lo, hi, b in _b_blocks(mu, v_sq, block):
-            total += float(b.sum())
-            diag += float(b[np.arange(hi - lo), np.arange(lo, hi)].sum())
-        # Sum over u <= v of a symmetric matrix.
-        return (total + diag) / 2.0 / (p * (p + 1) / 2.0)
+            h = hi - lo
+            total += float(np.triu(b[:, :h]).sum()) + float(b[:, h:].sum())
+        return total / (p * (p + 1) / 2.0)
 
     if strategy == "sup_b":
         sup = 1.0
@@ -498,9 +505,10 @@ def compute_rho(
 
     offdiag = []
     for lo, hi, b in _b_blocks(mu, v_sq, block):
-        for r in range(hi - lo):
-            offdiag.append(b[r, lo + r + 1 :])
-    bvals = np.concatenate(offdiag) if offdiag else np.empty(0)
+        # row-major order of the entries right of the diagonal
+        above = np.arange(p - lo)[None, :] > np.arange(hi - lo)[:, None]
+        offdiag.append(b[above])
+    bvals = np.concatenate(offdiag)
     m_sq = np.einsum("jk,jk->j", mu, mu)
     msum = m_sq + v_sq
 

@@ -1,6 +1,7 @@
 """Tests for file formats and the command-line pipeline."""
 
 import json
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +17,7 @@ from fable.errors import (
 )
 from fable.inference import credible_intervals, oos_loglik
 from fable.io import (
+    MODEL_MAGIC,
     LoadedMatrix,
     RunManifest,
     file_sha256,
@@ -293,6 +295,70 @@ class TestModelArtifact:
             load_model(path)
 
 
+def rewrite_header(path, edit):
+    """Rewrite a model artifact's JSON header with ``edit(header)``; the
+    arrays after it are kept as they are."""
+    raw = path.read_bytes()
+    offset = len(MODEL_MAGIC)
+    (hlen,) = struct.unpack_from("<Q", raw, offset)
+    header = json.loads(raw[offset + 8 : offset + 8 + hlen])
+    blob = json.dumps(edit(header)).encode("ascii")
+    path.write_bytes(MODEL_MAGIC + struct.pack("<Q", len(blob)) + blob
+                     + raw[offset + 8 + hlen :])
+
+
+class TestModelBoundaries:
+    @pytest.mark.parametrize("field", ["shapes", "rho", "rho_strategy", "n"])
+    def test_missing_header_field(self, model, tmp_path, field):
+        path = tmp_path / "m.bin"
+        save_model(path, model)
+        rewrite_header(path, lambda h: {k: v for k, v in h.items() if k != field})
+        with pytest.raises(ParseError, match=field):
+            load_model(path)
+
+    def test_missing_array_shape(self, model, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(path, model)
+        rewrite_header(path, lambda h: {**h, "shapes": {"mu": h["shapes"]["mu"]}})
+        with pytest.raises(ParseError, match="delta_sq"):
+            load_model(path)
+
+    @pytest.mark.parametrize("header", [[1, 2], {"version": 1, "shapes": [3]}])
+    def test_malformed_header(self, model, tmp_path, header):
+        path = tmp_path / "m.bin"
+        save_model(path, model)
+        rewrite_header(path, lambda h: header)
+        with pytest.raises(ParseError):
+            load_model(path)
+
+    def test_cli_reports_missing_shapes(self, model, tmp_path, capsys):
+        path = tmp_path / "m.bin"
+        save_model(path, model)
+        rewrite_header(path, lambda h: {k: v for k, v in h.items() if k != "shapes"})
+        code = main(["mean", "--model", str(path),
+                     "--output-loadings", str(tmp_path / "g.mat"),
+                     "--output-noise", str(tmp_path / "d.mat")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+    def test_nan_in_mu(self, model, tmp_path, capsys):
+        path = tmp_path / "m.bin"
+        save_model(path, model)
+        raw = bytearray(path.read_bytes())
+        (hlen,) = struct.unpack_from("<Q", raw, len(MODEL_MAGIC))
+        start = len(MODEL_MAGIC) + 8 + hlen  # mu is the first array
+        raw[start : start + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NonFinite, match="mu"):
+            load_model(path)
+        out = tmp_path / "iv.csv"
+        code = main(["intervals", "--model", str(path), "--indices", "0-1",
+                     "--output", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "NonFinite"
+        assert not out.exists()
+
+
 class TestSampleStreams:
     def test_binary_round_trip(self, draws, tmp_path):
         path = tmp_path / "s.bin"
@@ -377,6 +443,20 @@ class TestManifest:
         with pytest.raises(ParseError, match="missing"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"fit"', "null", "{not json"])
+    def test_not_an_object(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            load_manifest(path)
+
+    def test_replay_of_a_list(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        code = main(["replay", "--manifest", str(path), "--outdir", str(tmp_path / "o")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
 
 class TestArgParsing:
     def test_parse_indices(self):
@@ -454,6 +534,16 @@ class TestCliSample:
         code = main(["sample", "--model", str(workspace["model"]),
                      "--n-samples", "4", "--output", str(tmp_path / "s.bin")])
         assert code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, workspace, tmp_path, capsys, threads):
+        out = tmp_path / "s.bin"
+        code = main(["sample", "--model", str(workspace["model"]),
+                     "--n-samples", "4", "--seed", "21", "--threads", threads,
+                     "--output", str(out)])
+        assert code == 1
+        assert "--threads" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
 
 
 class TestCliMean:

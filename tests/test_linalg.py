@@ -22,6 +22,7 @@ from fable.linalg import (
     center_columns,
     covariance_difference,
     gaussian_loglik,
+    gram_svd,
     spectral_norm,
     truncated_svd,
 )
@@ -163,6 +164,137 @@ class TestTruncatedSvd:
         dm = center_columns(rng.normal(size=(9, 5)))
         out = truncated_svd(dm, k=2)
         assert out.u.shape == (9, 2)
+
+
+def lapack_oracle(y, k):
+    """Top-k triplets from numpy's SVD, each right vector's largest-magnitude
+    entry made positive (first index on ties)."""
+    u, s, vt = np.linalg.svd(y, full_matrices=False)
+    u, v = u[:, :k].copy(), vt[:k].T.copy()
+    for j in range(k):
+        if v[np.argmax(np.abs(v[:, j])), j] < 0:
+            u[:, j], v[:, j] = -u[:, j], -v[:, j]
+    return u, s, v
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts the LAPACK SVDs gram_svd falls back to."""
+    calls = []
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def with_spectrum(n, p, singvals, seed):
+    rng = np.random.default_rng(seed)
+    r = len(singvals)
+    left, _ = np.linalg.qr(rng.normal(size=(n, r)))
+    right, _ = np.linalg.qr(rng.normal(size=(p, r)))
+    return (left * singvals) @ right.T
+
+
+class TestGramSvd:
+    @pytest.mark.parametrize(
+        "n, p, k",
+        [(20, 50, 4), (50, 20, 4), (30, 30, 5), (12, 7, 7), (7, 12, 7), (40, 25, 25)],
+        ids=["wide", "tall", "square", "tall-full-rank", "wide-full-rank", "k-is-p"],
+    )
+    def test_matches_lapack(self, n, p, k):
+        y = np.random.default_rng(n * p + k).normal(size=(n, p))
+        out = gram_svd(y, k)
+        u, s, v = lapack_oracle(y, k)
+        np.testing.assert_allclose(out.spectrum, s, rtol=0, atol=1e-7 * s[0])
+        np.testing.assert_allclose(out.singvals, s[:k], rtol=1e-12)
+        np.testing.assert_allclose(out.u, u, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(out.v, v, rtol=0, atol=1e-10)
+        assert out.spectrum.shape == (min(n, p),)
+
+    def test_centered_wide_has_rank_n_minus_one(self, svd_calls):
+        rng = np.random.default_rng(31)
+        dm = center_columns(rng.normal(size=(15, 40)))
+        out = gram_svd(dm, 14)
+        assert svd_calls == []
+        u, s, v = lapack_oracle(dm.values, 14)
+        np.testing.assert_allclose(out.spectrum, s, rtol=0, atol=1e-7 * s[0])
+        np.testing.assert_allclose(out.u, u, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(out.v, v, rtol=0, atol=1e-10)
+        # the null direction is the ones vector; asking for it falls back
+        svd_calls.clear()
+        full = gram_svd(dm, 15)
+        assert svd_calls == [(15, 40)]
+        np.testing.assert_allclose(np.abs(full.u[:, 14]), 1 / np.sqrt(15), rtol=1e-10)
+
+    def test_rank_picked_from_spectrum(self):
+        y = with_spectrum(20, 30, [9.0, 5.0, 0.5], seed=32)
+        seen = []
+
+        def pick(spectrum):
+            seen.append(spectrum)
+            return int(np.sum(spectrum > 1.0))
+
+        out = gram_svd(y, pick)
+        assert out.k == 2
+        np.testing.assert_allclose(seen[0], out.spectrum)
+        np.testing.assert_allclose(out.singvals, [9.0, 5.0], rtol=1e-12)
+
+    def test_no_fallback_above_threshold(self, svd_calls):
+        y = with_spectrum(20, 30, [1.0, 0.5, 2e-3], seed=33)
+        out = gram_svd(y, 3)
+        assert svd_calls == []
+        u, s, v = lapack_oracle(y, 3)
+        np.testing.assert_allclose(out.u, u, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(out.v, v, rtol=0, atol=1e-9)
+
+    def test_fallback_near_the_floor(self, svd_calls):
+        # s_k / s_1 = 1e-4: the Gram matrix still sees it, but the vectors
+        # it yields would lose orthogonality at the 1e-8 level
+        y = with_spectrum(20, 30, [1.0, 0.5, 1e-4], seed=34)
+        out = gram_svd(y, 3)
+        assert svd_calls == [(20, 30)]
+        u, s, v = lapack_oracle(y, 3)
+        np.testing.assert_array_equal(out.u, u)
+        np.testing.assert_array_equal(out.v, v)
+        np.testing.assert_array_equal(out.spectrum, s)
+
+    def test_fallback_rank_below_k(self, svd_calls):
+        y = with_spectrum(25, 18, [3.0, 2.0], seed=35)
+        out = gram_svd(y, 4)
+        assert svd_calls == [(25, 18)]
+        u, s, v = lapack_oracle(y, 4)
+        np.testing.assert_array_equal(out.u, u)
+        np.testing.assert_array_equal(out.singvals, s[:4])
+        assert out.singvals[2] < 1e-14 * out.singvals[0]
+
+    def test_fallback_zero_matrix(self, svd_calls):
+        out = gram_svd(np.zeros((6, 4)), 2)
+        assert svd_calls == [(6, 4)]
+        np.testing.assert_array_equal(out.spectrum, np.zeros(4))
+        np.testing.assert_allclose(out.u.T @ out.u, np.eye(2), atol=1e-12)
+
+    def test_fallback_repicks_rank(self, svd_calls):
+        y = with_spectrum(10, 16, [1.0, 1e-5], seed=36)
+        out = gram_svd(y, lambda spectrum: 2)
+        assert svd_calls == [(10, 16)]
+        assert out.k == 2
+
+    def test_rank_checked_before_decomposing(self, svd_calls):
+        with pytest.raises(RankOutOfRange):
+            gram_svd(np.ones((4, 3)), 4)
+        with pytest.raises(RankOutOfRange):
+            gram_svd(np.ones((4, 3)), lambda spectrum: 0)
+        assert svd_calls == []
+
+    def test_deterministic_bytes(self):
+        y = np.random.default_rng(37).normal(size=(30, 60))
+        a, b = gram_svd(y, 5), gram_svd(y, 5)
+        assert a.u.tobytes() == b.u.tobytes()
+        assert a.spectrum.tobytes() == b.spectrum.tobytes()
 
 
 class TestSpectralNorm:

@@ -10,6 +10,7 @@ from fable.errors import (
     AllZeroSpectrum,
     DegenerateDenominator,
     DimensionMismatch,
+    NonFinite,
     RankOutOfRange,
     ZeroResidual,
     ZeroResidualVariance,
@@ -407,6 +408,16 @@ class TestBMatrix:
             compute_b_matrix(m)
 
 
+def mean_coverage(m, b, rho, alpha=0.05):
+    """Nominal mean entrywise coverage over the upper triangle of B."""
+    z = ndtri(1 - alpha / 2)
+    m_sq = (m.mu**2).sum(axis=1)
+    q_off = 2 * ndtr(z * rho / b[np.triu_indices(m.p, 1)]) - 1
+    ratio_d = np.sqrt(m.v_sq**2 + 2 * rho**2 * m.v_sq * m_sq) / (m_sq + m.v_sq)
+    q_d = 2 * ndtr(z * ratio_d) - 1
+    return (q_off.sum() + q_d.sum()) / (m.p * (m.p + 1) / 2)
+
+
 class TestComputeRho:
     def test_mean_matches_materialized(self):
         _, _, y = make_factor_data(60, 25, 2, seed=91)
@@ -438,14 +449,7 @@ class TestComputeRho:
         rho = compute_rho(m.mu, m.v_sq, strategy="solve_mean_coverage", alpha=0.05)
         # Independent recomputation of the nominal mean coverage from the
         # materialized matrix.
-        b = compute_b_matrix(m)
-        z = ndtri(0.975)
-        m_sq = (m.mu**2).sum(axis=1)
-        iu = np.triu_indices(m.p, 1)
-        q_off = 2 * ndtr(z * rho / b[iu]) - 1
-        ratio_d = np.sqrt(m.v_sq**2 + 2 * rho**2 * m.v_sq * m_sq) / (m_sq + m.v_sq)
-        q_d = 2 * ndtr(z * ratio_d) - 1
-        qbar = (q_off.sum() + q_d.sum()) / (m.p * (m.p + 1) / 2)
+        qbar = mean_coverage(m, compute_b_matrix(m), rho)
         assert qbar == pytest.approx(0.95, abs=1e-3)
 
     def test_solve_close_to_mean(self):
@@ -460,6 +464,66 @@ class TestComputeRho:
         a = compute_rho(m.mu, m.v_sq, strategy="mean_b", block=7)
         b = compute_rho(m.mu, m.v_sq, strategy="mean_b", block=512)
         assert a == pytest.approx(b, rel=1e-12)
+
+
+def dense_b(mu, v_sq):
+    """B from whole-matrix outer products, as an oracle for the blocks."""
+    m_sq = (mu**2).sum(axis=1)
+    num = np.outer(m_sq, m_sq) + (mu @ mu.T) ** 2
+    den = np.outer(v_sq, m_sq) + np.outer(m_sq, v_sq)
+    b = np.sqrt(1.0 + num / den)
+    b[np.diag_indices_from(b)] = np.sqrt(1.0 + m_sq / (2.0 * v_sq))
+    return b
+
+
+class TestUpperTriangleStreaming:
+    """compute_rho only computes the upper triangle of B; each strategy must
+    agree with the whole matrix at any block size, including blocks that do
+    not divide p."""
+
+    BLOCKS = (1, 7, 512)
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        _, _, y = make_factor_data(80, 601, 3, seed=94)
+        m = fit(center_columns(y), k=3)
+        return m, dense_b(m.mu, m.v_sq)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_materialized_matches_oracle(self, fitted, block):
+        m, b = fitted
+        got = compute_b_matrix(m, block=block)
+        np.testing.assert_allclose(got, b, rtol=1e-13)
+        np.testing.assert_array_equal(got, got.T)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_mean_b(self, fitted, block):
+        m, b = fitted
+        want = float(np.mean(b[np.triu_indices(m.p)]))
+        got = compute_rho(m.mu, m.v_sq, strategy="mean_b", block=block)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_sup_b(self, fitted, block):
+        m, b = fitted
+        got = compute_rho(m.mu, m.v_sq, strategy="sup_b", block=block)
+        assert got == pytest.approx(float(b.max()), rel=1e-13)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_solve_mean_coverage(self, fitted, block):
+        m, b = fitted
+        rho = compute_rho(m.mu, m.v_sq, strategy="solve_mean_coverage", block=block)
+        assert mean_coverage(m, b, rho) == pytest.approx(0.95, abs=1e-9)
+
+    def test_degenerate_row_in_a_later_block(self):
+        # a loaded row with zero residual variance, inside the second
+        # block of 7
+        mu = np.ones((12, 1))
+        v_sq = np.ones(12)
+        v_sq[10] = 0.0
+        for block in self.BLOCKS:
+            with pytest.raises(DegenerateDenominator):
+                compute_rho(mu, v_sq, strategy="mean_b", block=block)
 
 
 class TestModelValidation:
@@ -481,3 +545,12 @@ class TestModelValidation:
         m = TestBMatrix.manual_model([[1.0]], [1.0])
         with pytest.raises(DimensionMismatch):
             FableModel(**{**m.__dict__, "mu": np.zeros((2, 3))})
+
+    @pytest.mark.parametrize("name", ["mu", "u", "spectrum", "delta_sq", "v_sq", "l_sq"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_arrays(self, name, bad):
+        m = TestBMatrix.manual_model([[1.0], [2.0]], [1.0, 1.0])
+        arr = np.array(getattr(m, name), dtype=float)
+        arr.flat[0] = bad
+        with pytest.raises(NonFinite, match=name):
+            FableModel(**{**m.__dict__, name: arr})
