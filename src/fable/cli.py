@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -112,12 +113,6 @@ def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
         metavar="F",
         help="keep the top ceil(F * p) columns by variance",
     )
-    sub.add_argument(
-        "--no-center",
-        dest="center",
-        action="store_false",
-        help="skip column centering (fitting will then refuse the data)",
-    )
 
 
 def _add_fit_flags(sub: argparse.ArgumentParser) -> None:
@@ -155,7 +150,6 @@ def _load_and_preprocess(args) -> tuple[DataMatrix, np.ndarray, str]:
         loaded.values,
         transform=args.transform,
         filter_top_variance_fraction=args.filter_fraction,
-        center=getattr(args, "center", True),
     )
     return dm, kept, file_sha256(args.input)
 
@@ -183,17 +177,7 @@ def _record_outputs(
             if path is not None
         }
 
-    return RunManifest(
-        command=manifest.command,
-        config=manifest.config,
-        software_version=manifest.software_version,
-        seed=manifest.seed,
-        input_sha256=manifest.input_sha256,
-        resolved=manifest.resolved,
-        outputs=hashed(paths),
-        measured=hashed(measured or {}),
-        created_unix=manifest.created_unix,
-    )
+    return replace(manifest, outputs=hashed(paths), measured=hashed(measured or {}))
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
@@ -342,7 +326,6 @@ def _cmd_oos(args) -> int:
         train_loaded.values,
         transform=args.transform,
         filter_top_variance_fraction=args.filter_fraction,
-        center=args.center,
     )
     checksum = file_sha256(args.input)
     # the test rows get the train-chosen transform and columns; target

@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -78,6 +78,17 @@ def _float(cell: str) -> float | None:
         return None
 
 
+def _f8_array(buf: bytes, shape: Sequence[int], offset: int, path) -> np.ndarray:
+    """The little-endian float64 values of ``shape`` at ``buf[offset:]``,
+    copied; the caller has checked that enough bytes remain."""
+    try:
+        flat = np.frombuffer(buf, dtype="<f8", count=math.prod(shape), offset=offset)
+        return flat.reshape(shape).astype(np.float64)
+    except ValueError as exc:
+        # a zero-size array with a dimension past numpy's limit
+        raise ShapeError(f"{path}: unsupported shape {tuple(shape)} ({exc})") from exc
+
+
 def _parse_delimited(text: str, path: str) -> LoadedMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -142,8 +153,7 @@ def _load_binary(raw: bytes, path: str) -> LoadedMatrix:
         raise ShapeError(
             f"{path}: body holds {len(body)} bytes, expected {expected} for {n}x{p}"
         )
-    values = np.frombuffer(body, dtype="<f8").reshape(n, p).astype(np.float64)
-    return LoadedMatrix(values)
+    return LoadedMatrix(_f8_array(body, (n, p), 0, path))
 
 
 def load_matrix(path: str | Path, format: str = "auto") -> LoadedMatrix:
@@ -273,26 +283,25 @@ def load_model(path: str | Path) -> FableModel:
         shapes = {name: [int(d) for d in header["shapes"][name]] for name in _MODEL_ARRAYS}
     except KeyError as exc:
         raise ParseError(f"{path}: model header missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed model header ({exc})") from exc
     offset += hlen
     arrays = {}
     for name, shape in shapes.items():
         if any(d < 0 for d in shape):
             raise ShapeError(f"{path}: negative dimension in shape of {name!r}")
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+        nbytes = math.prod(shape) * 8
         if len(raw) < offset + nbytes:
             raise ShapeError(f"{path}: truncated array {name!r}")
-        arrays[name] = (
-            np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-            .reshape(shape)
-            .astype(np.float64)
-        )
+        arrays[name] = _f8_array(raw, shape, offset, path)
         offset += nbytes
     if offset != len(raw):
         raise ShapeError(f"{path}: {len(raw) - offset} trailing bytes")
-    return FableModel(**scalars, **arrays)
+    try:
+        return FableModel(**scalars, **arrays)
+    except (TypeError, ValueError, OverflowError) as exc:
+        # FableModel's own checks on values read from the header or body
+        raise ParseError(f"{path}: invalid model ({exc})") from exc
 
 
 def _floats_csv(row: Iterable[float]) -> str:
@@ -340,6 +349,7 @@ def save_samples(
 
 
 def _load_samples_binary(path: Path) -> Iterator[CovarianceSample]:
+    size = path.stat().st_size
     with open(path, "rb") as fh:
         if fh.read(len(SAMPLE_MAGIC)) != SAMPLE_MAGIC:
             raise MagicMismatch(f"{path}: not a FABLESAMP1 file")
@@ -350,45 +360,47 @@ def _load_samples_binary(path: Path) -> Iterator[CovarianceSample]:
             if len(head) < 24:
                 raise ShapeError(f"{path}: truncated record header")
             t, k, p = struct.unpack("<QQQ", head)
-            body = fh.read((p * k + p) * 8)
-            if len(body) < (p * k + p) * 8:
+            # checked against the file before reading, so a damaged
+            # header cannot ask for an impossible buffer
+            if (p * k + p) * 8 > size - fh.tell():
                 raise ShapeError(f"{path}: truncated record {t}")
-            lam = np.frombuffer(body, dtype="<f8", count=p * k).reshape(p, k)
-            noise = np.frombuffer(body, dtype="<f8", count=p, offset=p * k * 8)
+            body = fh.read((p * k + p) * 8)
             yield CovarianceSample(
                 index=int(t),
-                loadings=lam.astype(np.float64),
-                noise_sq=noise.astype(np.float64),
+                loadings=_f8_array(body, (p, k), 0, path),
+                noise_sq=_f8_array(body, (p,), p * k * 8, path),
             )
 
 
 def _load_samples_text(path: Path) -> Iterator[CovarianceSample]:
-    with open(path) as fh:
-        lineno = 0
-        while True:
-            head = fh.readline()
-            lineno += 1
-            if not head:
-                return
-            if not head.strip():
-                continue
-            parts = head.strip().split(",")
-            if len(parts) != 3:
-                raise ParseError(f"{path}: line {lineno}: expected t,k,p header")
-            t, k, p = (int(x) for x in parts)
-            lam = np.empty((p, k), dtype=np.float64)
-            for i in range(p):
-                line = fh.readline()
+    try:
+        with open(path) as fh:
+            lineno = 0
+            while True:
+                head = fh.readline()
                 lineno += 1
-                if not line:
-                    raise ShapeError(f"{path}: truncated record {t}")
-                lam[i] = [float(x) for x in line.strip().split(",")]
-            line = fh.readline()
-            lineno += 1
-            if not line:
-                raise ShapeError(f"{path}: truncated record {t}")
-            noise = np.array([float(x) for x in line.strip().split(",")])
-            yield CovarianceSample(index=t, loadings=lam, noise_sq=noise)
+                if not head:
+                    return
+                if not head.strip():
+                    continue
+                parts = head.strip().split(",")
+                if len(parts) != 3:
+                    raise ParseError(f"{path}: line {lineno}: expected t,k,p header")
+                t, k, p = (int(x) for x in parts)
+                # p loading rows, then the noise row; arrays are built
+                # from the lines read, never sized from the header alone
+                rows = []
+                for _ in range(p + 1):
+                    line = fh.readline()
+                    lineno += 1
+                    if not line:
+                        raise ShapeError(f"{path}: truncated record {t}")
+                    rows.append([float(x) for x in line.strip().split(",")])
+                lam = np.array(rows[:-1], dtype=np.float64).reshape(p, k)
+                noise = np.array(rows[-1], dtype=np.float64).reshape(p)
+                yield CovarianceSample(index=t, loadings=lam, noise_sq=noise)
+    except (ValueError, IndexError) as exc:  # bad bytes, numbers or widths
+        raise ParseError(f"{path}: malformed text sample stream ({exc})") from exc
 
 
 def load_samples(path: str | Path, *, format: str = "auto") -> Iterator[CovarianceSample]:
@@ -487,19 +499,8 @@ class RunManifest:
 
 
 def save_manifest(path: str | Path, manifest: RunManifest) -> None:
-    payload = {
-        "command": manifest.command,
-        "config": manifest.config,
-        "software_version": manifest.software_version,
-        "seed": manifest.seed,
-        "input_sha256": manifest.input_sha256,
-        "resolved": manifest.resolved,
-        "outputs": manifest.outputs,
-        "measured": manifest.measured,
-        "created_unix": manifest.created_unix,
-    }
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(asdict(manifest), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

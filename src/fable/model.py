@@ -37,7 +37,6 @@ __all__ = [
     "fit",
     "factor_estimate",
     "hyperparameters_from_factors",
-    "compute_b_matrix",
     "compute_rho",
 ]
 
@@ -443,19 +442,6 @@ def _b_blocks(mu: np.ndarray, v_sq: np.ndarray, block: int):
         rows = np.arange(hi - lo)
         b[rows, rows] = np.where(dm == 0.0, 1.0, bd)
         yield lo, hi, b
-
-
-def compute_b_matrix(model: FableModel, *, block: int = 512) -> np.ndarray:
-    """Materialize the full p x p inflation matrix B.
-
-    Every entry is >= 1. Costs O(p^2) memory; use
-    :func:`compute_rho` when only a summary of B is needed.
-    """
-    out = np.empty((model.p, model.p))
-    for lo, hi, b in _b_blocks(model.mu, model.v_sq, block):
-        out[lo:, lo:hi] = b.T
-        out[lo:hi, lo:] = b
-    return out
 
 
 def compute_rho(

@@ -131,13 +131,24 @@ def draw_sample(
     times a standard normal vector. ``rho=0`` collapses the loadings to
     their posterior mean, which is occasionally useful for testing.
     """
-    r = _effective_rho(model, rho)
-    block = rng.uniform_block(t, model.p, model.k)
-    shape = model.gamma_n / 2.0
-    gamma_draw = gammaincinv(shape, block[:, 0])
-    noise_sq = (model.gamma_n * model.delta_sq / 2.0) / gamma_draw
+    return _draw_rows(model, t, rng, _effective_rho(model, rho), slice(None))
+
+
+def _draw_rows(
+    model: FableModel, t: int, rng: RngSpec, r: float, rows: slice | np.ndarray
+) -> CovarianceSample:
+    """Rows ``rows`` of draw t, in that order.
+
+    The whole uniform block is generated so that row j reads the same
+    uniforms whichever rows are asked for; only the selected rows go
+    through the inverse CDFs. Every step is elementwise, so the result
+    equals the same rows of the full draw bit for bit.
+    """
+    block = rng.uniform_block(t, model.p, model.k)[rows]
+    gamma_draw = gammaincinv(model.gamma_n / 2.0, block[:, 0])
+    noise_sq = (model.gamma_n * model.delta_sq[rows] / 2.0) / gamma_draw
     scale = r * np.sqrt(noise_sq * model.posterior_scale_sq)
-    loadings = model.mu + scale[:, None] * ndtri(block[:, 1:])
+    loadings = model.mu[rows] + scale[:, None] * ndtri(block[:, 1:])
     return CovarianceSample(index=t, loadings=loadings, noise_sq=noise_sq)
 
 
@@ -153,18 +164,24 @@ def _iter_draws(
     rng: RngSpec,
     rho: float | None,
     threads: int,
+    rows: np.ndarray | None = None,
 ) -> Iterator[CovarianceSample]:
+    """Draws ``indices`` in order; only ``rows`` of each when given."""
+    r = _effective_rho(model, rho)
+
+    def draw(t: int) -> CovarianceSample:
+        if rows is None:  # full draws stay visible to wrappers of draw_sample
+            return draw_sample(model, t, rng, rho=r)
+        return _draw_rows(model, t, rng, r, rows)
+
     if threads <= 1:
         for t in indices:
-            yield draw_sample(model, t, rng, rho=rho)
+            yield draw(t)
         return
-    chunk = max(4 * threads, threads)
+    chunk = 4 * threads
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for lo in range(0, len(indices), chunk):
-            batch = indices[lo : lo + chunk]
-            yield from pool.map(
-                lambda t: draw_sample(model, t, rng, rho=rho), batch
-            )
+            yield from pool.map(draw, indices[lo : lo + chunk])
 
 
 def draw_samples(
@@ -260,7 +277,9 @@ def sample_entry_stats(
     draw sequence when n_samples <= ``reservoir`` and an Algorithm-R
     subsample of that size otherwise (results then carry exact=False).
     Reservoir decisions consume a dedicated substream, so outputs stay
-    independent of the thread count.
+    independent of the thread count. Each draw runs the inverse CDFs on
+    the distinct rows of ``indices`` only; the values equal those of
+    :func:`draw_sample`.
     """
     n_samples = _check_count(n_samples)
     if n_samples < 2:
@@ -269,9 +288,11 @@ def sample_entry_stats(
     for q in quantiles:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile levels must lie in [0, 1], got {q}")
-    u_idx = np.array([u for u, _ in pairs])
-    v_idx = np.array([v for _, v in pairs])
-    diag_mask = (u_idx == v_idx).astype(np.float64)
+    uv = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    # u_loc / v_loc index into the distinct rows, the only ones drawn
+    rows, inverse = np.unique(uv, return_inverse=True)
+    u_loc, v_loc = inverse.reshape(uv.shape).T
+    diag_mask = (uv[:, 0] == uv[:, 1]).astype(np.float64)
 
     cap = min(n_samples, reservoir)
     buf = np.empty((cap, len(pairs)))
@@ -281,10 +302,11 @@ def sample_entry_stats(
     s1 = np.zeros(len(pairs))
     s2 = np.zeros(len(pairs))
     seen = 0
-    for sample in _iter_draws(model, range(1, n_samples + 1), rng, rho, threads):
+    draws = _iter_draws(model, range(1, n_samples + 1), rng, rho, threads, rows)
+    for sample in draws:
         vals = (
-            np.einsum("ek,ek->e", sample.loadings[u_idx], sample.loadings[v_idx])
-            + diag_mask * sample.noise_sq[u_idx]
+            np.einsum("ek,ek->e", sample.loadings[u_loc], sample.loadings[v_loc])
+            + diag_mask * sample.noise_sq[u_loc]
         )
         s1 += vals
         s2 += vals * vals

@@ -379,17 +379,11 @@ def runtime_benchmark(
             fit_times.append(time.perf_counter() - t0)
 
             t1 = time.perf_counter()
-            count = 0
-
-            def consume(sample):
-                nonlocal count
-                count += 1
-
             draw_samples(
                 model,
                 n_samples,
                 RngSpec(_sampler_seed(seed, int(p) * 1000 + rep)),
-                sink=consume,
+                sink=lambda sample: None,
             )
             sample_times.append(time.perf_counter() - t1)
 

@@ -26,9 +26,9 @@ from fable.inference import (
     variance_explained,
 )
 from fable.linalg import DataMatrix, center_columns, gaussian_loglik
-from fable.model import FableModel, compute_b_matrix, fit
+from fable.model import FableModel, fit
 from fable.sampler import RngSpec, posterior_mean
-from test_model import make_factor_data
+from test_model import compute_b_matrix, make_factor_data
 
 
 def manual_model(mu, v_sq, delta_sq=None, n=10, rho=1.0, tau_sq=1.0):

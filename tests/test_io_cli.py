@@ -507,13 +507,6 @@ class TestCliFit:
         record = json.loads(capsys.readouterr().err)
         assert "nope.mat" in record["message"]
 
-    def test_uncentered_data_is_refused(self, workspace, tmp_path, capsys):
-        code = main(["fit", "--input", str(workspace["train"]), "--k", "3",
-                     "--no-center", "--output", str(tmp_path / "m.bin")])
-        assert code == 1
-        record = json.loads(capsys.readouterr().err)
-        assert "center" in record["message"]
-
     def test_usage_error_exits_two(self):
         assert main(["fit", "--output", "x.bin"]) == 2
         assert main([]) == 2

@@ -345,9 +345,35 @@ class TestSpectralNorm:
         )
 
     def test_iteration_cap(self):
-        a = np.diag([1.0, 1.0 - 1e-9])
+        # Lanczos spans a 2 x 2 problem in one step, so the cap needs a
+        # problem wider than ARPACK's 20-vector basis to bind
+        a = np.diag(1.0 - 1e-9 * np.arange(50))
         with pytest.raises(ConvergenceFailure):
             spectral_norm(a, tol=0.0, max_iter=2)
+
+    def test_near_tied_top_singular_values(self):
+        # power iteration stalls when s_1 and s_2 nearly tie; Lanczos
+        # does not
+        rng = np.random.default_rng(34)
+        q1, _ = np.linalg.qr(rng.normal(size=(300, 300)))
+        q2, _ = np.linalg.qr(rng.normal(size=(300, 300)))
+        s = np.linspace(0.1, 0.9, 300)
+        s[0], s[1] = 1.0, 1.0 - 1e-5
+        assert spectral_norm((q1 * s) @ q2.T) == pytest.approx(1.0, rel=1e-8)
+
+    def test_one_or_no_column(self):
+        assert spectral_norm(np.array([[3.0], [4.0]])) == pytest.approx(5.0)
+        assert spectral_norm(np.zeros((3, 0))) == 0.0
+
+    def test_zero_linear_map(self):
+        lm = LinearMap(shape=(5, 5), matvec=lambda x: 0.0 * x)
+        assert spectral_norm(lm) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-162, 1e300])
+    def test_extreme_scales(self, scale):
+        a = np.random.default_rng(35).normal(size=(6, 5))
+        want = scale * np.linalg.svd(a, compute_uv=False)[0]
+        assert spectral_norm(scale * a) == pytest.approx(want, rel=1e-8)
 
 
 class TestStructuredCovariance:

@@ -18,7 +18,7 @@ from fable.errors import (
 from fable.linalg import center_columns, truncated_svd
 from fable.model import (
     FableModel,
-    compute_b_matrix,
+    _b_blocks,
     compute_rho,
     estimate_tau_sq,
     factor_estimate,
@@ -28,6 +28,17 @@ from fable.model import (
     select_K0,
     select_rank,
 )
+
+
+def compute_b_matrix(model, *, block=512):
+    """The full p x p inflation matrix B, mirrored from the same
+    upper-triangle row blocks that :func:`compute_rho` streams; the
+    whole-matrix oracle for its summaries (O(p^2) memory)."""
+    out = np.empty((model.p, model.p))
+    for lo, hi, b in _b_blocks(model.mu, model.v_sq, block):
+        out[lo:, lo:hi] = b.T
+        out[lo:hi, lo:] = b
+    return out
 
 
 def make_factor_data(n, p, k, seed, spike_prob=0.5, slab_sd=0.5):
@@ -277,6 +288,17 @@ class TestFit:
 
         with pytest.raises(ValueError, match="centered"):
             fit(DataMatrix(np.ones((5, 3)) + np.eye(5, 3)), k=1)
+
+    def test_refuses_data_not_flagged_centered(self):
+        # the refusal follows the DataMatrix flag, not the column means:
+        # zero-mean values passed with centered=False are still refused
+        from fable.io import preprocess
+
+        _, _, y = make_factor_data(20, 6, 1, seed=57)
+        dm, _ = preprocess(y - y.mean(axis=0), center=False)
+        assert not dm.centered
+        with pytest.raises(ValueError, match="center"):
+            fit(dm, k=1)
 
     def test_rank_out_of_range(self):
         _, _, y = make_factor_data(10, 5, 1, seed=56)

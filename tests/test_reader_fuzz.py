@@ -1,0 +1,254 @@
+"""Property tests for the file readers: FABLEMAT1 matrices, model
+artifacts, and sample streams (FABLESAMP1 and the text variant).
+
+None of the formats stores a checksum, so a flipped payload byte loads
+as a different float. What a damaged file must never do is escape as
+anything but a :class:`FableError`: it either loads or raises one. A
+truncated matrix or model is always rejected; a truncated sample stream
+loads only when it was cut at a record boundary, and then it holds an
+exact prefix of the records.
+"""
+
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fable.errors import FableError
+from fable.io import (
+    MATRIX_MAGIC,
+    MODEL_MAGIC,
+    SAMPLE_MAGIC,
+    LoadedMatrix,
+    load_matrix,
+    load_model,
+    load_samples,
+    save_matrix,
+    save_model,
+    save_samples,
+)
+from fable.linalg import center_columns
+from fable.model import FableModel, fit
+from fable.sampler import CovarianceSample, RngSpec, draw_samples
+
+from test_model import make_factor_data
+
+FUZZ = settings(max_examples=150, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    _, _, y = make_factor_data(20, 6, 2, seed=91)
+    model = fit(center_columns(y), k=2)
+    save_model(root / "model.bin", model)
+    save_matrix(root / "matrix.mat", y[:4, :3])
+    save_samples(root / "samples.bin", draw_samples(model, 3, RngSpec(5)))
+    save_samples(root / "samples.txt", draw_samples(model, 2, RngSpec(5)), format="text")
+    return {
+        "root": root,
+        "model": (root / "model.bin").read_bytes(),
+        "matrix": (root / "matrix.mat").read_bytes(),
+        "samples": (root / "samples.bin").read_bytes(),
+        "samples_text": (root / "samples.txt").read_bytes(),
+        "records": list(load_samples(root / "samples.bin")),
+    }
+
+
+def load_damaged(originals, name, data, loader):
+    """Write ``data`` over a scratch file and read it back: the loaded
+    value, or None when the reader raised a FableError."""
+    path = originals["root"] / f"damaged-{name}"
+    path.write_bytes(bytes(data))
+    try:
+        return loader(path)
+    except FableError:
+        return None
+
+
+def flipped(raw, position, mask):
+    out = bytearray(raw)
+    out[position % len(raw)] ^= mask
+    return out
+
+
+def overwritten(raw, offset, word):
+    out = bytearray(raw)
+    out[offset : offset + 8] = struct.pack("<Q", word)
+    return out
+
+
+def same_records(got, want):
+    return len(got) == len(want) and all(
+        a.index == b.index
+        and a.loadings.tobytes() == b.loadings.tobytes()
+        and a.noise_sq.tobytes() == b.noise_sq.tobytes()
+        for a, b in zip(got, want)
+    )
+
+
+def read_samples(path):
+    return list(load_samples(path))
+
+
+def read_text_samples(path):
+    return list(load_samples(path, format="text"))
+
+
+positions = st.integers(0, 10_000)
+masks = st.integers(1, 255)
+words = st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 64))
+
+
+class TestMatrixReader:
+    @FUZZ
+    @given(cut=st.integers(0, 10_000))
+    def test_truncation_is_rejected(self, originals, cut):
+        raw = originals["matrix"]
+        got = load_damaged(
+            originals, "matrix", raw[: cut % len(raw)],
+            lambda p: load_matrix(p, format="raw_binary"),
+        )
+        assert got is None
+
+    @FUZZ
+    @given(position=positions, mask=masks)
+    def test_flip_loads_or_raises(self, originals, position, mask):
+        got = load_damaged(
+            originals, "matrix", flipped(originals["matrix"], position, mask), load_matrix
+        )
+        assert got is None or isinstance(got, LoadedMatrix)
+
+    @FUZZ
+    @given(dim=st.sampled_from([0, 1]), word=words)
+    def test_dimension_overwrite_loads_or_raises(self, originals, dim, word):
+        raw = overwritten(originals["matrix"], len(MATRIX_MAGIC) + 8 * dim, word)
+        got = load_damaged(
+            originals, "matrix", raw, lambda p: load_matrix(p, format="raw_binary")
+        )
+        assert got is None or got.values.size * 8 == len(raw) - len(MATRIX_MAGIC) - 16
+
+    def test_empty_body_with_huge_dimension(self, originals):
+        raw = MATRIX_MAGIC + struct.pack("<QQ", 0, 2**64 - 1)
+        got = load_damaged(
+            originals, "matrix", raw, lambda p: load_matrix(p, format="raw_binary")
+        )
+        assert got is None
+
+
+class TestModelReader:
+    @FUZZ
+    @given(cut=st.integers(0, 100_000))
+    def test_truncation_is_rejected(self, originals, cut):
+        raw = originals["model"]
+        assert load_damaged(originals, "model", raw[: cut % len(raw)], load_model) is None
+
+    @FUZZ
+    @given(position=positions, mask=masks)
+    def test_flip_loads_or_raises(self, originals, position, mask):
+        raw = originals["model"]
+        # half the examples land in the magic, length and JSON header
+        header_end = len(MODEL_MAGIC) + 8 + struct.unpack_from("<Q", raw, len(MODEL_MAGIC))[0]
+        at = position % header_end if position % 2 else position
+        got = load_damaged(originals, "model", flipped(raw, at, mask), load_model)
+        assert got is None or isinstance(got, FableModel)
+
+    @FUZZ
+    @given(word=words)
+    def test_header_length_overwrite_loads_or_raises(self, originals, word):
+        raw = overwritten(originals["model"], len(MODEL_MAGIC), word)
+        got = load_damaged(originals, "model", raw, load_model)
+        assert got is None or isinstance(got, FableModel)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            (b'"rho_strategy":"mean_b"', b'"rho_strategy":"mean_c"'),
+            (b'"tau_sq":', b'"tau_sq":-'),
+            (b'"n":20', b'"n":"x"'),
+            (b'"mu":[6,2]', b'"mu":[1e999,2]'),
+            (b'"mu":[6,2]', b'"mu":[4611686018427387904,4]'),
+            (b'"gamma_n":21.0', b'"gamma_n":31.0'),
+        ],
+        ids=["strategy", "negative-tau", "string-n", "infinite-dim", "overflowing-dims",
+             "gamma-n"],
+    )
+    def test_bad_header_values_are_parse_errors(self, originals, edit):
+        old, new = edit
+        raw = originals["model"]
+        hlen_at = len(MODEL_MAGIC)
+        hlen = struct.unpack_from("<Q", raw, hlen_at)[0]
+        header = raw[hlen_at + 8 : hlen_at + 8 + hlen]
+        assert old in header
+        header = header.replace(old, new)
+        damaged = (
+            raw[:hlen_at] + struct.pack("<Q", len(header)) + header + raw[hlen_at + 8 + hlen :]
+        )
+        assert load_damaged(originals, "model", damaged, load_model) is None
+
+    def test_negative_payload_value_is_rejected(self, originals):
+        raw = originals["model"]
+        hlen = struct.unpack_from("<Q", raw, len(MODEL_MAGIC))[0]
+        model = load_model(originals["root"] / "model.bin")
+        # the first delta_sq entry follows the p x k entries of mu
+        at = len(MODEL_MAGIC) + 8 + hlen + model.mu.size * 8 + 7
+        damaged = flipped(raw, at, 0x80)  # sign bit
+        assert load_damaged(originals, "model", damaged, load_model) is None
+
+
+class TestSampleStreamReader:
+    @FUZZ
+    @given(cut=st.integers(0, 100_000))
+    def test_truncation_is_a_prefix_or_rejected(self, originals, cut):
+        raw, records = originals["samples"], originals["records"]
+        cut %= len(raw)
+        got = load_damaged(originals, "samples", raw[:cut], read_samples)
+        if got is not None:
+            assert same_records(got, records[: len(got)])
+            record = (len(raw) - len(SAMPLE_MAGIC)) // len(records)
+            # an empty file reads as an empty text stream
+            assert cut in (0, len(SAMPLE_MAGIC) + len(got) * record)
+
+    @FUZZ
+    @given(position=positions, mask=masks)
+    def test_flip_loads_or_raises(self, originals, position, mask):
+        got = load_damaged(
+            originals, "samples", flipped(originals["samples"], position, mask), read_samples
+        )
+        assert got is None or all(isinstance(s, CovarianceSample) for s in got)
+
+    @FUZZ
+    @given(field=st.integers(0, 2), word=words)
+    def test_record_header_overwrite_loads_or_raises(self, originals, field, word):
+        raw = overwritten(originals["samples"], len(SAMPLE_MAGIC) + 8 * field, word)
+        got = load_damaged(originals, "samples", raw, read_samples)
+        assert got is None or all(
+            s.loadings.shape[0] == s.noise_sq.shape[0] for s in got
+        )
+
+    def test_huge_record_size_is_rejected(self, originals):
+        raw = SAMPLE_MAGIC + struct.pack("<QQQ", 1, 2**40, 2**40)
+        assert load_damaged(originals, "samples", raw, read_samples) is None
+
+    @FUZZ
+    @given(position=positions, mask=masks)
+    def test_text_flip_loads_or_raises(self, originals, position, mask):
+        raw = flipped(originals["samples_text"], position, mask)
+        got = load_damaged(originals, "samples.txt", raw, read_text_samples)
+        assert got is None or all(
+            s.loadings.shape[0] == s.noise_sq.shape[0] for s in got
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"1,100000,100000000000\n1.0\n",
+            b"1,2,-3\n1.0\n",
+            b"1,2,1\n1.0,x\n1.0\n",
+            SAMPLE_MAGIC[:-1] + b"\xdb\x00\n",
+        ],
+        ids=["rows-beyond-file", "negative-p", "bad-number", "undecodable"],
+    )
+    def test_bad_text_records_are_rejected(self, originals, text):
+        assert load_damaged(originals, "samples.txt", text, read_text_samples) is None

@@ -11,8 +11,11 @@ from fable.errors import (
 )
 from fable.linalg import StructuredCovariance, center_columns
 from fable.model import FableModel, fit
+import fable.sampler
 from fable.sampler import (
+    _RESERVOIR_TAG,
     CovarianceSample,
+    EntryStats,
     RngSpec,
     draw_sample,
     draw_samples,
@@ -221,7 +224,80 @@ class TestPosteriorMean:
             posterior_mean(mid_model, form="dense_entrywise", indices=[(0, 99)])
 
 
+def gathered_entry_stats(model, n_samples, seed, pairs, *, rho=None,
+                         quantiles=(0.025, 0.5, 0.975), reservoir=10_000):
+    """Oracle for sample_entry_stats: every row of each draw from
+    draw_sample, the pairs' rows gathered afterwards, then the same
+    streaming sums and Algorithm-R reservoir substream."""
+    u = np.array([a for a, _ in pairs])
+    v = np.array([b for _, b in pairs])
+    diag = (u == v).astype(np.float64)
+    cap = min(n_samples, reservoir)
+    buf = np.empty((cap, len(pairs)))
+    res_rng = np.random.default_rng(np.random.SeedSequence((seed, _RESERVOIR_TAG)))
+    s1, s2 = np.zeros(len(pairs)), np.zeros(len(pairs))
+    for seen, t in enumerate(range(1, n_samples + 1)):
+        d = draw_sample(model, t, RngSpec(seed), rho=rho)
+        vals = np.einsum("ek,ek->e", d.loadings[u], d.loadings[v]) + diag * d.noise_sq[u]
+        s1 += vals
+        s2 += vals * vals
+        if seen < cap:
+            buf[seen] = vals
+        else:
+            slot = int(res_rng.integers(0, seen + 1))
+            if slot < cap:
+                buf[slot] = vals
+    mean = s1 / n_samples
+    sd = np.sqrt(np.maximum((s2 - n_samples * mean * mean) / (n_samples - 1), 0.0))
+    q = np.quantile(buf, list(quantiles), axis=0)
+    return {
+        pair: EntryStats(
+            mean=float(mean[e]),
+            sd=float(sd[e]),
+            quantiles={lv: float(q[i, e]) for i, lv in enumerate(quantiles)},
+            n_samples=n_samples,
+            exact=n_samples <= cap,
+        )
+        for e, pair in enumerate(pairs)
+    }
+
+
 class TestSampleEntryStats:
+    def test_transforms_only_tracked_rows(self, mid_model, monkeypatch):
+        calls = []
+        real = fable.sampler.gammaincinv
+
+        def counting(a, x):
+            calls.append(len(x))
+            return real(a, x)
+
+        monkeypatch.setattr(fable.sampler, "gammaincinv", counting)
+        pairs = [(5, 1), (1, 5), (3, 3), (5, 3)]  # rows {1, 3, 5} of 8
+        sample_entry_stats(mid_model, 40, RngSpec(73), pairs, threads=2)
+        assert calls == [3] * 40
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(5, 1), (1, 5), (3, 3), (5, 1), (7, 0)],
+            [(6, 6), (2, 2), (6, 6)],
+            [(7, 2)],
+        ],
+        ids=["mixed", "diagonal", "single"],
+    )
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"rho": 0.0}, {"reservoir": 40}],
+        ids=["default", "rho0", "reservoir"],
+    )
+    def test_bit_identical_to_gathered_full_draws(self, mid_model, threads, pairs, options):
+        got = sample_entry_stats(
+            mid_model, 120, RngSpec(79), pairs, threads=threads, **options
+        )
+        assert got == gathered_entry_stats(mid_model, 120, 79, pairs, **options)
+        assert all(st.exact == ("reservoir" not in options) for st in got.values())
+
     def test_matches_manual_streaming(self, small_model):
         pairs = [(0, 1), (2, 2)]
         stats = sample_entry_stats(small_model, 500, RngSpec(61), pairs)
