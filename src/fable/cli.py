@@ -125,9 +125,6 @@ def _add_fit_flags(sub: argparse.ArgumentParser) -> None:
                      help="prior loading scale; default is moment-matched")
     sub.add_argument("--rho-strategy", choices=RHO_STRATEGIES, default="mean_b")
     sub.add_argument("--alpha", type=float, default=0.05)
-    sub.add_argument("--svd-method", choices=("exact", "randomized"), default="exact")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for the randomized SVD sketch")
 
 
 def _fit_options(args) -> dict:
@@ -139,8 +136,6 @@ def _fit_options(args) -> dict:
         "tau_sq": args.tau_sq,
         "rho_strategy": args.rho_strategy,
         "coverage_alpha": args.alpha,
-        "svd_method": args.svd_method,
-        "seed": args.seed,
     }
 
 
@@ -203,9 +198,7 @@ def _cmd_fit(args) -> int:
         "gamma_n": model.gamma_n,
         "columns_kept": int(len(kept)),
     }
-    manifest = _manifest(
-        args, "fit", seed=args.seed, input_sha256=checksum, resolved=resolved
-    )
+    manifest = _manifest(args, "fit", input_sha256=checksum, resolved=resolved)
     manifest = _record_outputs(
         manifest, model=args.output, columns=args.output_columns
     )
@@ -350,7 +343,7 @@ def _cmd_oos(args) -> int:
     _emit_json(result, args.output)
     if args.manifest is not None:
         manifest = _manifest(
-            args, "oos", seed=args.seed, input_sha256=checksum,
+            args, "oos", input_sha256=checksum,
             resolved={"oos_loglik": value},
         )
         if args.output is not None:

@@ -93,19 +93,21 @@ def _parse_delimited(text: str, path: str) -> LoadedMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: no data rows")
-    delim = "\t" if "\t" in lines[0] else ","
+    # the first line holding a delimiter decides: a one-column header has none
+    sniff = next((ln for ln in lines if "\t" in ln or "," in ln), "")
+    delim = "\t" if "\t" in sniff else ","
     rows = [ln.split(delim) for ln in lines]
 
     # A first row whose tail is numeric but first cell is not is data
-    # with a row label, not a header; a non-numeric tail marks a header.
-    first = rows[0]
-    tail_numeric = all(_float(cell) is not None for cell in first[1:])
+    # with a row label, not a header; any other non-numeric cell marks a
+    # header, a lone one included (the header of a single column).
+    numeric = [_float(cell) is not None for cell in rows[0]]
     col_labels = None
     has_row_labels = False
-    if _float(first[0]) is None and tail_numeric:
+    if len(numeric) > 1 and not numeric[0] and all(numeric[1:]):
         has_row_labels = True
-    elif not tail_numeric:
-        col_labels = tuple(cell.strip() for cell in first)
+    elif not all(numeric):
+        col_labels = tuple(cell.strip() for cell in rows[0])
         rows = rows[1:]
         if not rows:
             raise ParseError(f"{path}: header but no data rows")

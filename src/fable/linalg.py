@@ -1,10 +1,9 @@
 """Dense linear algebra used by the rest of the package.
 
-Centering, truncated SVD with a fixed sign convention (exact through the
-eigendecomposition of the smaller Gram matrix, or by a randomized
-sketch), a matrix-free spectral norm, and the Gaussian log-likelihood
-for a low-rank-plus-diagonal covariance evaluated without ever forming
-the p x p matrix.
+Centering, truncated SVD with a fixed sign convention (exact, through the
+eigendecomposition of the smaller Gram matrix), a matrix-free spectral
+norm, and the Gaussian log-likelihood for a low-rank-plus-diagonal
+covariance evaluated without ever forming the p x p matrix.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "StructuredCovariance",
     "LinearMap",
     "center_columns",
-    "gram_svd",
     "truncated_svd",
     "spectral_norm",
     "gaussian_loglik",
@@ -40,7 +38,7 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-# gram_svd falls back to LAPACK when s_k^2 / s_1^2 is below this ratio.
+# truncated_svd falls back to LAPACK when s_k^2 / s_1^2 is below this ratio.
 # The Gram matrix squares the condition number: its eigenvalues carry an
 # absolute error of order eps * s_1^2, so singular values under about
 # sqrt(eps) * s_1 are lost, and the vectors formed by dividing by s_i lose
@@ -118,9 +116,8 @@ class DataMatrix:
 class TruncatedSvd:
     """Rank-k factors of a matrix plus the singular value spectrum.
 
-    ``spectrum`` keeps every singular value the backing decomposition
-    produced (all min(n, p) for the exact method, the sketch width for
-    the randomized one); ``singvals`` is its first k entries.
+    ``spectrum`` holds all min(n, p) singular values; ``singvals`` is its
+    first k entries.
     """
 
     u: np.ndarray
@@ -263,7 +260,7 @@ def _checked_rank(k, shape: tuple[int, int]) -> int:
     return int(k)
 
 
-def gram_svd(
+def truncated_svd(
     data: DataMatrix | np.ndarray,
     k: int | Callable[[np.ndarray], int],
 ) -> TruncatedSvd:
@@ -309,56 +306,6 @@ def gram_svd(
         u, v = (vals @ top) / s, top
     u, v = _fix_signs(u, v)
     return TruncatedSvd(u=u, singvals=s, v=v, spectrum=spectrum, k=rank)
-
-
-def truncated_svd(
-    data: DataMatrix | np.ndarray,
-    k: int,
-    *,
-    method: str = "exact",
-    seed: int = 0,
-) -> TruncatedSvd:
-    """Top-k singular triplets of the data matrix.
-
-    Parameters
-    ----------
-    data : DataMatrix or ndarray
-        Matrix to decompose.
-    k : int
-        Number of retained components, 1 <= k <= min(n, p).
-    method : {"exact", "randomized"}
-        "exact" is :func:`gram_svd` and keeps the whole spectrum.
-        "randomized" uses a Gaussian sketch with oversampling 10 and two
-        power iterations; its spectrum only extends to the sketch width.
-    seed : int
-        Seeds the sketch. Ignored by the exact method.
-
-    Returns
-    -------
-    TruncatedSvd
-    """
-    vals = _values_of(data)
-    k = _checked_rank(k, vals.shape)
-
-    if method == "exact":
-        return gram_svd(vals, k)
-
-    if method != "randomized":
-        raise ValueError(f"unknown method {method!r}")
-
-    n, p = vals.shape
-    ell = min(k + 10, n, p)
-    rng = np.random.default_rng(seed)
-    sketch = vals @ rng.standard_normal((p, ell))
-    q, _ = np.linalg.qr(sketch)
-    for _ in range(2):
-        # Power iterations sharpen the subspace; re-orthonormalize each
-        # pass to keep the basis from collapsing.
-        q, _ = np.linalg.qr(vals @ (vals.T @ q))
-    b = q.T @ vals
-    ub, s, vt = np.linalg.svd(b, full_matrices=False)
-    u, v = _fix_signs((q @ ub)[:, :k], vt[:k].T)
-    return TruncatedSvd(u=u, singvals=s[:k], v=v, spectrum=s, k=k)
 
 
 def spectral_norm(

@@ -9,6 +9,7 @@ again.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .errors import (
     ZeroResidual,
     ZeroResidualVariance,
 )
-from .linalg import DataMatrix, TruncatedSvd, _frozen, gram_svd, truncated_svd
+from .linalg import DataMatrix, TruncatedSvd, _frozen, truncated_svd
 
 __all__ = [
     "RankSelection",
@@ -33,7 +34,6 @@ __all__ = [
     "select_K0",
     "jic",
     "select_rank",
-    "estimate_tau_sq",
     "fit",
     "factor_estimate",
     "hyperparameters_from_factors",
@@ -176,9 +176,7 @@ def jic(data: DataMatrix, svd: TruncatedSvd, k: int) -> float:
     penalty k * max(n, p) * log(min(n, p)).
 
     RSS_k is the squared Frobenius norm of the residual after the best
-    rank-k approximation, taken from ``svd.spectrum``; the exact SVD
-    method must have produced it for ranks beyond the sketch width to
-    make sense.
+    rank-k approximation, taken from ``svd.spectrum``.
     """
     if k > svd.spectrum.shape[0]:
         raise RankOutOfRange(
@@ -208,45 +206,8 @@ def select_rank(data: DataMatrix, *, S0: float = 0.75) -> RankSelection:
 
     Ties break toward the smaller rank. Needs min(n, p) >= 2.
     """
-    spectrum = gram_svd(data, 1).spectrum
+    spectrum = truncated_svd(data, 1).spectrum
     return _select_from_spectrum(data.n, data.p, spectrum, S0)
-
-
-def estimate_tau_sq(
-    data: DataMatrix, svd: TruncatedSvd
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Split each column's mean square into signal and residual parts and
-    return the moment-matched prior scale.
-
-    Returns ``(tau_sq, l_sq, v_sq)`` where ``l_sq[j]`` is the mean square
-    of column j's projection onto the retained left singular subspace,
-    ``v_sq[j]`` the residual mean square, and ``tau_sq`` the average of
-    ``l_sq / v_sq`` over columns divided by the rank.
-
-    Raises :class:`ZeroResidualVariance` when any column sits (numerically)
-    inside the retained subspace, since the ratio would blow up.
-    """
-    return _moment_split(data.values, svd.u.T @ data.values, svd.k)
-
-
-def _moment_split(
-    values: np.ndarray, proj: np.ndarray, k: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """``(tau_sq, l_sq, v_sq)`` from the data and its projection onto the
-    retained left singular subspace; see :func:`estimate_tau_sq`."""
-    n = values.shape[0]
-    ysq = np.einsum("ij,ij->j", values, values)
-    projsq = np.einsum("kj,kj->j", proj, proj)
-    l_sq = projsq / n
-    v_sq = (ysq - projsq) / n
-    floor = _RESIDUAL_FLOOR * (ysq / n)
-    bad = np.flatnonzero(v_sq <= floor)
-    if bad.size:
-        raise ZeroResidualVariance(
-            f"column {bad[0]} has numerically zero residual variance "
-            f"({bad.size} column(s) total); its noise level is not identifiable"
-        )
-    return float(np.mean(l_sq / v_sq) / k), l_sq, v_sq
 
 
 def factor_estimate(svd: TruncatedSvd, *, c: np.ndarray | None = None) -> np.ndarray:
@@ -313,8 +274,6 @@ def fit(
     tau_sq: float | None = None,
     rho_strategy: str = "mean_b",
     coverage_alpha: float = 0.05,
-    svd_method: str = "exact",
-    seed: int = 0,
 ) -> FableModel:
     """Fit the factor-covariance posterior to centered data.
 
@@ -324,23 +283,24 @@ def fit(
         Centered observations (use :func:`fable.center_columns`).
     k : int, optional
         Factor rank. When omitted the rank is selected by information
-        criterion over 1..K0, which requires the exact SVD method.
+        criterion over 1..K0.
     S0 : float
         Spectrum-mass fraction defining the rank-search cap K0.
     gamma0, delta0_sq : float
         Inverse-Gamma prior shape/scale seeds for the noise variances.
     tau_sq : float, optional
-        Prior loading scale. Estimated by moment matching when omitted.
+        Prior loading scale. When omitted it is moment-matched: the mean
+        over columns of l_sq / v_sq, divided by the rank, where l_sq[j] is
+        the mean square of column j's projection onto the retained left
+        singular subspace and v_sq[j] the residual mean square.
     rho_strategy : {"mean_b", "sup_b", "solve_mean_coverage"}
         How to collapse the entrywise inflation matrix B into one rho.
     coverage_alpha : float
         Target miscoverage used by the "solve_mean_coverage" strategy.
-    svd_method : {"exact", "randomized"}
-        Backend for the truncated SVD. The randomized sketch is useful
-        when k is fixed and min(n, p) is large.
-    seed : int
-        Seeds the randomized sketch only; the fit is otherwise
-        deterministic.
+
+    Raises :class:`ZeroResidualVariance` when any column sits (numerically)
+    inside the retained subspace, since its noise level is then not
+    identifiable.
     """
     if not data.centered:
         raise ValueError("fit requires centered data; see center_columns")
@@ -354,28 +314,28 @@ def fit(
         )
     n, p = data.n, data.p
 
-    if svd_method == "exact":
-        if k is None:
-            svd = gram_svd(data, lambda s: _select_from_spectrum(n, p, s, S0).k_hat)
-        else:
-            svd = gram_svd(data, int(k))
-    elif svd_method == "randomized":
-        if k is None:
-            raise ValueError("rank selection needs svd_method='exact'")
-        svd = truncated_svd(data, k, method="randomized", seed=seed)
+    if k is None:
+        svd = truncated_svd(data, lambda s: _select_from_spectrum(n, p, s, S0).k_hat)
     else:
-        raise ValueError(f"unknown svd_method {svd_method!r}")
+        svd = truncated_svd(data, int(k))
     k, u = svd.k, svd.u
 
     proj = u.T @ data.values
-    estimated_tau_sq, l_sq, v_sq = _moment_split(data.values, proj, k)
+    ysq = np.einsum("ij,ij->j", data.values, data.values)
+    projsq = np.einsum("kj,kj->j", proj, proj)
+    l_sq = projsq / n
+    v_sq = (ysq - projsq) / n
+    bad = np.flatnonzero(v_sq <= _RESIDUAL_FLOOR * (ysq / n))
+    if bad.size:
+        raise ZeroResidualVariance(
+            f"column {bad[0]} has numerically zero residual variance "
+            f"({bad.size} column(s) total); its noise level is not identifiable"
+        )
     if tau_sq is None:
-        tau_sq = estimated_tau_sq
+        tau_sq = float(np.mean(l_sq / v_sq) / k)
     denom = n + 1.0 / tau_sq
     mu = (np.sqrt(n) / denom) * proj.T
     gamma_n = gamma0 + n
-    ysq = np.einsum("ij,ij->j", data.values, data.values)
-    projsq = np.einsum("kj,kj->j", proj, proj)
     delta_sq = (gamma0 * delta0_sq + ysq - (n / denom) * projsq) / gamma_n
     rho = compute_rho(mu, v_sq, strategy=rho_strategy, alpha=coverage_alpha)
     return FableModel(
@@ -456,11 +416,11 @@ def compute_rho(
 
     "mean_b" averages B over its upper triangle (diagonal included),
     "sup_b" takes the maximum, and "solve_mean_coverage" finds by
-    bisection the rho whose nominal mean entrywise coverage equals
-    1 - alpha. Only the upper triangle of B is computed, in row blocks,
-    so mean and sup never hold the full matrix; the solver keeps the
-    upper-triangle values (about p^2 / 2 floats) to make each bisection
-    step a vector op.
+    Brent's method, over [1, 4 sup B], the rho whose nominal mean
+    entrywise coverage equals 1 - alpha. Only the upper triangle of B is
+    computed, in row blocks, so mean and sup never hold the full matrix;
+    the solver makes one pass and keeps the values above the diagonal
+    (about p^2 / 2 floats) to make each step a vector op.
     """
     mu = np.asarray(mu, dtype=np.float64)
     v_sq = np.asarray(v_sq, dtype=np.float64)
@@ -489,15 +449,20 @@ def compute_rho(
     z = float(ndtri(1.0 - alpha / 2.0))
     target = 1.0 - alpha
 
+    # one pass over B: the values right of the diagonal, and the bracket's
+    # upper end from those and the diagonal (below it B mirrors them)
     offdiag = []
+    sup = 1.0
     for lo, hi, b in _b_blocks(mu, v_sq, block):
         # row-major order of the entries right of the diagonal
         above = np.arange(p - lo)[None, :] > np.arange(hi - lo)[:, None]
         offdiag.append(b[above])
+        sup = max(sup, float(offdiag[-1].max(initial=1.0)), float(b.diagonal().max()))
     bvals = np.concatenate(offdiag)
     m_sq = np.einsum("jk,jk->j", mu, mu)
     msum = m_sq + v_sq
 
+    @functools.lru_cache(maxsize=None)  # brentq re-evaluates the bracket ends
     def mean_q(rho: float) -> float:
         # Off the diagonal the asymptotic-to-surrogate sd ratio is exactly
         # rho / b_uv; on it the two variance formulas do not cancel.
@@ -508,8 +473,7 @@ def compute_rho(
         acc += float(np.sum(2.0 * ndtr(z * ratio) - 1.0))
         return acc / (p * (p + 1) / 2.0)
 
-    lo_r = 1.0
-    hi_r = 4.0 * compute_rho(mu, v_sq, strategy="sup_b", block=block)
+    lo_r, hi_r = 1.0, 4.0 * sup
     f_lo, f_hi = mean_q(lo_r), mean_q(hi_r)
     # No inflation needed (B is identically 1 up to roundoff).
     if f_lo >= target - 1e-12:
@@ -518,12 +482,7 @@ def compute_rho(
         raise BracketFailure(
             f"mean coverage {f_hi:.4f} at rho={hi_r:.3f} never reaches {target}"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo_r + hi_r)
-        if mean_q(mid) < target:
-            lo_r = mid
-        else:
-            hi_r = mid
-        if hi_r - lo_r <= 1e-12 * hi_r:
-            break
-    return 0.5 * (lo_r + hi_r)
+    # imported here: scipy.optimize adds ~0.25 s to every CLI start-up
+    from scipy.optimize import brentq
+
+    return float(brentq(lambda rho: mean_q(rho) - target, lo_r, hi_r, xtol=1e-13))

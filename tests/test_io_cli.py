@@ -1,12 +1,17 @@
 """Tests for file formats and the command-line pipeline."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import fable
 from fable.cli import main, parse_indices, _parse_p_grid
 from fable.errors import (
     MagicMismatch,
@@ -511,6 +516,17 @@ class TestCliFit:
         assert main(["fit", "--output", "x.bin"]) == 2
         assert main([]) == 2
 
+    @pytest.mark.parametrize("flag", [["--svd-method", "exact"], ["--seed", "0"]])
+    @pytest.mark.parametrize("command", ["fit", "oos"])
+    def test_removed_svd_flags_are_usage_errors(self, workspace, tmp_path, command, flag):
+        # the SVD is always exact and unseeded; fit and oos take neither flag
+        argv = [command, "--input", str(workspace["train"]), "--k", "3",
+                "--output", str(tmp_path / "out")]
+        if command == "oos":
+            argv += ["--test", str(workspace["test"]), "--targets", "0-29"]
+        assert main(argv) == 0
+        assert main(argv + flag) == 2
+
 
 class TestCliSample:
     def test_deterministic_output(self, workspace, tmp_path):
@@ -708,6 +724,23 @@ class TestCliReplay:
                      "--outdir", str(tmp_path / "r")])
         assert code == 0
         assert "1 output(s)" in capsys.readouterr().out
+
+
+class TestStartupImports:
+    def test_cli_import_stays_light(self):
+        # spectral_norm and the rho solver import these on first use;
+        # loading them at start-up costs every CLI command ~0.25 s
+        src = str(Path(fable.__file__).resolve().parents[1])
+        code = (
+            "import sys, fable.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'sparse'])))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestThreadsEnv:

@@ -22,7 +22,6 @@ from fable.linalg import (
     center_columns,
     covariance_difference,
     gaussian_loglik,
-    gram_svd,
     spectral_norm,
     truncated_svd,
 )
@@ -104,23 +103,6 @@ class TestTruncatedSvd:
         resid = y - out.singvals[0] * np.outer(out.u[:, 0], out.v[:, 0])
         assert np.linalg.norm(resid, 2) <= 1e-8
 
-    def test_randomized_matches_exact(self):
-        rng = np.random.default_rng(11)
-        y = rng.normal(size=(20, 15)) @ np.diag(np.linspace(3.0, 0.1, 15))
-        exact = truncated_svd(y, k=5)
-        approx = truncated_svd(y, k=5, method="randomized", seed=4)
-        np.testing.assert_allclose(approx.singvals, exact.singvals, rtol=1e-6)
-        np.testing.assert_allclose(np.abs(approx.v), np.abs(exact.v), atol=1e-6)
-
-    def test_randomized_deterministic(self):
-        rng = np.random.default_rng(12)
-        y = rng.normal(size=(30, 40))
-        a = truncated_svd(y, k=3, method="randomized", seed=9)
-        b = truncated_svd(y, k=3, method="randomized", seed=9)
-        assert a.u.tobytes() == b.u.tobytes()
-        assert a.v.tobytes() == b.v.tobytes()
-        assert a.singvals.tobytes() == b.singvals.tobytes()
-
     def test_eckart_young(self):
         rng = np.random.default_rng(21)
         for n, p, k in [(10, 8, 3), (50, 20, 7), (15, 40, 2)]:
@@ -179,7 +161,7 @@ def lapack_oracle(y, k):
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Counts the LAPACK SVDs gram_svd falls back to."""
+    """Counts the LAPACK SVDs truncated_svd falls back to."""
     calls = []
     real = np.linalg.svd
 
@@ -207,7 +189,7 @@ class TestGramSvd:
     )
     def test_matches_lapack(self, n, p, k):
         y = np.random.default_rng(n * p + k).normal(size=(n, p))
-        out = gram_svd(y, k)
+        out = truncated_svd(y, k)
         u, s, v = lapack_oracle(y, k)
         np.testing.assert_allclose(out.spectrum, s, rtol=0, atol=1e-7 * s[0])
         np.testing.assert_allclose(out.singvals, s[:k], rtol=1e-12)
@@ -218,7 +200,7 @@ class TestGramSvd:
     def test_centered_wide_has_rank_n_minus_one(self, svd_calls):
         rng = np.random.default_rng(31)
         dm = center_columns(rng.normal(size=(15, 40)))
-        out = gram_svd(dm, 14)
+        out = truncated_svd(dm, 14)
         assert svd_calls == []
         u, s, v = lapack_oracle(dm.values, 14)
         np.testing.assert_allclose(out.spectrum, s, rtol=0, atol=1e-7 * s[0])
@@ -226,7 +208,7 @@ class TestGramSvd:
         np.testing.assert_allclose(out.v, v, rtol=0, atol=1e-10)
         # the null direction is the ones vector; asking for it falls back
         svd_calls.clear()
-        full = gram_svd(dm, 15)
+        full = truncated_svd(dm, 15)
         assert svd_calls == [(15, 40)]
         np.testing.assert_allclose(np.abs(full.u[:, 14]), 1 / np.sqrt(15), rtol=1e-10)
 
@@ -238,14 +220,14 @@ class TestGramSvd:
             seen.append(spectrum)
             return int(np.sum(spectrum > 1.0))
 
-        out = gram_svd(y, pick)
+        out = truncated_svd(y, pick)
         assert out.k == 2
         np.testing.assert_allclose(seen[0], out.spectrum)
         np.testing.assert_allclose(out.singvals, [9.0, 5.0], rtol=1e-12)
 
     def test_no_fallback_above_threshold(self, svd_calls):
         y = with_spectrum(20, 30, [1.0, 0.5, 2e-3], seed=33)
-        out = gram_svd(y, 3)
+        out = truncated_svd(y, 3)
         assert svd_calls == []
         u, s, v = lapack_oracle(y, 3)
         np.testing.assert_allclose(out.u, u, rtol=0, atol=1e-9)
@@ -255,7 +237,7 @@ class TestGramSvd:
         # s_k / s_1 = 1e-4: the Gram matrix still sees it, but the vectors
         # it yields would lose orthogonality at the 1e-8 level
         y = with_spectrum(20, 30, [1.0, 0.5, 1e-4], seed=34)
-        out = gram_svd(y, 3)
+        out = truncated_svd(y, 3)
         assert svd_calls == [(20, 30)]
         u, s, v = lapack_oracle(y, 3)
         np.testing.assert_array_equal(out.u, u)
@@ -264,7 +246,7 @@ class TestGramSvd:
 
     def test_fallback_rank_below_k(self, svd_calls):
         y = with_spectrum(25, 18, [3.0, 2.0], seed=35)
-        out = gram_svd(y, 4)
+        out = truncated_svd(y, 4)
         assert svd_calls == [(25, 18)]
         u, s, v = lapack_oracle(y, 4)
         np.testing.assert_array_equal(out.u, u)
@@ -272,27 +254,27 @@ class TestGramSvd:
         assert out.singvals[2] < 1e-14 * out.singvals[0]
 
     def test_fallback_zero_matrix(self, svd_calls):
-        out = gram_svd(np.zeros((6, 4)), 2)
+        out = truncated_svd(np.zeros((6, 4)), 2)
         assert svd_calls == [(6, 4)]
         np.testing.assert_array_equal(out.spectrum, np.zeros(4))
         np.testing.assert_allclose(out.u.T @ out.u, np.eye(2), atol=1e-12)
 
     def test_fallback_repicks_rank(self, svd_calls):
         y = with_spectrum(10, 16, [1.0, 1e-5], seed=36)
-        out = gram_svd(y, lambda spectrum: 2)
+        out = truncated_svd(y, lambda spectrum: 2)
         assert svd_calls == [(10, 16)]
         assert out.k == 2
 
     def test_rank_checked_before_decomposing(self, svd_calls):
         with pytest.raises(RankOutOfRange):
-            gram_svd(np.ones((4, 3)), 4)
+            truncated_svd(np.ones((4, 3)), 4)
         with pytest.raises(RankOutOfRange):
-            gram_svd(np.ones((4, 3)), lambda spectrum: 0)
+            truncated_svd(np.ones((4, 3)), lambda spectrum: 0)
         assert svd_calls == []
 
     def test_deterministic_bytes(self):
         y = np.random.default_rng(37).normal(size=(30, 60))
-        a, b = gram_svd(y, 5), gram_svd(y, 5)
+        a, b = truncated_svd(y, 5), truncated_svd(y, 5)
         assert a.u.tobytes() == b.u.tobytes()
         assert a.spectrum.tobytes() == b.spectrum.tobytes()
 

@@ -20,7 +20,6 @@ from fable.model import (
     FableModel,
     _b_blocks,
     compute_rho,
-    estimate_tau_sq,
     factor_estimate,
     fit,
     hyperparameters_from_factors,
@@ -178,38 +177,43 @@ class TestSelectRank:
 
 
 class TestEstimateTauSq:
+    """The moment-matched tau_sq and the signal/residual split, as fit
+    computes them when no tau_sq is given."""
+
     def test_projection_oracle(self):
         rng = np.random.default_rng(21)
         y = rng.normal(size=(6, 3))
         dm = center_columns(y)
-        svd = truncated_svd(dm, k=1)
-        u1 = svd.u[:, 0]
-        tau_sq, l_sq, v_sq = estimate_tau_sq(dm, svd)
+        m = fit(dm, k=1)
+        u1 = truncated_svd(dm, k=1).u[:, 0]
         for j in range(3):
             col = dm.values[:, j]
             proj = float(u1 @ col)
-            np.testing.assert_allclose(l_sq[j], proj**2 / 6.0, rtol=1e-12)
+            np.testing.assert_allclose(m.l_sq[j], proj**2 / 6.0, rtol=1e-12)
             np.testing.assert_allclose(
-                v_sq[j], (col @ col - proj**2) / 6.0, rtol=1e-10
+                m.v_sq[j], (col @ col - proj**2) / 6.0, rtol=1e-10
             )
-        np.testing.assert_allclose(tau_sq, np.mean(l_sq / v_sq), rtol=1e-12)
+        np.testing.assert_allclose(m.tau_sq, np.mean(m.l_sq / m.v_sq), rtol=1e-12)
 
     def test_pythagoras(self):
         for seed in range(5):
             rng = np.random.default_rng(30 + seed)
             dm = center_columns(rng.normal(size=(15, 8)))
-            svd = truncated_svd(dm, k=3)
-            _, l_sq, v_sq = estimate_tau_sq(dm, svd)
+            m = fit(dm, k=3)
             ysq = (dm.values**2).sum(axis=0) / dm.n
-            np.testing.assert_allclose(l_sq + v_sq, ysq, rtol=1e-10)
+            np.testing.assert_allclose(m.l_sq + m.v_sq, ysq, rtol=1e-10)
 
-    def test_zero_residual_variance(self):
+    def test_zero_residual_variance(self, monkeypatch):
         rng = np.random.default_rng(22)
         y = np.outer(rng.normal(size=10), rng.normal(size=4))
         dm = center_columns(y)
-        svd = truncated_svd(dm, k=1)
+
+        def no_rho(*args, **kwargs):
+            raise AssertionError("rho computed for an unidentifiable fit")
+
+        monkeypatch.setattr("fable.model.compute_rho", no_rho)
         with pytest.raises(ZeroResidualVariance):
-            estimate_tau_sq(dm, svd)
+            fit(dm, k=1)
 
 
 class TestFactorEstimate:
@@ -309,23 +313,6 @@ class TestFit:
         _, _, y = make_factor_data(500, 1000, 10, seed=57)
         m = fit(center_columns(y))
         assert m.k == 10
-
-    def test_randomized_needs_explicit_rank(self):
-        _, _, y = make_factor_data(30, 20, 2, seed=58)
-        with pytest.raises(ValueError, match="rank selection"):
-            fit(center_columns(y), svd_method="randomized")
-
-    def test_randomized_close_to_exact(self):
-        # A well-separated spectrum: the sketch then recovers the same
-        # leading subspace and the two fits coincide to high accuracy.
-        _, _, y = make_factor_data(200, 80, 3, seed=59, slab_sd=4.0, spike_prob=0.0)
-        dm = center_columns(y)
-        a = fit(dm, k=3)
-        b = fit(dm, k=3, svd_method="randomized", seed=2)
-        np.testing.assert_allclose(b.delta_sq, a.delta_sq, rtol=1e-3)
-        np.testing.assert_allclose(
-            b.mu @ b.mu.T, a.mu @ a.mu.T, atol=1e-4 * np.abs(a.mu @ a.mu.T).max()
-        )
 
     def test_noise_variance_calibration(self):
         _, sig, y = make_factor_data(500, 1000, 10, seed=7)
@@ -479,6 +466,35 @@ class TestComputeRho:
         m = fit(center_columns(y), k=5, rho_strategy="mean_b")
         rho = compute_rho(m.mu, m.v_sq, strategy="solve_mean_coverage", alpha=0.05)
         assert abs(rho - m.rho) / m.rho < 0.15
+
+    def test_solve_makes_one_pass_and_few_evaluations(self, monkeypatch):
+        # the bracket's upper end comes from the same pass over B that
+        # collects the values, and Brent's method needs far fewer
+        # evaluations of the mean coverage than the ~45 of a bisection
+        # to 1e-12
+        import fable.model as model
+
+        _, _, y = make_factor_data(60, 200, 3, seed=95)
+        m = fit(center_columns(y), k=3)
+        passes, ndtr_calls = [], []
+        real_blocks, real_ndtr = model._b_blocks, model.ndtr
+
+        def counted_blocks(*args, **kwargs):
+            passes.append(1)
+            return real_blocks(*args, **kwargs)
+
+        def counted_ndtr(x):
+            ndtr_calls.append(1)
+            return real_ndtr(x)
+
+        monkeypatch.setattr(model, "_b_blocks", counted_blocks)
+        monkeypatch.setattr(model, "ndtr", counted_ndtr)
+        rho = compute_rho(m.mu, m.v_sq, strategy="solve_mean_coverage", block=64)
+        assert len(passes) == 1
+        # each evaluation runs ndtr once off the diagonal and once on it
+        evaluations = len(ndtr_calls) // 2
+        assert 3 <= evaluations <= 15
+        assert mean_coverage(m, compute_b_matrix(m), rho) == pytest.approx(0.95, abs=1e-9)
 
     def test_block_size_irrelevant(self):
         _, _, y = make_factor_data(40, 33, 2, seed=93)

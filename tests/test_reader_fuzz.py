@@ -1,5 +1,6 @@
-"""Property tests for the file readers: FABLEMAT1 matrices, model
-artifacts, and sample streams (FABLESAMP1 and the text variant).
+"""Property tests for the file readers: FABLEMAT1 matrices, delimited
+text matrices, model artifacts, and sample streams (FABLESAMP1 and the
+text variant).
 
 None of the formats stores a checksum, so a flipped payload byte loads
 as a different float. What a damaged file must never do is escape as
@@ -11,6 +12,7 @@ exact prefix of the records.
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +137,83 @@ class TestMatrixReader:
             originals, "matrix", raw, lambda p: load_matrix(p, format="raw_binary")
         )
         assert got is None
+
+
+# cells the delimited-text parser treats specially, so that random text
+# often comes close to a matrix
+text_cells = st.text(alphabet="0123456789.,;\t\n\r -+eEnaifx_\u0661\u2028", max_size=200)
+matrices = st.integers(1, 6).flatmap(
+    lambda n: st.integers(1, 5).flatmap(
+        lambda p: st.lists(
+            st.lists(st.floats(allow_nan=False), min_size=p, max_size=p),
+            min_size=n, max_size=n,
+        )
+    )
+)
+
+
+def delimited(values, delim, header, labels, corner):
+    """``values`` as text, each float by ``repr``; with a header row of
+    column labels (and a corner cell above any label column) and a
+    leading label column when asked."""
+    lines = []
+    if header:
+        names = [f"c{j}" for j in range(len(values[0]))]
+        lines.append(delim.join((["id"] if labels and corner else []) + names))
+    for i, row in enumerate(values):
+        lines.append(delim.join(([f"r{i}"] if labels else []) + [repr(v) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+class TestDelimitedTextReader:
+    @FUZZ
+    @given(text=st.one_of(st.text(max_size=200), text_cells))
+    def test_any_text_loads_or_raises(self, originals, text):
+        got = load_damaged(
+            originals, "matrix.txt", text.encode("utf-8"),
+            lambda p: load_matrix(p, format="delimited_text"),
+        )
+        assert got is None or (
+            isinstance(got, LoadedMatrix) and got.values.ndim == 2 and got.values.size > 0
+        )
+
+    @FUZZ
+    @given(
+        values=matrices,
+        delim=st.sampled_from([",", "\t"]),
+        header=st.booleans(),
+        labels=st.booleans(),
+        corner=st.booleans(),
+    )
+    def test_repr_round_trip_is_bit_identical(self, originals, values, delim, header,
+                                              labels, corner):
+        path = originals["root"] / "round-trip.txt"
+        path.write_text(delimited(values, delim, header, labels, corner))
+        got = load_matrix(path)
+        want = np.array(values, dtype=np.float64)
+        assert got.values.shape == want.shape
+        assert got.values.tobytes() == want.tobytes()
+        n, p = want.shape
+        assert got.col_labels == (tuple(f"c{j}" for j in range(p)) if header else None)
+        assert got.row_labels == (tuple(f"r{i}" for i in range(n)) if labels else None)
+
+    def test_single_column_header(self, originals):
+        # a lone non-numeric first line is the header of one column, not
+        # the row label of a data row with no numbers
+        path = originals["root"] / "one-column.txt"
+        path.write_text("c0\n0.0\n2.5\n")
+        got = load_matrix(path)
+        assert got.col_labels == ("c0",) and got.row_labels is None
+        assert got.values.tolist() == [[0.0], [2.5]]
+
+    def test_single_column_header_over_tab_separated_labels(self, originals):
+        # the first line holding a delimiter decides it; the header line
+        # here holds none
+        path = originals["root"] / "one-column.tsv"
+        path.write_text("c0\nr0\t0.0\nr1\t-1.5\n")
+        got = load_matrix(path)
+        assert got.col_labels == ("c0",) and got.row_labels == ("r0", "r1")
+        assert got.values.tolist() == [[0.0], [-1.5]]
 
 
 class TestModelReader:
