@@ -71,13 +71,6 @@ class LoadedMatrix:
     col_labels: tuple[str, ...] | None = None
 
 
-def _float(cell: str) -> float | None:
-    try:
-        return float(cell)
-    except ValueError:
-        return None
-
-
 def _f8_array(buf: bytes, shape: Sequence[int], offset: int, path) -> np.ndarray:
     """The little-endian float64 values of ``shape`` at ``buf[offset:]``,
     copied; the caller has checked that enough bytes remain."""
@@ -89,6 +82,23 @@ def _f8_array(buf: bytes, shape: Sequence[int], offset: int, path) -> np.ndarray
         raise ShapeError(f"{path}: unsupported shape {tuple(shape)} ({exc})") from exc
 
 
+def _cell_error(path: str, line: int, col: int, cell: str) -> ParseError:
+    return ParseError(f"{path}: line {line}, column {col}: could not parse {cell.strip()!r}")
+
+
+def _is_number(cell: str, path: str, line: int, col: int) -> bool:
+    """Whether ``cell`` is a float64 as ``np.loadtxt`` reads one. A cell
+    that Python's float reads but loadtxt refuses (digit-group
+    underscores, non-ASCII digits) is refused, not taken for a label."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    if "_" in cell or not cell.strip().isascii():
+        raise _cell_error(path, line, col, cell)
+    return True
+
+
 def _parse_delimited(text: str, path: str) -> LoadedMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -96,50 +106,56 @@ def _parse_delimited(text: str, path: str) -> LoadedMatrix:
     # the first line holding a delimiter decides: a one-column header has none
     sniff = next((ln for ln in lines if "\t" in ln or "," in ln), "")
     delim = "\t" if "\t" in sniff else ","
-    rows = [ln.split(delim) for ln in lines]
 
     # A first row whose tail is numeric but first cell is not is data
     # with a row label, not a header; any other non-numeric cell marks a
     # header, a lone one included (the header of a single column).
-    numeric = [_float(cell) is not None for cell in rows[0]]
+    first = lines[0].split(delim)
+    numeric = [_is_number(cell, path, 1, j) for j, cell in enumerate(first, 1)]
     col_labels = None
     has_row_labels = False
     if len(numeric) > 1 and not numeric[0] and all(numeric[1:]):
         has_row_labels = True
     elif not all(numeric):
-        col_labels = tuple(cell.strip() for cell in rows[0])
-        rows = rows[1:]
-        if not rows:
+        col_labels = tuple(cell.strip() for cell in first)
+        lines = lines[1:]
+        if not lines:
             raise ParseError(f"{path}: header but no data rows")
-        has_row_labels = _float(rows[0][0]) is None
+        has_row_labels = not _is_number(lines[0].split(delim, 1)[0], path, 2, 1)
 
-    row_labels = None
+    body, row_labels = lines, None
     if has_row_labels:
-        row_labels = tuple(r[0].strip() for r in rows)
-        rows = [r[1:] for r in rows]
-        if not rows[0]:
+        parts = [ln.split(delim, 1) for ln in lines]
+        if len(parts[0]) == 1:
             raise ParseError(f"{path}: no numeric columns after the labels")
-        if col_labels is not None and len(col_labels) == len(rows[0]) + 1:
-            col_labels = col_labels[1:]  # corner cell above the label column
+        row_labels = tuple(part[0].strip() for part in parts)
+        body = [part[1] if len(part) == 2 else "" for part in parts]
+    width = body[0].count(delim) + 1
+    if has_row_labels and col_labels is not None and len(col_labels) == width + 1:
+        col_labels = col_labels[1:]  # corner cell above the label column
 
-    width = len(rows[0])
-    body_offset = 2 if col_labels is not None else 1
-    values = np.empty((len(rows), width), dtype=np.float64)
-    for i, row in enumerate(rows):
+    # The body in one C call. loadtxt skips an empty line as blank and
+    # strips U+001F around a cell; the scan below refuses both.
+    values = None
+    if "" not in body and not any("\x1f" in ln for ln in body):
+        try:
+            values = np.loadtxt(body, delimiter=delim, comments=None, ndmin=2,
+                                dtype=np.float64)
+        except ValueError:
+            pass
+    if values is not None and values.shape == (len(body), width):
+        return LoadedMatrix(values, row_labels, col_labels)
+
+    # Refused: find the first bad row or cell, for the error message.
+    offset = 2 if col_labels is not None else 1
+    for i, ln in enumerate(lines, offset):
+        row = ln.split(delim)[1 if has_row_labels else 0 :]
         if len(row) != width:
-            raise ShapeError(
-                f"{path}: row {i + body_offset} has {len(row)} cells, expected {width}"
-            )
-        for j, cell in enumerate(row):
-            val = _float(cell)
-            if val is None:
-                col = j + (2 if row_labels is not None else 1)
-                raise ParseError(
-                    f"{path}: line {i + body_offset}, column {col}: "
-                    f"could not parse {cell.strip()!r}"
-                )
-            values[i, j] = val
-    return LoadedMatrix(values, row_labels, col_labels)
+            raise ShapeError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+        for j, cell in enumerate(row, 2 if has_row_labels else 1):
+            if not _is_number(cell, path, i, j):
+                raise _cell_error(path, i, j, cell)
+    raise ParseError(f"{path}: could not read the numeric body")
 
 
 def _load_binary(raw: bytes, path: str) -> LoadedMatrix:
@@ -162,8 +178,9 @@ def load_matrix(path: str | Path, format: str = "auto") -> LoadedMatrix:
     """Read a matrix file, binary or delimited text.
 
     Text files may carry a header row of column labels and a leading
-    label column; both are detected by whether cells parse as numbers.
-    ``format="auto"`` sniffs the binary magic.
+    label column; both are detected by whether cells parse as numbers,
+    as ``np.loadtxt`` reads a float64. ``format="auto"`` sniffs the
+    binary magic.
     """
     path = Path(path)
     raw = path.read_bytes()

@@ -35,7 +35,6 @@ __all__ = [
     "jic",
     "select_rank",
     "fit",
-    "factor_estimate",
     "hyperparameters_from_factors",
     "compute_rho",
 ]
@@ -208,29 +207,6 @@ def select_rank(data: DataMatrix, *, S0: float = 0.75) -> RankSelection:
     """
     spectrum = truncated_svd(data, 1).spectrum
     return _select_from_spectrum(data.n, data.p, spectrum, S0)
-
-
-def factor_estimate(svd: TruncatedSvd, *, c: np.ndarray | None = None) -> np.ndarray:
-    """Latent factor representative M = A @ inv(C.T).
-
-    ``A`` is the SVD-based score matrix U diag(s) / sqrt(p). Any k x k
-    matrix ``c`` with c @ c.T = diag(s^2) / (n p) is a valid square root
-    of the implied loading Gram matrix; the default is the diagonal one,
-    which collapses to sqrt(n) * U.
-    """
-    n = svd.u.shape[0]
-    p = svd.v.shape[0]
-    if c is None:
-        return np.sqrt(n) * svd.u
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != (svd.k, svd.k):
-        raise DimensionMismatch(f"c must be {(svd.k, svd.k)}, got {c.shape}")
-    gram = svd.singvals**2 / (n * p)
-    err = np.abs(c @ c.T - np.diag(gram)).max()
-    if err > 1e-8 * max(1.0, gram.max()):
-        raise ValueError("c @ c.T does not match the singular value Gram matrix")
-    a = svd.u * (svd.singvals / np.sqrt(p))
-    return np.linalg.solve(c, a.T).T
 
 
 def hyperparameters_from_factors(

@@ -38,7 +38,7 @@ from fable.linalg import (
     spectral_norm,
     truncated_svd,
 )
-from fable.model import factor_estimate, fit, hyperparameters_from_factors
+from fable.model import fit, hyperparameters_from_factors
 from fable.sampler import RngSpec, draw_samples, posterior_mean, sample_entry_stats
 from fable.simharness import (
     SimulationConfig,
@@ -50,6 +50,8 @@ from fable.simharness import (
     run_study,
     runtime_benchmark,
 )
+
+from test_model import factor_estimate
 
 HERE = Path(__file__).resolve().parent
 

@@ -125,6 +125,51 @@ class TestLoadMatrixText:
         with pytest.raises(ParseError, match="line 2, column 2"):
             load_matrix(path)
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "#", "1#", "", "\x1f2"])
+    def test_cell_outside_the_grammar_names_line_and_column(self, tmp_path, cell):
+        # np.loadtxt's float64 grammar: no digit-group underscores, no
+        # non-ASCII digits, '#' is data and not a comment (in the last
+        # column, a comment would cut the row to a valid one)
+        path = tmp_path / "x.csv"
+        path.write_text(f"1,2,3\n4,5,{cell}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2, column 3: could not parse"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("text, where", [
+        ("1_0,2\n3,4\n", "line 1, column 1"),
+        ("a,\u0661\n", "line 1, column 2"),
+        ("a,b\n1_0,2\n", "line 2, column 1"),
+        ("a,b\nr1,2,3\nr2,4,1_0\n", "line 3, column 3"),
+    ])
+    def test_malformed_number_names_its_cell(self, tmp_path, text, where):
+        # Python's float reads these cells. In the first line and the first
+        # cell under a header, where the reader decides whether the file
+        # has labels, they are refused too, not taken for labels.
+        path = tmp_path / "x.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=where):
+            load_matrix(path)
+
+    def test_ragged_labelled_row_names_the_row(self, tmp_path):
+        path = tmp_path / "x.tsv"
+        path.write_text("a\tb\nr1\t1\t2\nr2\t3\nr3\t4\t5\n")
+        with pytest.raises(ShapeError, match="row 3 has 1 cells, expected 2"):
+            load_matrix(path)
+        path.write_text("r1\t1\t2\nr2\nr3\t4\t5\n")
+        with pytest.raises(ShapeError, match="row 2 has 0 cells, expected 2"):
+            load_matrix(path)
+
+    def test_crlf_blank_lines_and_padding(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"\r\n a , b \r\n\r\n  \r\n 1 ,2.5e1 \r\n\t\r\n-3,  4\r\n")
+        loaded = load_matrix(path)
+        assert loaded.col_labels == ("a", "b") and loaded.row_labels is None
+        npt.assert_array_equal(loaded.values, [[1.0, 25.0], [-3.0, 4.0]])
+        path.write_bytes(b"g\ts1\ts2\r\n\r\n r1 \t 1\t2 \r\n \r\nr2\t3 \t 4\r\n")
+        loaded = load_matrix(path)
+        assert loaded.col_labels == ("s1", "s2") and loaded.row_labels == ("r1", "r2")
+        npt.assert_array_equal(loaded.values, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("")
@@ -136,6 +181,50 @@ class TestLoadMatrixText:
         path.write_text("1\n")
         with pytest.raises(ValueError, match="format"):
             load_matrix(path, format="parquet")
+
+
+class TestTextFastPath:
+    """A valid text matrix goes to np.loadtxt in one call: Python looks
+    at the cells of the first lines only. A refused one is scanned cell
+    by cell for the error message."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        cells = []
+        real = fable.io._is_number
+
+        def counting(cell, *args):
+            cells.append(cell)
+            return real(cell, *args)
+
+        monkeypatch.setattr("fable.io._is_number", counting)
+        return cells
+
+    @staticmethod
+    def write(path, values):
+        header = "\t".join(["gene"] + [f"s{j}" for j in range(values.shape[1])])
+        rows = ["\t".join([f"g{i}"] + [repr(v) for v in row])
+                for i, row in enumerate(values.tolist())]
+        path.write_text("\n".join([header] + rows) + "\n")
+        return header.split("\t")
+
+    def test_valid_file_scans_only_the_first_lines(self, tmp_path, seen):
+        values = np.random.default_rng(6).normal(size=(50, 40))
+        header = self.write(tmp_path / "x.tsv", values)
+        loaded = load_matrix(tmp_path / "x.tsv")
+        assert loaded.values.tobytes() == values.tobytes()
+        assert loaded.row_labels == tuple(f"g{i}" for i in range(50))
+        # the header's cells, then the first row's label
+        assert seen == header + ["g0"]
+
+    def test_ragged_file_is_scanned(self, tmp_path, seen):
+        values = np.random.default_rng(7).normal(size=(50, 40))
+        self.write(tmp_path / "x.tsv", values)
+        with open(tmp_path / "x.tsv", "a") as fh:
+            fh.write("g50\t1.0\n")
+        with pytest.raises(ShapeError, match="row 52 has 1 cells, expected 40"):
+            load_matrix(tmp_path / "x.tsv")
+        assert len(seen) == 42 + 50 * 40
 
 
 class TestLoadMatrixBinary:

@@ -20,7 +20,6 @@ from fable.model import (
     FableModel,
     _b_blocks,
     compute_rho,
-    factor_estimate,
     fit,
     hyperparameters_from_factors,
     jic,
@@ -38,6 +37,30 @@ def compute_b_matrix(model, *, block=512):
         out[lo:, lo:hi] = b.T
         out[lo:hi, lo:] = b
     return out
+
+
+def factor_estimate(svd, *, c=None):
+    """Latent factor representative M = A @ inv(C.T); the explicit-root
+    oracle for :func:`fit` and :func:`hyperparameters_from_factors`.
+
+    ``A`` is the SVD-based score matrix U diag(s) / sqrt(p). Any k x k
+    matrix ``c`` with c @ c.T = diag(s^2) / (n p) is a valid square root
+    of the implied loading Gram matrix; the default is the diagonal one,
+    which collapses to sqrt(n) * U.
+    """
+    n = svd.u.shape[0]
+    p = svd.v.shape[0]
+    if c is None:
+        return np.sqrt(n) * svd.u
+    c = np.asarray(c, dtype=np.float64)
+    if c.shape != (svd.k, svd.k):
+        raise DimensionMismatch(f"c must be {(svd.k, svd.k)}, got {c.shape}")
+    gram = svd.singvals**2 / (n * p)
+    err = np.abs(c @ c.T - np.diag(gram)).max()
+    if err > 1e-8 * max(1.0, gram.max()):
+        raise ValueError("c @ c.T does not match the singular value Gram matrix")
+    a = svd.u * (svd.singvals / np.sqrt(p))
+    return np.linalg.solve(c, a.T).T
 
 
 def make_factor_data(n, p, k, seed, spike_prob=0.5, slab_sd=0.5):

@@ -11,13 +11,14 @@ exact prefix of the records.
 """
 
 import struct
+import unicodedata
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fable.errors import FableError
+from fable.errors import FableError, ParseError, ShapeError
 from fable.io import (
     MATRIX_MAGIC,
     MODEL_MAGIC,
@@ -96,6 +97,65 @@ def read_samples(path):
 
 def read_text_samples(path):
     return list(load_samples(path, format="text"))
+
+
+def reference_parse_delimited(text, path):
+    """The delimited-text reader as it was before the body went to
+    ``np.loadtxt``: every cell through Python's ``float``, one by one.
+    The oracle for :func:`load_matrix` on text."""
+
+    def _float(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return None
+
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError(f"{path}: no data rows")
+    sniff = next((ln for ln in lines if "\t" in ln or "," in ln), "")
+    delim = "\t" if "\t" in sniff else ","
+    rows = [ln.split(delim) for ln in lines]
+
+    numeric = [_float(cell) is not None for cell in rows[0]]
+    col_labels = None
+    has_row_labels = False
+    if len(numeric) > 1 and not numeric[0] and all(numeric[1:]):
+        has_row_labels = True
+    elif not all(numeric):
+        col_labels = tuple(cell.strip() for cell in rows[0])
+        rows = rows[1:]
+        if not rows:
+            raise ParseError(f"{path}: header but no data rows")
+        has_row_labels = _float(rows[0][0]) is None
+
+    row_labels = None
+    if has_row_labels:
+        row_labels = tuple(r[0].strip() for r in rows)
+        rows = [r[1:] for r in rows]
+        if not rows[0]:
+            raise ParseError(f"{path}: no numeric columns after the labels")
+        if col_labels is not None and len(col_labels) == len(rows[0]) + 1:
+            col_labels = col_labels[1:]
+
+    width = len(rows[0])
+    body_offset = 2 if col_labels is not None else 1
+    values = np.empty((len(rows), width), dtype=np.float64)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ShapeError(
+                f"{path}: row {i + body_offset} has {len(row)} cells, expected {width}"
+            )
+        for j, cell in enumerate(row):
+            val = _float(cell)
+            if val is None:
+                col = j + (2 if row_labels is not None else 1)
+                raise ParseError(
+                    f"{path}: line {i + body_offset}, column {col}: "
+                    f"could not parse {cell.strip()!r}"
+                )
+            values[i, j] = val
+    return LoadedMatrix(values, row_labels, col_labels)
 
 
 positions = st.integers(0, 10_000)
@@ -214,6 +274,101 @@ class TestDelimitedTextReader:
         got = load_matrix(path)
         assert got.col_labels == ("c0",) and got.row_labels == ("r0", "r1")
         assert got.values.tolist() == [[0.0], [-1.5]]
+
+
+pads = st.sampled_from(["", " ", "  "])
+exponent_forms = st.builds(
+    lambda m, e, mark, plus: f"{m}{mark}{'+' if plus and e >= 0 else ''}{e}",
+    st.integers(-999, 999), st.integers(-330, 330), st.sampled_from("eE"), st.booleans(),
+)
+number_cells = st.builds(
+    lambda left, cell, right: left + cell + right,
+    pads,
+    st.one_of(
+        st.floats(allow_nan=False).map(repr),
+        st.integers(-(10**20), 10**20).map(str),
+        exponent_forms,
+    ),
+    pads,
+)
+
+
+@st.composite
+def number_texts(draw):
+    """A well-formed text matrix: repr floats, integers and exponent
+    forms with padding spaces; comma or tab; LF or CRLF; blank and
+    whitespace-only lines; with or without a header row, a label column
+    and a corner cell."""
+    n, p = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    delim = draw(st.sampled_from([",", "\t"]))
+    header, labels, corner = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    lines = []
+    if header:
+        lines.append(delim.join((["id"] if labels and corner else [])
+                                + [f"c{j}" for j in range(p)]))
+    for i in range(n):
+        cells = draw(st.lists(number_cells, min_size=p, max_size=p))
+        lines.append(delim.join(([f" r{i}"] if labels else []) + cells))
+    blanks = st.sampled_from(["", " ", "  ", "\t \t"])
+    out = []
+    for line in lines:
+        out += draw(st.lists(blanks, max_size=1)) + [line]
+    return draw(st.sampled_from(["\n", "\r\n"])).join(out) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def damaged_number_texts(draw):
+    """A well-formed text matrix with one character put in or replaced by
+    one that text readers treat specially."""
+    text = draw(number_texts())
+    at = draw(st.integers(0, len(text)))
+    ch = draw(st.sampled_from(["_", "\u0661", "#", "\x1f", ",", "\t", "\n", "\xa0",
+                               "\x00", "e", "x", "", " "]))
+    return text[:at] + ch + text[at + draw(st.integers(0, 1)):]
+
+
+def outcome(read, path):
+    """What a reader makes of ``path``: its values and labels, or its
+    error's type and message."""
+    try:
+        got = read(path)
+    except (ParseError, ShapeError) as exc:
+        return type(exc).__name__, str(exc)
+    return got.values.shape, got.values.tobytes(), got.row_labels, got.col_labels
+
+
+def oracle_read(path):
+    return reference_parse_delimited(path.read_bytes().decode("utf-8"), str(path))
+
+
+def loadtxt_grammar_differs(text):
+    """Whether ``text`` holds a character Python's float reads in a number
+    and np.loadtxt does not: a digit-group underscore or a non-ASCII digit."""
+    return any(ch == "_" or (not ch.isascii() and unicodedata.decimal(ch, None) is not None)
+               for ch in text)
+
+
+class TestReaderMatchesOracle:
+    @FUZZ
+    @given(text=number_texts())
+    def test_number_text_is_bit_identical(self, originals, text):
+        path = originals["root"] / "numbers.txt"
+        path.write_bytes(text.encode("utf-8"))
+        want = outcome(oracle_read, path)
+        assert isinstance(want[0], tuple)  # the oracle loads it
+        assert outcome(load_matrix, path) == want
+
+    @FUZZ
+    @given(text=st.one_of(st.text(max_size=200), text_cells, damaged_number_texts()))
+    def test_whatever_loads_loads_as_the_oracle_does(self, originals, text):
+        path = originals["root"] / "any.txt"
+        path.write_bytes(text.encode("utf-8"))
+        got = outcome(lambda p: load_matrix(p, format="delimited_text"), path)
+        want = outcome(oracle_read, path)
+        # a text without such cells gets the same values, or the same
+        # error with the same message
+        if isinstance(got[0], tuple) or not loadtxt_grammar_differs(text):
+            assert got == want
 
 
 class TestModelReader:
