@@ -73,6 +73,10 @@ class InvalidAlpha(FableError):
     """Interval level alpha must lie strictly inside (0, 1)."""
 
 
+class InvalidSpectrumFraction(FableError):
+    """Spectrum-mass fraction S0 must lie in (0, 1]."""
+
+
 class IndexOutOfRange(FableError):
     """A variable index falls outside [0, p)."""
 

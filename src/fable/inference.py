@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._special import norm_ppf
 from .errors import (
     DimensionMismatch,
     EmptyTarget,
@@ -176,7 +176,7 @@ def credible_intervals(
     sd = np.sqrt(l0 / model.n)
 
     if method == "asymptotic":
-        z = float(ndtri(1.0 - alpha / 2.0))
+        z = norm_ppf(1.0 - alpha / 2.0)
         half = z * sd
         lower, upper = center - half, center + half
     elif method == "sample_quantile":
@@ -288,7 +288,7 @@ def predictive_coverage(
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
     if data.p != model.p:
         raise DimensionMismatch(f"data has p={data.p}, model has p={model.p}")
-    z = float(ndtri(1.0 - alpha / 2.0))
+    z = norm_ppf(1.0 - alpha / 2.0)
     m_sq = np.einsum("jk,jk->j", model.mu, model.mu)
     band = z * np.sqrt(m_sq + model.delta_sq)
     return float(np.mean(np.abs(data.values) < band))

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
@@ -324,7 +323,6 @@ def spectral_norm(
     iteration, Lanczos converges when the two largest singular values
     nearly tie. Raises :class:`ConvergenceFailure` when ARPACK fails.
     """
-    # imported here: scipy.sparse adds ~25 ms to every CLI start-up
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     exponent = 0
@@ -362,6 +360,8 @@ def gaussian_loglik(data: DataMatrix | np.ndarray, cov: StructuredCovariance) ->
     O(n p k + k^3) and the p x p covariance is never formed. ``data``
     rows are treated as independent draws; pass centered values.
     """
+    import scipy.linalg
+
     vals = _values_of(data)
     n, p = vals.shape
     if p != cov.p:

@@ -14,13 +14,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._special import ndtr, norm_ppf
 from .errors import (
     AllZeroSpectrum,
     BracketFailure,
     DegenerateDenominator,
     DimensionMismatch,
+    InvalidAlpha,
+    InvalidSpectrumFraction,
     NonFinite,
     RankOutOfRange,
     ZeroResidual,
@@ -274,10 +276,16 @@ def fit(
     coverage_alpha : float
         Target miscoverage used by the "solve_mean_coverage" strategy.
 
-    Raises :class:`ZeroResidualVariance` when any column sits (numerically)
-    inside the retained subspace, since its noise level is then not
-    identifiable.
+    ``S0`` and ``coverage_alpha`` are checked whatever ``k`` and
+    ``rho_strategy`` are (:class:`InvalidSpectrumFraction`,
+    :class:`InvalidAlpha`). Raises :class:`ZeroResidualVariance` when any
+    column sits (numerically) inside the retained subspace, since its
+    noise level is then not identifiable.
     """
+    if not 0.0 < S0 <= 1.0:
+        raise InvalidSpectrumFraction(f"S0 must be in (0, 1], got {S0}")
+    if not 0.0 < coverage_alpha < 1.0:
+        raise InvalidAlpha(f"coverage_alpha must be in (0, 1), got {coverage_alpha}")
     if not data.centered:
         raise ValueError("fit requires centered data; see center_columns")
     if gamma0 <= 0 or delta0_sq <= 0:
@@ -422,7 +430,7 @@ def compute_rho(
 
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    z = float(ndtri(1.0 - alpha / 2.0))
+    z = norm_ppf(1.0 - alpha / 2.0)
     target = 1.0 - alpha
 
     # one pass over B: the values right of the diagonal, and the bracket's
@@ -458,7 +466,6 @@ def compute_rho(
         raise BracketFailure(
             f"mean coverage {f_hi:.4f} at rho={hi_r:.3f} never reaches {target}"
         )
-    # imported here: scipy.optimize adds ~0.25 s to every CLI start-up
     from scipy.optimize import brentq
 
     return float(brentq(lambda rho: mean_q(rho) - target, lo_r, hi_r, xtol=1e-13))

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv, ndtri
 
+from ._special import gammaincinv, ndtri
 from .errors import (
     GammaTooSmall,
     IndexOutOfRange,

@@ -601,6 +601,27 @@ class TestCliFit:
         record = json.loads(capsys.readouterr().err)
         assert "nope.mat" in record["message"]
 
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--alpha", "1.5"], "InvalidAlpha"),
+            (["--alpha", "-1"], "InvalidAlpha"),
+            (["--alpha", "nan"], "InvalidAlpha"),
+            (["--k", "3", "--S0", "7"], "InvalidSpectrumFraction"),
+            (["--k", "3", "--S0", "-1"], "InvalidSpectrumFraction"),
+            (["--k", "3", "--S0", "nan"], "InvalidSpectrumFraction"),
+        ],
+    )
+    def test_bad_alpha_or_s0_writes_nothing(self, workspace, tmp_path, capsys, flags, error):
+        # checked before the fit whatever the rank and rho strategy are
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        code = main(["fit", "--input", str(workspace["train"]), *flags,
+                     "--output", str(outdir / "m.bin")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == error
+        assert list(outdir.iterdir()) == []
+
     def test_usage_error_exits_two(self):
         assert main(["fit", "--output", "x.bin"]) == 2
         assert main([]) == 2
@@ -815,21 +836,52 @@ class TestCliReplay:
         assert "1 output(s)" in capsys.readouterr().out
 
 
+def scipy_modules_after(statements: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after ``statements``."""
+    src = str(Path(fable.__file__).resolve().parents[1])
+    code = (
+        f"import json, sys\n{statements}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 class TestStartupImports:
+    # importing scipy costs each process about 0.4 s; only the commands
+    # that compute with it may load it (see fable._special)
     def test_cli_import_stays_light(self):
-        # spectral_norm and the rho solver import these on first use;
-        # loading them at start-up costs every CLI command ~0.25 s
-        src = str(Path(fable.__file__).resolve().parents[1])
-        code = (
-            "import sys, fable.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'sparse'])))"
+        assert scipy_modules_after("import fable") == []
+        assert scipy_modules_after("import fable.cli") == []
+
+    def run_main(self, argv):
+        return scipy_modules_after(
+            f"from fable.cli import main\nassert main({[str(a) for a in argv]!r}) == 0"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.stdout.strip() == "[]"
+
+    def test_fit_mean_and_asymptotic_intervals_load_no_scipy(self, workspace, tmp_path):
+        model = tmp_path / "m.bin"
+        assert self.run_main(["fit", "--input", workspace["train"], "--output", model]) == []
+        assert self.run_main(["mean", "--model", model, "--form", "factored",
+                              "--output-loadings", tmp_path / "g.mat",
+                              "--output-noise", tmp_path / "d.mat"]) == []
+        assert self.run_main(["intervals", "--model", model, "--indices", "0-3",
+                              "--method", "asymptotic",
+                              "--output", tmp_path / "iv.csv"]) == []
+
+    def test_sampling_commands_load_scipy_special(self, workspace, tmp_path):
+        sample = self.run_main(["sample", "--model", workspace["model"],
+                                "--n-samples", "2", "--seed", "3",
+                                "--output", tmp_path / "s.bin"])
+        intervals = self.run_main(["intervals", "--model", workspace["model"],
+                                   "--indices", "0-3", "--method", "sample_quantile",
+                                   "--n-samples", "100", "--seed", "3",
+                                   "--output", tmp_path / "iv.csv"])
+        assert "scipy.special" in sample
+        assert "scipy.special" in intervals
 
 
 class TestThreadsEnv:
