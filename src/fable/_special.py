@@ -5,15 +5,15 @@ most commands never need it. So no fable module imports scipy at module
 level: ``import fable.cli`` loads none of it, and each command pays only
 for what it computes with.
 
-- ``ndtr``, ``ndtri`` and ``gammaincinv`` are thin wrappers that import
+- ``erfc``, ``ndtri`` and ``gammaincinv`` are thin wrappers that import
   ``scipy.special`` on their first call. The sampler and the rho solver
   use them on arrays.
 - ``norm_ppf`` is the scalar normal quantile behind every interval's
   ``z``. It is cephes ``ndtri``, the algorithm ``scipy.special.ndtri``
   runs, ported line for line, so it returns the same float without
   loading scipy.
-- ``scipy.linalg``, ``scipy.sparse`` and ``scipy.optimize`` are
-  imported inside the one function that uses each.
+- ``scipy.linalg`` and ``scipy.sparse`` are imported inside the one
+  function that uses each.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 
 
-def ndtr(x):
-    """``scipy.special.ndtr``, imported on the first call."""
-    from scipy.special import ndtr
+def erfc(x, out=None):
+    """``scipy.special.erfc``, imported on the first call."""
+    from scipy.special import erfc
 
-    return ndtr(x)
+    return erfc(x, out=out)
 
 
 def ndtri(y):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import FableError
+from .errors import FableError, ReplayMismatch
 from .inference import (
     credible_intervals,
     fitted_loglik,
@@ -159,6 +159,7 @@ def _manifest(args, command: str, *, seed=None, input_sha256=None, resolved=None
         input_sha256=input_sha256,
         resolved=resolved or {},
         created_unix=time.time(),
+        openblas_num_threads=os.environ.get("OPENBLAS_NUM_THREADS", ""),
     )
 
 
@@ -435,6 +436,15 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _run_setting(version: str, blas_threads: str | None) -> str:
+    """What a run's bytes depend on besides its inputs and options."""
+    if blas_threads is None:
+        threads = "OPENBLAS_NUM_THREADS not recorded"
+    else:
+        threads = f"OPENBLAS_NUM_THREADS={blas_threads or 'unset'}"
+    return f"fable {version}, {threads}"
+
+
 def _cmd_replay(args) -> int:
     manifest = load_manifest(args.manifest)
     argv = list(manifest.config.get("argv", []))
@@ -456,8 +466,11 @@ def _cmd_replay(args) -> int:
         if file_sha256(replayed) != record["sha256"]:
             mismatched.append(role)
     if mismatched:
-        raise ValueError(
-            f"replay outputs differ from manifest for: {', '.join(sorted(mismatched))}"
+        recorded = _run_setting(manifest.software_version, manifest.openblas_num_threads)
+        here = _run_setting(__version__, os.environ.get("OPENBLAS_NUM_THREADS", ""))
+        raise ReplayMismatch(
+            f"replay outputs differ from manifest for: {', '.join(sorted(mismatched))} "
+            f"(recorded with {recorded}; replayed with {here})"
         )
     missing = [
         role

@@ -107,3 +107,7 @@ class MagicMismatch(FableError):
 
 class NegativeCount(FableError):
     """Count data required by a log transform contains negative values."""
+
+
+class ReplayMismatch(FableError):
+    """A replayed command wrote outputs that differ from its manifest."""

@@ -504,6 +504,10 @@ class RunManifest:
     records) go in ``measured`` instead: a replay rewrites them but
     only the ``outputs`` hashes are compared. Timestamps never feed
     into outputs, so a replay writes byte-identical files.
+
+    ``openblas_num_threads`` is the ``OPENBLAS_NUM_THREADS`` setting of
+    the run ("" when unset; None in manifests that predate it): BLAS sums
+    in an order that depends on its thread count, so a fit's bytes do.
     """
 
     command: str
@@ -515,6 +519,7 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)
     measured: dict = field(default_factory=dict)
     created_unix: float = 0.0
+    openblas_num_threads: str | None = None
 
 
 def save_manifest(path: str | Path, manifest: RunManifest) -> None:
@@ -542,6 +547,7 @@ def load_manifest(path: str | Path) -> RunManifest:
             outputs=payload.get("outputs", {}),
             measured=payload.get("measured", {}),
             created_unix=payload.get("created_unix", 0.0),
+            openblas_num_threads=payload.get("openblas_num_threads"),
         )
     except KeyError as exc:
         raise ParseError(f"{path}: manifest missing field {exc}") from exc

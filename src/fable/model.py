@@ -9,16 +9,17 @@ again.
 
 from __future__ import annotations
 
-import functools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import ndtr, norm_ppf
+from ._special import erfc, norm_ppf
 from .errors import (
     AllZeroSpectrum,
     BracketFailure,
+    ConvergenceFailure,
     DegenerateDenominator,
     DimensionMismatch,
     InvalidAlpha,
@@ -341,51 +342,62 @@ def fit(
     )
 
 
+# Rows per block of B. At p = 5000 a (32, p) float64 block is 1.3 MB, so the
+# kernel's two block buffers stay near the size of a 2 MB L2 cache.
+_BLOCK = 32
+
+
 def _b_blocks(mu: np.ndarray, v_sq: np.ndarray, block: int):
     """Yield (lo, hi, b) with b = B[lo:hi, lo:], row blocks of the
     inflation matrix B from the diagonal rightwards.
 
     B is symmetric, so these blocks cover its upper triangle; the part of
-    b[:, :hi - lo] below the diagonal mirrors entries above it.
-    Off-diagonal rule: b_uv^2 = 1 + (m_u^2 m_v^2 + (mu_u . mu_v)^2) /
-    (V_u^2 m_v^2 + V_v^2 m_u^2); on the diagonal b_uu^2 = 1 + m_u^2 /
-    (2 V_u^2). A vanishing denominator with a nonzero numerator means a
-    zero residual variance and is an error; 0/0 collapses to b = 1.
+    b[:, :hi - lo] below the diagonal mirrors entries above it. Each b is
+    a view of a buffer that the next block overwrites.
+
+    The rule b_uv^2 = 1 + (m_u^2 m_v^2 + (mu_u . mu_v)^2) / (V_u^2 m_v^2 +
+    V_v^2 m_u^2), divided through by V_u^2 V_v^2, reads b_uv^2 = 1 +
+    (a_u a_v + (nu_u . nu_v)^2) / (a_u + a_v) with nu_u = mu_u / V_u and
+    a_u = |nu_u|^2; on the diagonal b_uu^2 = 1 + a_u / 2. A row with zero
+    residual variance and nonzero loadings leaves B undefined and is an
+    error. A row without loadings has b = 1 against every column, as the
+    0/0 -> 1 rule of the undivided form gives.
     """
     p = v_sq.shape[0]
     m_sq = np.einsum("jk,jk->j", mu, mu)
+    if np.any((v_sq == 0.0) & (m_sq > 0.0)):
+        raise DegenerateDenominator(
+            "inflation undefined where residual variance is zero and loadings are not"
+        )
+    nu = mu / np.sqrt(np.where(v_sq > 0.0, v_sq, 1.0))[:, None]
+    a = np.einsum("jk,jk->j", nu, nu)
+    # a row with a = 0 has a zero numerator, so any positive denominator
+    # gives it b = 1
+    den = np.where(a > 0.0, a, 1.0)
+    bufs = np.empty((2, min(block, p) * p))
     for lo in range(0, p, block):
         hi = min(lo + block, p)
-        # b holds the numerator until the division; working in place keeps
-        # the number of block-sized temporaries down
-        b = mu[lo:hi] @ mu[lo:].T
+        shape = (hi - lo, p - lo)
+        b, t = (buf[: shape[0] * shape[1]].reshape(shape) for buf in bufs)
+        np.matmul(nu[lo:hi], nu[lo:].T, out=b)
         b *= b
-        outer = np.multiply.outer(m_sq[lo:hi], m_sq[lo:])
-        b += outer
-        den = np.multiply.outer(v_sq[lo:hi], m_sq[lo:])
-        np.multiply.outer(m_sq[lo:hi], v_sq[lo:], out=outer)
-        den += outer
-        if not den.all():
-            zero = den == 0.0
-            if np.any(b[zero] > 0.0):
-                raise DegenerateDenominator(
-                    "variance-ratio denominator vanished off-diagonal with a "
-                    "nonzero numerator"
-                )
-            den[zero] = 1.0  # num is 0 there, so b becomes exactly 1
-        b /= den
+        np.multiply.outer(a[lo:hi], a[lo:], out=t)
+        b += t
+        np.add.outer(den[lo:hi], den[lo:], out=t)
+        b /= t
+        rows = np.arange(hi - lo)
+        b[rows, rows] = 0.5 * a[lo:hi]
         b += 1.0
         np.sqrt(b, out=b)
-        dm, dv = m_sq[lo:hi], v_sq[lo:hi]
-        if np.any((dv == 0.0) & (dm > 0.0)):
-            raise DegenerateDenominator(
-                "diagonal inflation undefined where residual variance is zero"
-            )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            bd = np.sqrt(1.0 + dm / (2.0 * dv))
-        rows = np.arange(hi - lo)
-        b[rows, rows] = np.where(dm == 0.0, 1.0, bd)
         yield lo, hi, b
+
+
+def _upper_row_sums(b: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = b[i, i:].sum(): each row's sum over the upper triangle of
+    B. The sum runs over the same slice whatever the block size, so a
+    total of these row sums does not depend on it."""
+    for i in range(b.shape[0]):
+        out[i] = b[i, i:].sum()
 
 
 def compute_rho(
@@ -394,17 +406,15 @@ def compute_rho(
     *,
     strategy: str = "mean_b",
     alpha: float = 0.05,
-    block: int = 512,
+    block: int = _BLOCK,
 ) -> float:
     """Collapse the inflation matrix into a single rho.
 
     "mean_b" averages B over its upper triangle (diagonal included),
-    "sup_b" takes the maximum, and "solve_mean_coverage" finds by
-    Brent's method, over [1, 4 sup B], the rho whose nominal mean
-    entrywise coverage equals 1 - alpha. Only the upper triangle of B is
-    computed, in row blocks, so mean and sup never hold the full matrix;
-    the solver makes one pass and keeps the values above the diagonal
-    (about p^2 / 2 floats) to make each step a vector op.
+    "sup_b" takes the maximum, and "solve_mean_coverage" finds the rho
+    in [1, 4 sup B] whose nominal mean entrywise coverage equals
+    1 - alpha. Only the upper triangle of B is computed, in row blocks,
+    and no strategy holds more than three blocks of it.
     """
     mu = np.asarray(mu, dtype=np.float64)
     v_sq = np.asarray(v_sq, dtype=np.float64)
@@ -413,59 +423,113 @@ def compute_rho(
     p = mu.shape[0]
 
     if strategy == "mean_b":
-        total = 0.0
+        row_sums = np.empty(p)
         for lo, hi, b in _b_blocks(mu, v_sq, block):
-            h = hi - lo
-            total += float(np.triu(b[:, :h]).sum()) + float(b[:, h:].sum())
-        return total / (p * (p + 1) / 2.0)
+            _upper_row_sums(b, row_sums[lo:hi])
+        return float(row_sums.sum()) / (p * (p + 1) / 2.0)
 
     if strategy == "sup_b":
-        sup = 1.0
-        for _, _, b in _b_blocks(mu, v_sq, block):
-            sup = max(sup, float(b.max()))
-        return sup
+        return max(float(b.max()) for _, _, b in _b_blocks(mu, v_sq, block))
 
     if strategy != "solve_mean_coverage":
         raise ValueError(f"unknown strategy {strategy!r}")
-
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    z = norm_ppf(1.0 - alpha / 2.0)
-    target = 1.0 - alpha
+    return _solve_mean_coverage(mu, v_sq, alpha, block)
 
-    # one pass over B: the values right of the diagonal, and the bracket's
-    # upper end from those and the diagonal (below it B mirrors them)
-    offdiag = []
-    sup = 1.0
-    for lo, hi, b in _b_blocks(mu, v_sq, block):
-        # row-major order of the entries right of the diagonal
-        above = np.arange(p - lo)[None, :] > np.arange(hi - lo)[:, None]
-        offdiag.append(b[above])
-        sup = max(sup, float(offdiag[-1].max(initial=1.0)), float(b.diagonal().max()))
-    bvals = np.concatenate(offdiag)
+
+def _solve_mean_coverage(
+    mu: np.ndarray, v_sq: np.ndarray, alpha: float, block: int
+) -> float:
+    """Safeguarded Newton iteration for mean coverage = 1 - alpha.
+
+    The iteration tracks the mean miscoverage m(rho) = 1 - mean coverage
+    through h(rho) = -Phi^{-1}(m / 2), which is linear in rho when B is
+    constant, and solves h = -Phi^{-1}(alpha / 2). m is summed as erfc
+    values, which keeps its relative precision at small alpha. Every
+    evaluation of m streams B again and takes m'(rho) from the same pass. The first
+    evaluation, at rho = 1, also gives mean B, where the iteration
+    starts, and sup B, which bounds the bracket [1, 4 sup B].
+    """
+    p = v_sq.shape[0]
+    pairs = p * (p + 1) / 2.0
+    z = norm_ppf(1.0 - alpha / 2.0)
+    if math.isinf(z):  # alpha / 2 rounds away against 1: every interval covers
+        return 1.0
+    c = z / math.sqrt(2.0)  # 1 - (2 Phi(z x) - 1) = erfc(c x)
+    goal = -norm_ppf(alpha / 2.0)
     m_sq = np.einsum("jk,jk->j", mu, mu)
     msum = m_sq + v_sq
+    spare = np.empty(min(block, p) * p)
 
-    @functools.lru_cache(maxsize=None)  # brentq re-evaluates the bracket ends
-    def mean_q(rho: float) -> float:
-        # Off the diagonal the asymptotic-to-surrogate sd ratio is exactly
-        # rho / b_uv; on it the two variance formulas do not cancel.
-        acc = float(np.sum(2.0 * ndtr(z * rho / bvals) - 1.0)) if bvals.size else 0.0
+    def evaluate(rho: float, row_sums: np.ndarray | None = None):
+        """Mean miscoverage and its derivative in rho; with ``row_sums``,
+        also B's upper-triangle row sums and sup B."""
+        miss = weight = 0.0
+        sup = 1.0
+        for lo, hi, b in _b_blocks(mu, v_sq, block):
+            if row_sums is not None:
+                sup = max(sup, float(b.max()))
+                _upper_row_sums(b, row_sums[lo:hi])
+            # Off the diagonal the asymptotic-to-surrogate sd ratio is
+            # exactly rho / b_uv; only entries right of the diagonal count.
+            lower = np.tri(hi - lo, dtype=bool)
+            s = np.divide(c * rho, b, out=b)
+            e = spare[: s.size].reshape(s.shape)
+            erfc(s, out=e)
+            e[:, : hi - lo][lower] = 0.0
+            miss += float(e.sum())
+            np.multiply(s, s, out=e)
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            e *= s
+            e[:, : hi - lo][lower] = 0.0
+            weight += float(e.sum())
+        # On the diagonal the two variance formulas do not cancel.
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.sqrt(v_sq**2 + 2.0 * rho**2 * v_sq * m_sq) / msum
-        ratio = np.where(msum == 0.0, 1.0, ratio)
-        acc += float(np.sum(2.0 * ndtr(z * ratio) - 1.0))
-        return acc / (p * (p + 1) / 2.0)
+            dratio = 2.0 * rho * v_sq * m_sq / (msum * msum * ratio)
+        ratio[msum == 0.0] = 1.0
+        dratio[msum == 0.0] = 0.0
+        miss += float(erfc(c * ratio).sum())
+        # d erfc(x) / dx = -2 / sqrt(pi) exp(-x^2), and d s / d rho = s / rho
+        slope = weight / rho + c * float(np.sum(np.exp(-((c * ratio) ** 2)) * dratio))
+        return miss / pairs, -2.0 / math.sqrt(math.pi) * slope / pairs, sup
 
-    lo_r, hi_r = 1.0, 4.0 * sup
-    f_lo, f_hi = mean_q(lo_r), mean_q(hi_r)
+    row_sums = np.empty(p)
+    miss, _, sup = evaluate(1.0, row_sums)
     # No inflation needed (B is identically 1 up to roundoff).
-    if f_lo >= target - 1e-12:
-        return lo_r
-    if f_hi < target:
-        raise BracketFailure(
-            f"mean coverage {f_hi:.4f} at rho={hi_r:.3f} never reaches {target}"
-        )
-    from scipy.optimize import brentq
-
-    return float(brentq(lambda rho: mean_q(rho) - target, lo_r, hi_r, xtol=1e-13))
+    if miss <= alpha + 1e-12:
+        return 1.0
+    lo_r, hi_r, top = 1.0, 4.0 * sup, 4.0 * sup
+    hi_known = False
+    rho = min(max(float(row_sums.sum()) / pairs, lo_r), top)
+    for _ in range(100):
+        if hi_known and hi_r - lo_r <= 1e-14 * hi_r:
+            return 0.5 * (lo_r + hi_r)
+        miss, dmiss, _ = evaluate(rho)
+        if miss > alpha:
+            if rho == top:
+                raise BracketFailure(
+                    f"mean coverage {1.0 - miss:.4f} at rho={top:.3f} "
+                    f"never reaches {1.0 - alpha}"
+                )
+            lo_r = rho
+        else:
+            hi_r, hi_known = rho, True
+        # h' = -m' / (2 phi(h)), with phi the normal density
+        h = -norm_ppf(miss / 2.0)
+        pdf = math.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
+        step = (goal - h) * 2.0 * pdf / -dmiss if pdf > 0.0 and dmiss < 0.0 else math.nan
+        new = rho + step
+        if lo_r <= new <= hi_r:
+            # h is close to linear, so after a step this short the error
+            # is far below 1e-14 relative
+            if abs(step) <= 1e-9 * rho:
+                return new
+        elif hi_known:
+            new = 0.5 * (lo_r + hi_r)
+        else:
+            new = top  # look at the bracket's upper end before bisecting
+        rho = new
+    raise ConvergenceFailure("mean-coverage solve did not converge in 100 evaluations")

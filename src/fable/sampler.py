@@ -140,11 +140,13 @@ def _draw_rows(
     """Rows ``rows`` of draw t, in that order.
 
     The whole uniform block is generated so that row j reads the same
-    uniforms whichever rows are asked for; only the selected rows go
-    through the inverse CDFs. Every step is elementwise, so the result
-    equals the same rows of the full draw bit for bit.
+    uniforms whichever rows are asked for; only the selected rows are
+    clipped as in ``RngSpec.uniform_block`` and go through the inverse
+    CDFs. Every step is elementwise, so the result equals the same rows
+    of the full draw bit for bit.
     """
-    block = rng.uniform_block(t, model.p, model.k)[rows]
+    block = rng.generator(t).random((model.p, model.k + 1))[rows]
+    np.clip(block, _UNIFORM_LO, _UNIFORM_HI, out=block)
     gamma_draw = gammaincinv(model.gamma_n / 2.0, block[:, 0])
     noise_sq = (model.gamma_n * model.delta_sq[rows] / 2.0) / gamma_draw
     scale = r * np.sqrt(noise_sq * model.posterior_scale_sq)

@@ -824,6 +824,76 @@ class TestCliReplay:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "differ" in record["message"]
 
+    @staticmethod
+    def recorded_fit(tmp_path, monkeypatch, blas_threads):
+        if blas_threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        input_path = tmp_path / "x.mat"
+        save_matrix(input_path, np.random.default_rng(9).standard_normal((40, 10)))
+        model_path = tmp_path / "m.bin"
+        assert main(["fit", "--input", str(input_path), "--k", "2",
+                     "--output", str(model_path)]) == 0
+        return Path(str(model_path) + ".manifest.json")
+
+    @staticmethod
+    def replay_error(manifest_path, tmp_path, capsys):
+        capsys.readouterr()
+        code = main(["replay", "--manifest", str(manifest_path),
+                     "--outdir", str(tmp_path / "r")])
+        assert code == 1
+        return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+    def test_manifest_records_blas_threads(self, tmp_path, monkeypatch):
+        path = self.recorded_fit(tmp_path, monkeypatch, "1")
+        assert json.loads(path.read_text())["openblas_num_threads"] == "1"
+        path = self.recorded_fit(tmp_path, monkeypatch, None)
+        assert load_manifest(path).openblas_num_threads == ""
+
+    def test_mismatch_names_both_versions(self, tmp_path, monkeypatch, capsys):
+        # a manifest written by an earlier version, without the BLAS
+        # setting, whose model bytes this version does not reproduce
+        path = self.recorded_fit(tmp_path, monkeypatch, "1")
+        payload = json.loads(path.read_text())
+        payload["software_version"] = "0.1.0"
+        del payload["openblas_num_threads"]
+        payload["outputs"]["model"]["sha256"] = "0" * 64
+        path.write_text(json.dumps(payload))
+        assert load_manifest(path).openblas_num_threads is None
+        record = self.replay_error(path, tmp_path, capsys)
+        assert record["error"] == "ReplayMismatch"
+        assert record["message"] == (
+            "replay outputs differ from manifest for: model "
+            "(recorded with fable 0.1.0, OPENBLAS_NUM_THREADS not recorded; "
+            f"replayed with fable {fable.__version__}, OPENBLAS_NUM_THREADS=1)"
+        )
+
+    def test_mismatch_names_both_blas_settings(self, tmp_path, monkeypatch, capsys):
+        path = self.recorded_fit(tmp_path, monkeypatch, "1")
+        payload = json.loads(path.read_text())
+        payload["outputs"]["model"]["sha256"] = "0" * 64
+        path.write_text(json.dumps(payload))
+        version = f"fable {fable.__version__}"
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        record = self.replay_error(path, tmp_path, capsys)
+        assert record["error"] == "ReplayMismatch"
+        assert record["message"].endswith(
+            f"(recorded with {version}, OPENBLAS_NUM_THREADS=1; "
+            f"replayed with {version}, OPENBLAS_NUM_THREADS=2)"
+        )
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        record = self.replay_error(path, tmp_path, capsys)
+        assert record["message"].endswith(f"replayed with {version}, OPENBLAS_NUM_THREADS=unset)")
+
+    def test_manifest_without_blas_setting_replays(self, tmp_path, monkeypatch, capsys):
+        path = self.recorded_fit(tmp_path, monkeypatch, "1")
+        payload = json.loads(path.read_text())
+        del payload["openblas_num_threads"]
+        path.write_text(json.dumps(payload))
+        assert main(["replay", "--manifest", str(path), "--outdir", str(tmp_path / "r")]) == 0
+        assert "bit-identically" in capsys.readouterr().out
+
     def test_sample_replay(self, workspace, tmp_path, capsys):
         out = tmp_path / "s.bin"
         man = tmp_path / "s.manifest.json"
@@ -871,6 +941,13 @@ class TestStartupImports:
         assert self.run_main(["intervals", "--model", model, "--indices", "0-3",
                               "--method", "asymptotic",
                               "--output", tmp_path / "iv.csv"]) == []
+
+    def test_solve_mean_coverage_loads_no_optimizer(self, workspace, tmp_path):
+        loaded = self.run_main(["fit", "--input", workspace["train"],
+                                "--rho-strategy", "solve_mean_coverage",
+                                "--output", tmp_path / "m.bin"])
+        assert "scipy.special" in loaded
+        assert not any(m.startswith("scipy.optimize") for m in loaded)
 
     def test_sampling_commands_load_scipy_special(self, workspace, tmp_path):
         sample = self.run_main(["sample", "--model", workspace["model"],

@@ -450,6 +450,21 @@ def mean_coverage(m, b, rho, alpha=0.05):
     return (q_off.sum() + q_d.sum()) / (m.p * (m.p + 1) / 2)
 
 
+def count_b_passes(monkeypatch):
+    """A list that gains one entry per pass over B in fable.model."""
+    import fable.model as model
+
+    passes = []
+    real_blocks = model._b_blocks
+
+    def counted_blocks(*args, **kwargs):
+        passes.append(1)
+        return real_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_b_blocks", counted_blocks)
+    return passes
+
+
 class TestComputeRho:
     def test_mean_matches_materialized(self):
         _, _, y = make_factor_data(60, 25, 2, seed=91)
@@ -490,41 +505,57 @@ class TestComputeRho:
         rho = compute_rho(m.mu, m.v_sq, strategy="solve_mean_coverage", alpha=0.05)
         assert abs(rho - m.rho) / m.rho < 0.15
 
-    def test_solve_makes_one_pass_and_few_evaluations(self, monkeypatch):
-        # the bracket's upper end comes from the same pass over B that
-        # collects the values, and Brent's method needs far fewer
-        # evaluations of the mean coverage than the ~45 of a bisection
-        # to 1e-12
-        import fable.model as model
+    def test_solve_streams_b_in_few_evaluations(self, monkeypatch):
+        # each evaluation of the mean coverage streams B once (the first
+        # also yields mean B and sup B), Newton steps from mean B need few
+        # of them, and the solve holds a few row blocks of B, never its
+        # p (p + 1) / 2 values
+        import tracemalloc
 
-        _, _, y = make_factor_data(60, 200, 3, seed=95)
+        p = 2000
+        _, _, y = make_factor_data(100, p, 3, seed=95)
         m = fit(center_columns(y), k=3)
-        passes, ndtr_calls = [], []
-        real_blocks, real_ndtr = model._b_blocks, model.ndtr
-
-        def counted_blocks(*args, **kwargs):
-            passes.append(1)
-            return real_blocks(*args, **kwargs)
-
-        def counted_ndtr(x):
-            ndtr_calls.append(1)
-            return real_ndtr(x)
-
-        monkeypatch.setattr(model, "_b_blocks", counted_blocks)
-        monkeypatch.setattr(model, "ndtr", counted_ndtr)
-        rho = compute_rho(m.mu, m.v_sq, strategy="solve_mean_coverage", block=64)
-        assert len(passes) == 1
-        # each evaluation runs ndtr once off the diagonal and once on it
-        evaluations = len(ndtr_calls) // 2
-        assert 3 <= evaluations <= 15
+        passes = count_b_passes(monkeypatch)
+        tracemalloc.start()
+        try:
+            rho = compute_rho(m.mu, m.v_sq, strategy="solve_mean_coverage")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 <= len(passes) <= 8
+        assert peak < 8 * (p * (p + 1) // 2) / 4
         assert mean_coverage(m, compute_b_matrix(m), rho) == pytest.approx(0.95, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.01, 1e-4, 1e-8])
+    def test_solve_meets_small_alpha(self, alpha, monkeypatch):
+        # the mean miscoverage, summed as erfc so it keeps its relative
+        # precision, hits alpha at any alpha in few evaluations
+        from scipy.special import erfc
+
+        _, _, y = make_factor_data(200, 120, 4, seed=97)
+        m = fit(center_columns(y), k=4)
+        passes = count_b_passes(monkeypatch)
+        rho = compute_rho(m.mu, m.v_sq, strategy="solve_mean_coverage", alpha=alpha)
+        assert len(passes) <= 8
+        b = compute_b_matrix(m)
+        c = ndtri(1 - alpha / 2) / math.sqrt(2)
+        m_sq = (m.mu**2).sum(axis=1)
+        ratio = np.sqrt(m.v_sq**2 + 2 * rho**2 * m.v_sq * m_sq) / (m_sq + m.v_sq)
+        miss = erfc(c * rho / b[np.triu_indices(m.p, 1)]).sum() + erfc(c * ratio).sum()
+        assert miss / (m.p * (m.p + 1) / 2) == pytest.approx(alpha, rel=1e-9)
+
     def test_block_size_irrelevant(self):
-        _, _, y = make_factor_data(40, 33, 2, seed=93)
-        m = fit(center_columns(y), k=2)
-        a = compute_rho(m.mu, m.v_sq, strategy="mean_b", block=7)
-        b = compute_rho(m.mu, m.v_sq, strategy="mean_b", block=512)
-        assert a == pytest.approx(b, rel=1e-12)
+        # each row's upper-triangle sum runs over the same slice at any
+        # block size, so the totals are the same float
+        for n, p, k, seed in ((40, 33, 2, 93), (50, 700, 10, 96)):
+            _, _, y = make_factor_data(n, p, k, seed=seed)
+            m = fit(center_columns(y), k=k)
+            for strategy in ("mean_b", "sup_b"):
+                got = {
+                    compute_rho(m.mu, m.v_sq, strategy=strategy, block=block)
+                    for block in (1, 7, 32, 512)
+                }
+                assert len(got) == 1, (p, strategy)
 
 
 def dense_b(mu, v_sq):
@@ -585,6 +616,78 @@ class TestUpperTriangleStreaming:
         for block in self.BLOCKS:
             with pytest.raises(DegenerateDenominator):
                 compute_rho(mu, v_sq, strategy="mean_b", block=block)
+
+
+def dense_b_undivided(mu, v_sq):
+    """B by the undivided rule, with 0/0 -> 1 off the diagonal and
+    m_u^2 = 0 -> 1 on it; None where that rule raises (a vanishing
+    denominator under a nonzero numerator)."""
+    m_sq = (mu**2).sum(axis=1)
+    num = np.outer(m_sq, m_sq) + (mu @ mu.T) ** 2
+    den = np.outer(v_sq, m_sq) + np.outer(m_sq, v_sq)
+    diag = np.arange(len(v_sq))
+    if np.any(num[den == 0.0] > 0.0) or np.any((v_sq == 0.0) & (m_sq > 0.0)):
+        return None
+    with np.errstate(invalid="ignore", divide="ignore"):
+        b = np.sqrt(1.0 + num / den)
+        b[diag, diag] = np.sqrt(1.0 + m_sq / (2.0 * v_sq))
+    b[den == 0.0] = 1.0
+    b[diag[m_sq == 0.0], diag[m_sq == 0.0]] = 1.0
+    return b
+
+
+class TestUnloadedRows:
+    """Rows without loadings, with or without residual variance, have
+    b = 1 against every column; a loaded row without residual variance
+    is an error wherever it sits."""
+
+    @staticmethod
+    def mixed(seed):
+        rng = np.random.default_rng(seed)
+        p = 40
+        mu = rng.normal(size=(p, 3))
+        v_sq = rng.uniform(0.2, 2.0, p)
+        unloaded = rng.choice(p, 12, replace=False)
+        mu[unloaded] = 0.0
+        v_sq[unloaded[:6]] = 0.0  # no loadings and no residual variance
+        return mu, v_sq
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 7, 32, 512])
+    def test_matches_undivided_rule(self, seed, block):
+        mu, v_sq = self.mixed(seed)
+        want = dense_b_undivided(mu, v_sq)
+        got = compute_b_matrix(TestBMatrix.manual_model(mu, v_sq), block=block)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+        unloaded = (mu**2).sum(axis=1) == 0.0
+        assert (got[unloaded] == 1.0).all() and (got[:, unloaded] == 1.0).all()
+        upper = want[np.triu_indices(len(v_sq))]
+        assert compute_rho(mu, v_sq, block=block) == pytest.approx(upper.mean(), rel=1e-13)
+        assert compute_rho(mu, v_sq, strategy="sup_b", block=block) == pytest.approx(
+            want.max(), rel=1e-13
+        )
+
+    def test_all_rows_unloaded(self):
+        v_sq = np.array([0.0, 1.0, 0.0, 2.0])
+        for strategy in ("mean_b", "sup_b", "solve_mean_coverage"):
+            assert compute_rho(np.zeros((4, 2)), v_sq, strategy=strategy) == 1.0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_degenerate_exactly_where_the_undivided_rule_raises(self, seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 30))
+        mu = rng.normal(size=(p, 2))
+        mu[rng.random(p) < 0.4] = 0.0
+        v_sq = rng.uniform(0.5, 1.5, p)
+        v_sq[rng.random(p) < 0.2] = 0.0
+        raises = dense_b_undivided(mu, v_sq) is None
+        for strategy in ("mean_b", "sup_b", "solve_mean_coverage"):
+            for block in (1, 7, 512):
+                if raises:
+                    with pytest.raises(DegenerateDenominator):
+                        compute_rho(mu, v_sq, strategy=strategy, block=block)
+                else:
+                    compute_rho(mu, v_sq, strategy=strategy, block=block)
 
 
 class TestModelValidation:

@@ -14,6 +14,7 @@ from fable.model import FableModel, fit
 import fable.sampler
 from fable.sampler import (
     _RESERVOIR_TAG,
+    _draw_rows,
     CovarianceSample,
     EntryStats,
     RngSpec,
@@ -351,3 +352,49 @@ class TestUniformBlocks:
         np.testing.assert_array_equal(
             rng.uniform_block(1, 4, 1), RngSpec(5).uniform_block(1, 4, 1)
         )
+
+    @staticmethod
+    def transformed(model, block, rows, r):
+        """Rows ``rows`` of a draw, from a clipped uniform block."""
+        from scipy.special import gammaincinv, ndtri
+
+        block = block[rows]
+        noise_sq = (model.gamma_n * model.delta_sq[rows] / 2.0) / gammaincinv(
+            model.gamma_n / 2.0, block[:, 0]
+        )
+        scale = r * np.sqrt(noise_sq * model.posterior_scale_sq)
+        return model.mu[rows] + scale[:, None] * ndtri(block[:, 1:]), noise_sq
+
+    @pytest.mark.parametrize(
+        "rows", [slice(None), np.array([5, 1, 5, 7]), np.array([0]), np.arange(8)[::-1]]
+    )
+    @pytest.mark.parametrize("t", [0, 3])
+    def test_draw_rows_read_uniform_block(self, mid_model, rows, t):
+        # _draw_rows clips only the rows it gathers; the values are those
+        # of the same rows of uniform_block through the transforms
+        rng = RngSpec(17)
+        for r in (mid_model.rho, 0.7):
+            draw = _draw_rows(mid_model, t, rng, r, rows)
+            loadings, noise_sq = self.transformed(
+                mid_model, rng.uniform_block(t, mid_model.p, mid_model.k), rows, r
+            )
+            assert draw.loadings.tobytes() == loadings.tobytes()
+            assert draw.noise_sq.tobytes() == noise_sq.tobytes()
+
+    def test_gathered_rows_are_clipped(self, mid_model, monkeypatch):
+        # a generator that returns exact zeros: unclipped, ndtri(0) is -inf
+        class Zeros:
+            def random(self, shape):
+                block = np.random.default_rng(4).random(shape)
+                block[::2, :] = 0.0
+                return block
+
+        monkeypatch.setattr(RngSpec, "generator", lambda self, t: Zeros())
+        rng, rows = RngSpec(1), np.array([6, 2, 3])
+        block = rng.uniform_block(0, mid_model.p, mid_model.k)
+        assert block.min() == 2.0**-53
+        draw = _draw_rows(mid_model, 0, rng, mid_model.rho, rows)
+        assert np.isfinite(draw.loadings).all()
+        loadings, noise_sq = self.transformed(mid_model, block, rows, mid_model.rho)
+        assert draw.loadings.tobytes() == loadings.tobytes()
+        assert draw.noise_sq.tobytes() == noise_sq.tobytes()
