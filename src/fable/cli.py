@@ -14,13 +14,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import FableError, ReplayMismatch
+from .errors import FableError, IndexOutOfRange, ReplayMismatch
 from .inference import (
     credible_intervals,
     fitted_loglik,
@@ -149,31 +148,45 @@ def _load_and_preprocess(args) -> tuple[DataMatrix, np.ndarray, str]:
     return dm, kept, file_sha256(args.input)
 
 
-def _manifest(args, command: str, *, seed=None, input_sha256=None, resolved=None):
-    config = {"argv": list(args._argv)}
-    return RunManifest(
-        command=command,
-        config=config,
-        software_version=__version__,
-        seed=seed,
-        input_sha256=input_sha256,
-        resolved=resolved or {},
-        created_unix=time.time(),
-        openblas_num_threads=os.environ.get("OPENBLAS_NUM_THREADS", ""),
-    )
+def _save_manifest(
+    args, path: str | None, outputs: dict, *, measured: dict | None = None, **fields
+) -> None:
+    """Write the manifest of this run to ``path`` (nothing when it is None).
 
+    ``outputs`` and ``measured`` map roles to written files (None entries
+    are skipped); ``fields`` are the other RunManifest fields (seed,
+    input_sha256, resolved).
+    """
+    if path is None:
+        return
 
-def _record_outputs(
-    manifest: RunManifest, measured: dict | None = None, **paths: str | None
-) -> RunManifest:
     def hashed(entries):
         return {
-            role: {"path": str(path), "sha256": file_sha256(path)}
-            for role, path in entries.items()
-            if path is not None
+            role: {"path": str(out), "sha256": file_sha256(out)}
+            for role, out in entries.items()
+            if out is not None
         }
 
-    return replace(manifest, outputs=hashed(paths), measured=hashed(measured or {}))
+    save_manifest(path, RunManifest(
+        command=args.command,
+        config={"argv": list(args._argv)},
+        software_version=__version__,
+        outputs=hashed(outputs),
+        measured=hashed(measured or {}),
+        created_unix=time.time(),
+        openblas_num_threads=os.environ.get("OPENBLAS_NUM_THREADS", ""),
+        **fields,
+    ))
+
+
+def _index_pairs(text: str, p: int) -> list[tuple[int, int]]:
+    """The pairs (u, v), v at or after u in the list, of the index set
+    ``text``; every index is checked against p before any pair is made."""
+    idx = parse_indices(text)
+    for i in idx:
+        if not 0 <= i < p:
+            raise IndexOutOfRange(f"index {i} outside [0, {p})")
+    return [(u, v) for i, u in enumerate(idx) for v in idx[i:]]
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
@@ -199,12 +212,11 @@ def _cmd_fit(args) -> int:
         "gamma_n": model.gamma_n,
         "columns_kept": int(len(kept)),
     }
-    manifest = _manifest(args, "fit", input_sha256=checksum, resolved=resolved)
-    manifest = _record_outputs(
-        manifest, model=args.output, columns=args.output_columns
+    _save_manifest(
+        args, args.manifest or args.output + ".manifest.json",
+        {"model": args.output, "columns": args.output_columns},
+        input_sha256=checksum, resolved=resolved,
     )
-    manifest_path = args.manifest or args.output + ".manifest.json"
-    save_manifest(manifest_path, manifest)
     print(f"fit: k={model.k} tau_sq={model.tau_sq:.6g} rho={model.rho:.6g} "
           f"-> {args.output}")
     return 0
@@ -221,12 +233,10 @@ def _cmd_sample(args) -> int:
         start=args.start,
     )
     count = save_samples(args.output, draws, format=args.sample_format)
-    if args.manifest is not None:
-        manifest = _manifest(
-            args, "sample", seed=args.seed,
-            resolved={"n_samples": count, "rho": args.rho if args.rho is not None else model.rho},
-        )
-        save_manifest(args.manifest, _record_outputs(manifest, samples=args.output))
+    _save_manifest(
+        args, args.manifest, {"samples": args.output}, seed=args.seed,
+        resolved={"n_samples": count, "rho": args.rho if args.rho is not None else model.rho},
+    )
     print(f"sample: {count} draws -> {args.output}")
     return 0
 
@@ -241,8 +251,7 @@ def _cmd_mean(args) -> int:
         print(f"mean: factored ({model.p}x{model.k} + diagonal) -> "
               f"{args.output_loadings}, {args.output_noise}")
     else:
-        idx = parse_indices(args.indices)
-        pairs = [(u, v) for i, u in enumerate(idx) for v in idx[i:]]
+        pairs = _index_pairs(args.indices, model.p)
         entries = posterior_mean(model, form="dense_entrywise", indices=pairs)
         with open(args.output, "w") as fh:
             fh.write("u,v,mean\n")
@@ -250,16 +259,13 @@ def _cmd_mean(args) -> int:
                 fh.write(f"{u},{v},{float(entries[(u, v)])!r}\n")
         written = {"entries": args.output}
         print(f"mean: {len(pairs)} entrywise means -> {args.output}")
-    if args.manifest is not None:
-        manifest = _manifest(args, "mean", resolved={"form": args.form})
-        save_manifest(args.manifest, _record_outputs(manifest, **written))
+    _save_manifest(args, args.manifest, written, resolved={"form": args.form})
     return 0
 
 
 def _cmd_intervals(args) -> int:
     model = load_model(args.model)
-    idx = parse_indices(args.indices)
-    pairs = [(u, v) for i, u in enumerate(idx) for v in idx[i:]]
+    pairs = _index_pairs(args.indices, model.p)
     rng = None if args.seed is None else RngSpec(args.seed)
     grid = credible_intervals(
         model,
@@ -271,12 +277,10 @@ def _cmd_intervals(args) -> int:
         threads=args.threads,
     )
     write_intervals(args.output, grid)
-    if args.manifest is not None:
-        manifest = _manifest(
-            args, "intervals", seed=args.seed,
-            resolved={"method": args.method, "alpha": args.alpha, "pairs": len(pairs)},
-        )
-        save_manifest(args.manifest, _record_outputs(manifest, intervals=args.output))
+    _save_manifest(
+        args, args.manifest, {"intervals": args.output}, seed=args.seed,
+        resolved={"method": args.method, "alpha": args.alpha, "pairs": len(pairs)},
+    )
     print(f"intervals: {len(pairs)} entries ({args.method}) -> {args.output}")
     return 0
 
@@ -296,15 +300,11 @@ def _cmd_diagnose(args) -> int:
         "k": model.k,
     }
     _emit_json(result, args.output)
-    if args.manifest is not None:
-        keys = ("fitted_loglik", "variance_explained_mean", "predictive_coverage")
-        manifest = _manifest(
-            args, "diagnose", input_sha256=checksum,
-            resolved={key: result[key] for key in keys},
-        )
-        if args.output is not None:
-            manifest = _record_outputs(manifest, report=args.output)
-        save_manifest(args.manifest, manifest)
+    keys = ("fitted_loglik", "variance_explained_mean", "predictive_coverage")
+    _save_manifest(
+        args, args.manifest, {"report": args.output}, input_sha256=checksum,
+        resolved={key: result[key] for key in keys},
+    )
     return 0
 
 
@@ -342,14 +342,10 @@ def _cmd_oos(args) -> int:
         "n_test": test_block.n,
     }
     _emit_json(result, args.output)
-    if args.manifest is not None:
-        manifest = _manifest(
-            args, "oos", input_sha256=checksum,
-            resolved={"oos_loglik": value},
-        )
-        if args.output is not None:
-            manifest = _record_outputs(manifest, report=args.output)
-        save_manifest(args.manifest, manifest)
+    _save_manifest(
+        args, args.manifest, {"report": args.output}, input_sha256=checksum,
+        resolved={"oos_loglik": value},
+    )
     return 0
 
 
@@ -387,27 +383,21 @@ def _cmd_simulate(args) -> int:
             f"{s.config_id:>18} {s.replicates_done:>5} {s.failures:>5} "
             f"{s.mean_rel_error:>8.3f} {s.mean_coverage:>9.3f} {s.mean_width:>7.3f}"
         )
-    if args.manifest is not None:
-        manifest = _manifest(
-            args, "simulate", seed=args.seed,
-            resolved={
-                s.config_id: {
-                    "mean_rel_error": s.mean_rel_error,
-                    "mean_coverage": s.mean_coverage,
-                    "mean_width": s.mean_width,
-                    "failures": s.failures,
-                }
-                for s in result.summaries
-            },
-        )
-        # per-replicate records embed wall-clock timings, so they are
-        # measured files; summaries hold only deterministic aggregates
-        manifest = _record_outputs(
-            manifest,
-            measured={"records": args.output_records},
-            summaries=args.output_summaries,
-        )
-        save_manifest(args.manifest, manifest)
+    # per-replicate records embed wall-clock timings, so they are
+    # measured files; summaries hold only deterministic aggregates
+    _save_manifest(
+        args, args.manifest, {"summaries": args.output_summaries},
+        measured={"records": args.output_records}, seed=args.seed,
+        resolved={
+            s.config_id: {
+                "mean_rel_error": s.mean_rel_error,
+                "mean_coverage": s.mean_coverage,
+                "mean_width": s.mean_width,
+                "failures": s.failures,
+            }
+            for s in result.summaries
+        },
+    )
     return 0
 
 
@@ -429,10 +419,7 @@ def _cmd_bench(args) -> int:
             f"{row.p:>6} {row.fit_seconds:>10.4f} {row.sample_seconds:>10.4f} "
             f"{row.mean_seconds:>10.4f}"
         )
-    if args.manifest is not None:
-        manifest = _manifest(args, "bench", seed=args.seed)
-        manifest = _record_outputs(manifest, measured={"table": args.output})
-        save_manifest(args.manifest, manifest)
+    _save_manifest(args, args.manifest, {}, measured={"table": args.output}, seed=args.seed)
     return 0
 
 

@@ -154,7 +154,6 @@ def credible_intervals(
     *,
     alpha: float = 0.05,
     method: str = "asymptotic",
-    rho: float | None = None,
     n_samples: int | None = None,
     rng: RngSpec | None = None,
     threads: int = 1,
@@ -170,8 +169,7 @@ def credible_intervals(
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
     pairs = _check_pairs(indices, model.p)
-    r = model.rho if rho is None else float(rho)
-    u_idx, v_idx, dots, l0, _ = _variance_terms(model, pairs, r)
+    u_idx, v_idx, dots, l0, _ = _variance_terms(model, pairs, model.rho)
     center = dots + np.where(u_idx == v_idx, model.delta_sq[u_idx], 0.0)
     sd = np.sqrt(l0 / model.n)
 
@@ -191,7 +189,6 @@ def credible_intervals(
             n_samples,
             rng,
             pairs,
-            rho=rho,
             quantiles=(alpha / 2.0, 1.0 - alpha / 2.0),
             threads=threads,
         )

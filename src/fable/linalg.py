@@ -107,9 +107,6 @@ class DataMatrix:
     def p(self) -> int:
         return self.values.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.values[:, j]
-
 
 @dataclass(frozen=True)
 class TruncatedSvd:

@@ -25,18 +25,13 @@ from .errors import (
     InvalidAlpha,
     InvalidSpectrumFraction,
     NonFinite,
-    RankOutOfRange,
     ZeroResidual,
     ZeroResidualVariance,
 )
-from .linalg import DataMatrix, TruncatedSvd, _frozen, truncated_svd
+from .linalg import DataMatrix, _frozen, truncated_svd
 
 __all__ = [
-    "RankSelection",
     "FableModel",
-    "select_K0",
-    "jic",
-    "select_rank",
     "fit",
     "hyperparameters_from_factors",
     "compute_rho",
@@ -53,7 +48,8 @@ class RankSelection:
     """Outcome of the information-criterion rank search.
 
     ``jic_values[i]`` is the criterion at rank ``i + 1``; the grid runs
-    from 1 to ``K0``, the spectrum-proportion cap.
+    from 1 to ``K0``, the spectrum-proportion cap, or to min(n, p) - 1
+    if that is smaller.
     """
 
     k_hat: int
@@ -136,61 +132,24 @@ class FableModel:
         return 1.0 / (self.n + 1.0 / self.tau_sq)
 
 
-def select_K0(spectrum: np.ndarray, S0: float = 0.75) -> int:
-    """Smallest K whose leading singular values reach fraction S0 of the
-    spectrum's total mass (sum of singular values, not their squares)."""
-    s = np.asarray(spectrum, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise DimensionMismatch("spectrum must be a nonempty 1-d array")
-    if not 0 < S0 <= 1:
-        raise ValueError(f"S0 must be in (0, 1], got {S0}")
-    total = s.sum()
+def _select_rank(n: int, p: int, spectrum: np.ndarray, S0: float) -> RankSelection:
+    """Pick the factor rank by scanning the criterion over 1..K0.
+
+    K0 is the smallest rank whose leading singular values reach fraction
+    S0 of the spectrum's total mass (sum of singular values, not their
+    squares). The criterion at rank k is n p log(RSS_k / (n p)) plus the
+    penalty k * max(n, p) * log(min(n, p)), where RSS_k, the squared
+    Frobenius norm of the residual after the best rank-k approximation,
+    is the tail of the squared spectrum. Ties break toward the smaller
+    rank. Needs min(n, p) >= 2.
+    """
+    total = spectrum.sum()
     if total <= 0:
         raise AllZeroSpectrum("spectrum sums to zero")
-    frac = np.cumsum(s) / total
+    frac = np.cumsum(spectrum) / total
     # Roundoff can leave the last cumulative fraction a hair under 1.
     frac[-1] = 1.0
-    return int(np.searchsorted(frac, S0) + 1)
-
-
-def _jic_from_spectrum(n: int, p: int, spectrum: np.ndarray, k: int) -> float:
-    limit = min(n, p)
-    if not 1 <= k <= limit:
-        raise RankOutOfRange(f"k={k} outside [1, {limit}]")
-    rss = float(np.sum(spectrum[k:] ** 2))
-    penalty = k * max(n, p) * np.log(limit)
-    if rss <= 0.0:
-        if k == limit:
-            raise ZeroResidual(
-                f"residual is identically zero at full rank k={k}"
-            )
-        warnings.warn(
-            f"zero residual at k={k} < min(n, p); criterion is -inf there",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return float(-np.inf)
-    return float(n * p * np.log(rss / (n * p)) + penalty)
-
-
-def jic(data: DataMatrix, svd: TruncatedSvd, k: int) -> float:
-    """Rank-selection criterion: n p log(RSS_k / (n p)) plus the
-    penalty k * max(n, p) * log(min(n, p)).
-
-    RSS_k is the squared Frobenius norm of the residual after the best
-    rank-k approximation, taken from ``svd.spectrum``.
-    """
-    if k > svd.spectrum.shape[0]:
-        raise RankOutOfRange(
-            f"spectrum holds {svd.spectrum.shape[0]} values, cannot score k={k}"
-        )
-    return _jic_from_spectrum(data.n, data.p, svd.spectrum, k)
-
-
-def _select_from_spectrum(
-    n: int, p: int, spectrum: np.ndarray, S0: float
-) -> RankSelection:
-    K0 = select_K0(spectrum, S0)
+    K0 = int(np.searchsorted(frac, S0) + 1)
     # Full rank always has zero residual, so the scored grid stops one
     # short of min(n, p).
     top = min(K0, min(n, p) - 1)
@@ -198,18 +157,21 @@ def _select_from_spectrum(
         raise ZeroResidual(
             f"no scorable ranks with min(n, p)={min(n, p)}"
         )
-    values = tuple(_jic_from_spectrum(n, p, spectrum, k) for k in range(1, top + 1))
+    values = []
+    for k in range(1, top + 1):
+        penalty = k * max(n, p) * np.log(min(n, p))
+        rss = float(np.sum(spectrum[k:] ** 2))
+        if rss <= 0.0:
+            warnings.warn(
+                f"zero residual at k={k} < min(n, p); criterion is -inf there",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            values.append(float(-np.inf))
+        else:
+            values.append(float(n * p * np.log(rss / (n * p)) + penalty))
     k_hat = int(np.argmin(values)) + 1
-    return RankSelection(k_hat=k_hat, K0=K0, jic_values=values, S0=S0)
-
-
-def select_rank(data: DataMatrix, *, S0: float = 0.75) -> RankSelection:
-    """Pick the factor rank by scanning the criterion over 1..K0.
-
-    Ties break toward the smaller rank. Needs min(n, p) >= 2.
-    """
-    spectrum = truncated_svd(data, 1).spectrum
-    return _select_from_spectrum(data.n, data.p, spectrum, S0)
+    return RankSelection(k_hat=k_hat, K0=K0, jic_values=tuple(values), S0=S0)
 
 
 def hyperparameters_from_factors(
@@ -300,7 +262,7 @@ def fit(
     n, p = data.n, data.p
 
     if k is None:
-        svd = truncated_svd(data, lambda s: _select_from_spectrum(n, p, s, S0).k_hat)
+        svd = truncated_svd(data, lambda s: _select_rank(n, p, s, S0).k_hat)
     else:
         svd = truncated_svd(data, int(k))
     k, u = svd.k, svd.u
@@ -361,7 +323,8 @@ def _b_blocks(mu: np.ndarray, v_sq: np.ndarray, block: int):
     a_u = |nu_u|^2; on the diagonal b_uu^2 = 1 + a_u / 2. A row with zero
     residual variance and nonzero loadings leaves B undefined and is an
     error. A row without loadings has b = 1 against every column, as the
-    0/0 -> 1 rule of the undivided form gives.
+    0/0 -> 1 rule of the undivided form gives. The numerator is at most
+    2 max(a)^2; where that overflows, so may b, and that is an error too.
     """
     p = v_sq.shape[0]
     m_sq = np.einsum("jk,jk->j", mu, mu)
@@ -371,6 +334,11 @@ def _b_blocks(mu: np.ndarray, v_sq: np.ndarray, block: int):
         )
     nu = mu / np.sqrt(np.where(v_sq > 0.0, v_sq, 1.0))[:, None]
     a = np.einsum("jk,jk->j", nu, nu)
+    top = float(a.max(initial=0.0))
+    if not math.isfinite(2.0 * top * top):
+        raise DegenerateDenominator(
+            "inflation overflows where residual variance is tiny next to the loadings"
+        )
     # a row with a = 0 has a zero numerator, so any positive denominator
     # gives it b = 1
     den = np.where(a > 0.0, a, 1.0)
@@ -406,7 +374,6 @@ def compute_rho(
     *,
     strategy: str = "mean_b",
     alpha: float = 0.05,
-    block: int = _BLOCK,
 ) -> float:
     """Collapse the inflation matrix into a single rho.
 
@@ -424,23 +391,21 @@ def compute_rho(
 
     if strategy == "mean_b":
         row_sums = np.empty(p)
-        for lo, hi, b in _b_blocks(mu, v_sq, block):
+        for lo, hi, b in _b_blocks(mu, v_sq, _BLOCK):
             _upper_row_sums(b, row_sums[lo:hi])
         return float(row_sums.sum()) / (p * (p + 1) / 2.0)
 
     if strategy == "sup_b":
-        return max(float(b.max()) for _, _, b in _b_blocks(mu, v_sq, block))
+        return max(float(b.max()) for _, _, b in _b_blocks(mu, v_sq, _BLOCK))
 
     if strategy != "solve_mean_coverage":
         raise ValueError(f"unknown strategy {strategy!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return _solve_mean_coverage(mu, v_sq, alpha, block)
+    return _solve_mean_coverage(mu, v_sq, alpha)
 
 
-def _solve_mean_coverage(
-    mu: np.ndarray, v_sq: np.ndarray, alpha: float, block: int
-) -> float:
+def _solve_mean_coverage(mu: np.ndarray, v_sq: np.ndarray, alpha: float) -> float:
     """Safeguarded Newton iteration for mean coverage = 1 - alpha.
 
     The iteration tracks the mean miscoverage m(rho) = 1 - mean coverage
@@ -460,14 +425,14 @@ def _solve_mean_coverage(
     goal = -norm_ppf(alpha / 2.0)
     m_sq = np.einsum("jk,jk->j", mu, mu)
     msum = m_sq + v_sq
-    spare = np.empty(min(block, p) * p)
+    spare = np.empty(min(_BLOCK, p) * p)
 
     def evaluate(rho: float, row_sums: np.ndarray | None = None):
         """Mean miscoverage and its derivative in rho; with ``row_sums``,
         also B's upper-triangle row sums and sup B."""
         miss = weight = 0.0
         sup = 1.0
-        for lo, hi, b in _b_blocks(mu, v_sq, block):
+        for lo, hi, b in _b_blocks(mu, v_sq, _BLOCK):
             if row_sums is not None:
                 sup = max(sup, float(b.max()))
                 _upper_row_sums(b, row_sums[lo:hi])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -194,22 +194,15 @@ def draw_samples(
     rho: float | None = None,
     threads: int = 1,
     start: int = 1,
-    sink: Callable[[CovarianceSample], None] | None = None,
-) -> Iterator[CovarianceSample] | None:
-    """Stream n_samples posterior draws with indices start, start+1, ...
+) -> Iterator[CovarianceSample]:
+    """Lazily stream n_samples posterior draws with indices start,
+    start+1, ...
 
-    Returns a lazy iterator, or consumes it internally when ``sink`` is
-    given (exceptions from the sink propagate unchanged). Thread count
-    affects wall time only, never values.
+    Thread count affects wall time only, never values.
     """
     n_samples = _check_count(n_samples)
     indices = range(start, start + n_samples)
-    it = _iter_draws(model, indices, rng, rho, threads)
-    if sink is None:
-        return it
-    for sample in it:
-        sink(sample)
-    return None
+    return _iter_draws(model, indices, rng, rho, threads)
 
 
 def _check_pairs(

@@ -379,12 +379,9 @@ def runtime_benchmark(
             fit_times.append(time.perf_counter() - t0)
 
             t1 = time.perf_counter()
-            draw_samples(
-                model,
-                n_samples,
-                RngSpec(_sampler_seed(seed, int(p) * 1000 + rep)),
-                sink=lambda sample: None,
-            )
+            rng = RngSpec(_sampler_seed(seed, int(p) * 1000 + rep))
+            for _ in draw_samples(model, n_samples, rng):
+                pass
             sample_times.append(time.perf_counter() - t1)
 
             t2 = time.perf_counter()

@@ -722,6 +722,57 @@ class TestCliIntervals:
         assert "seed" in json.loads(capsys.readouterr().err)["message"]
 
 
+class TestIndexPairs:
+    """mean and intervals check every index of --indices against the
+    model before they form the m (m + 1) / 2 pairs."""
+
+    @pytest.mark.parametrize("command", ["intervals", "mean"])
+    @pytest.mark.parametrize("indices, bad", [("5,0-3000", 60), ("3,-2,70", -2)])
+    def test_refused_before_any_pair(self, workspace, tmp_path, capsys, monkeypatch,
+                                     command, indices, bad):
+        import fable.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("pairs were formed before the index check")
+
+        monkeypatch.setattr(fable.cli, "credible_intervals", never)
+        monkeypatch.setattr(fable.cli, "posterior_mean", never)
+        out = tmp_path / "out.csv"
+        argv = [command, "--model", str(workspace["model"]), "--indices", indices,
+                "--output", str(out)]
+        if command == "mean":
+            argv += ["--form", "dense_entrywise"]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "IndexOutOfRange"
+        assert record["message"] == f"index {bad} outside [0, 60)"
+        assert not out.exists()
+
+
+class TestCliRankSelectionErrors:
+    """Rank selection's refusals end as exit 1 with a JSON error record."""
+
+    def fit_error(self, tmp_path, capsys, values):
+        path = tmp_path / "y.csv"
+        save_matrix(path, np.asarray(values))
+        capsys.readouterr()
+        code = main(["fit", "--input", str(path), "--output", str(tmp_path / "m.bin")])
+        assert code == 1
+        assert not (tmp_path / "m.bin").exists()
+        return json.loads(capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("ignore:.*constant column")
+    def test_constant_matrix(self, tmp_path, capsys):
+        record = self.fit_error(tmp_path, capsys, np.full((6, 4), 2.5))
+        assert record["error"] == "AllZeroSpectrum"
+
+    def test_one_column_without_k(self, tmp_path, capsys):
+        values = np.random.default_rng(3).normal(size=(8, 1))
+        record = self.fit_error(tmp_path, capsys, values)
+        assert record["error"] == "ZeroResidual"
+        assert "no scorable ranks" in record["message"]
+
+
 class TestCliDiagnose:
     def test_stdout_report(self, workspace, capsys):
         code = main(["diagnose", "--model", str(workspace["model"]),
@@ -982,3 +1033,29 @@ class TestThreadsEnv:
                      "--output", str(tmp_path / "s.bin")])
         assert code == 1
         assert "FABLE_THREADS" in json.loads(capsys.readouterr().err)["message"]
+
+
+class TestBenchmarkContract:
+    """perfbench injects faults into fable and traces it by the names of
+    its functions; these runs fail when a change to fable's public
+    surface breaks either."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def run(self, *argv):
+        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src"),
+               "OPENBLAS_NUM_THREADS": "1"}
+        return subprocess.run([sys.executable, *argv], cwd=self.ROOT, env=env,
+                              capture_output=True, text=True, timeout=600)
+
+    def test_selftest_passes(self):
+        proc = self.run("perfbench/selftest.py")
+        assert proc.returncode == 0, proc.stderr[-4000:]
+
+    def test_tracer_records_cli_main(self, tmp_path):
+        spans = tmp_path / "spans.json"
+        proc = self.run("perfbench/tracing.py", "--spans", str(spans), "--pass", "0",
+                        "--", "--version")
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        names = {span["name"] for span in json.loads(spans.read_text())["spans"]}
+        assert "cli.main" in names

@@ -78,10 +78,6 @@ class TestDataMatrix:
         with pytest.raises(ValueError):
             dm.values[0, 0] = 1.0
 
-    def test_column_accessor(self):
-        dm = DataMatrix(np.arange(6.0).reshape(3, 2))
-        np.testing.assert_allclose(dm.column(1), [1.0, 3.0, 5.0])
-
 
 class TestTruncatedSvd:
     def test_diagonal_matrix(self):

@@ -1,6 +1,7 @@
 """Oracle and property tests for rank selection, fitting, and rho."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fable.errors import (
     AllZeroSpectrum,
     DegenerateDenominator,
     DimensionMismatch,
+    InvalidSpectrumFraction,
     NonFinite,
     RankOutOfRange,
     ZeroResidual,
@@ -17,14 +19,13 @@ from fable.errors import (
 )
 from fable.linalg import center_columns, truncated_svd
 from fable.model import (
+    RHO_STRATEGIES,
     FableModel,
     _b_blocks,
+    _select_rank,
     compute_rho,
     fit,
     hyperparameters_from_factors,
-    jic,
-    select_K0,
-    select_rank,
 )
 
 
@@ -74,99 +75,105 @@ def make_factor_data(n, p, k, seed, spike_prob=0.5, slab_sd=0.5):
     return lam, sig, y
 
 
+def select_rank(dm, S0=0.75):
+    """The rank selection that fit runs on the spectrum of dm."""
+    return _select_rank(dm.n, dm.p, truncated_svd(dm, 1).spectrum, S0)
+
+
+def criterion(dm):
+    """The criterion values of dm over the whole scored grid."""
+    return select_rank(dm, S0=1.0).jic_values
+
+
 class TestSelectK0:
     SPECTRUM = np.array([4.0, 2.0, 1.0, 1.0])  # cumulative fractions .5 .75 .875 1
 
+    def K0(self, S0):
+        return _select_rank(4, 4, self.SPECTRUM, S0).K0
+
     def test_default_threshold(self):
-        assert select_K0(self.SPECTRUM, 0.75) == 2
+        assert self.K0(0.75) == 2
 
     def test_half(self):
-        assert select_K0(self.SPECTRUM, 0.5) == 1
+        assert self.K0(0.5) == 1
 
     def test_point_nine(self):
-        assert select_K0(self.SPECTRUM, 0.9) == 4
+        assert self.K0(0.9) == 4
 
     def test_full_mass(self):
-        assert select_K0(self.SPECTRUM, 1.0) == 4
+        assert self.K0(1.0) == 4
 
     def test_all_zero(self):
         with pytest.raises(AllZeroSpectrum):
-            select_K0(np.zeros(3))
+            _select_rank(10, 10, np.zeros(3), 0.75)
 
     def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            select_K0(self.SPECTRUM, 0.0)
+        # fit checks S0 before any spectrum is computed
+        dm = center_columns(np.random.default_rng(4).normal(size=(6, 4)))
+        with pytest.raises(InvalidSpectrumFraction):
+            fit(dm, S0=0.0)
 
 
 class TestJic:
     def test_formula(self):
         rng = np.random.default_rng(5)
-        y = rng.normal(size=(6, 4))
-        dm = center_columns(y)
-        svd = truncated_svd(dm, k=2)
-        s = svd.spectrum
+        dm = center_columns(rng.normal(size=(6, 4)))
+        s = truncated_svd(dm, k=2).spectrum
         rss = float(s[2] ** 2 + s[3] ** 2)
         want = 24.0 * math.log(rss / 24.0) + 2 * 6 * math.log(4.0)
-        assert jic(dm, svd, 2) == pytest.approx(want, rel=1e-12)
+        assert criterion(dm)[1] == pytest.approx(want, rel=1e-12)
 
     def test_rank_one_signal_wins(self):
         rng = np.random.default_rng(6)
         u = rng.normal(size=80)
         v = rng.normal(size=30)
         y = np.outer(u, v) + 0.05 * rng.normal(size=(80, 30))
-        dm = center_columns(y)
-        svd = truncated_svd(dm, k=6)
-        vals = [jic(dm, svd, k) for k in range(1, 7)]
+        vals = criterion(center_columns(y))[:6]
         assert int(np.argmin(vals)) == 0
 
     def test_pure_noise_prefers_small_rank(self):
         wins = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            dm = center_columns(rng.normal(size=(100, 50)))
-            svd = truncated_svd(dm, k=5)
-            if jic(dm, svd, 1) < jic(dm, svd, 5):
+            vals = criterion(center_columns(rng.normal(size=(100, 50))))
+            if vals[0] < vals[4]:
                 wins += 1
         assert wins >= 95
 
-    @staticmethod
-    def exact_rank_two_svd():
-        # Hand-built factors with an exactly zero trailing singular value;
-        # an SVD computed in floating point never produces one.
-        from fable.linalg import TruncatedSvd
-
-        return TruncatedSvd(
-            u=np.eye(6)[:, :3],
-            singvals=np.array([3.0, 2.0, 0.0]),
-            v=np.eye(3),
-            spectrum=np.array([3.0, 2.0, 0.0]),
-            k=3,
-        )
-
     def test_zero_residual_below_full_rank_warns(self):
-        rng = np.random.default_rng(7)
-        dm = center_columns(rng.normal(size=(6, 3)))
-        svd = self.exact_rank_two_svd()
+        # a hand-built spectrum with an exactly zero trailing value; an
+        # SVD computed in floating point never produces one
         with pytest.warns(RuntimeWarning, match="zero residual"):
-            assert jic(dm, svd, 2) == -np.inf
-
-    def test_zero_residual_at_full_rank_raises(self):
-        rng = np.random.default_rng(8)
-        dm = center_columns(rng.normal(size=(6, 3)))
-        with pytest.raises(ZeroResidual):
-            jic(dm, self.exact_rank_two_svd(), 3)
+            sel = _select_rank(6, 3, np.array([3.0, 2.0, 0.0]), 1.0)
+        assert sel.jic_values[1] == -np.inf
+        assert sel.k_hat == 2
 
     def test_penalty_monotone_in_k(self):
         rng = np.random.default_rng(9)
         dm = center_columns(rng.normal(size=(40, 20)))
-        svd = truncated_svd(dm, k=10)
-        s = svd.spectrum
+        s = truncated_svd(dm, k=10).spectrum
         n, p = 40, 20
+        vals = criterion(dm)
         pens = [
-            jic(dm, svd, k) - n * p * math.log(np.sum(s[k:] ** 2) / (n * p))
+            vals[k - 1] - n * p * math.log(np.sum(s[k:] ** 2) / (n * p))
             for k in range(1, 11)
         ]
         assert np.all(np.diff(pens) > 0)
+
+    def test_matches_spectrum_expression(self):
+        # the criterion values, bit for bit, and the rank they pick
+        _, _, y = make_factor_data(60, 40, 3, seed=15)
+        dm = center_columns(y)
+        s = truncated_svd(dm, 1).spectrum
+        n, p = dm.n, dm.p
+        sel = _select_rank(n, p, s, 0.75)
+        want = [
+            float(n * p * np.log(float(np.sum(s[k:] ** 2)) / (n * p))
+                  + k * max(n, p) * np.log(min(n, p)))
+            for k in range(1, len(sel.jic_values) + 1)
+        ]
+        assert list(sel.jic_values) == want
+        assert sel.k_hat == int(np.argmin(want)) + 1 == fit(dm).k
 
 
 class TestSelectRank:
@@ -197,6 +204,22 @@ class TestSelectRank:
         _, _, y = make_factor_data(50, 30, 2, seed=14)
         sel = select_rank(center_columns(y), S0=0.75)
         assert len(sel.jic_values) == min(sel.K0, 29)
+
+    def test_one_scorable_rank_at_min_dimension_two(self):
+        rng = np.random.default_rng(16)
+        sel = select_rank(center_columns(rng.normal(size=(30, 2))), S0=1.0)
+        assert sel.k_hat == 1 and len(sel.jic_values) == 1
+
+    def test_fit_refuses_a_constant_matrix(self):
+        with pytest.warns(RuntimeWarning, match="constant"):
+            dm = center_columns(np.full((5, 4), 3.0))
+        with pytest.raises(AllZeroSpectrum):
+            fit(dm)
+
+    def test_fit_without_rank_refuses_one_column(self):
+        dm = center_columns(np.random.default_rng(17).normal(size=(8, 1)))
+        with pytest.raises(ZeroResidual, match="no scorable ranks"):
+            fit(dm)
 
 
 class TestEstimateTauSq:
@@ -552,10 +575,19 @@ class TestComputeRho:
             m = fit(center_columns(y), k=k)
             for strategy in ("mean_b", "sup_b"):
                 got = {
-                    compute_rho(m.mu, m.v_sq, strategy=strategy, block=block)
+                    rho_at_block(block, m.mu, m.v_sq, strategy=strategy)
                     for block in (1, 7, 32, 512)
                 }
                 assert len(got) == 1, (p, strategy)
+
+
+def rho_at_block(block, *args, **kwargs):
+    """compute_rho streaming B in row blocks of ``block`` rows."""
+    import fable.model as model
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_BLOCK", block)
+        return compute_rho(*args, **kwargs)
 
 
 def dense_b(mu, v_sq):
@@ -592,19 +624,19 @@ class TestUpperTriangleStreaming:
     def test_mean_b(self, fitted, block):
         m, b = fitted
         want = float(np.mean(b[np.triu_indices(m.p)]))
-        got = compute_rho(m.mu, m.v_sq, strategy="mean_b", block=block)
+        got = rho_at_block(block, m.mu, m.v_sq, strategy="mean_b")
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_sup_b(self, fitted, block):
         m, b = fitted
-        got = compute_rho(m.mu, m.v_sq, strategy="sup_b", block=block)
+        got = rho_at_block(block, m.mu, m.v_sq, strategy="sup_b")
         assert got == pytest.approx(float(b.max()), rel=1e-13)
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_solve_mean_coverage(self, fitted, block):
         m, b = fitted
-        rho = compute_rho(m.mu, m.v_sq, strategy="solve_mean_coverage", block=block)
+        rho = rho_at_block(block, m.mu, m.v_sq, strategy="solve_mean_coverage")
         assert mean_coverage(m, b, rho) == pytest.approx(0.95, abs=1e-9)
 
     def test_degenerate_row_in_a_later_block(self):
@@ -615,7 +647,7 @@ class TestUpperTriangleStreaming:
         v_sq[10] = 0.0
         for block in self.BLOCKS:
             with pytest.raises(DegenerateDenominator):
-                compute_rho(mu, v_sq, strategy="mean_b", block=block)
+                rho_at_block(block, mu, v_sq, strategy="mean_b")
 
 
 def dense_b_undivided(mu, v_sq):
@@ -662,8 +694,8 @@ class TestUnloadedRows:
         unloaded = (mu**2).sum(axis=1) == 0.0
         assert (got[unloaded] == 1.0).all() and (got[:, unloaded] == 1.0).all()
         upper = want[np.triu_indices(len(v_sq))]
-        assert compute_rho(mu, v_sq, block=block) == pytest.approx(upper.mean(), rel=1e-13)
-        assert compute_rho(mu, v_sq, strategy="sup_b", block=block) == pytest.approx(
+        assert rho_at_block(block, mu, v_sq) == pytest.approx(upper.mean(), rel=1e-13)
+        assert rho_at_block(block, mu, v_sq, strategy="sup_b") == pytest.approx(
             want.max(), rel=1e-13
         )
 
@@ -685,9 +717,30 @@ class TestUnloadedRows:
             for block in (1, 7, 512):
                 if raises:
                     with pytest.raises(DegenerateDenominator):
-                        compute_rho(mu, v_sq, strategy=strategy, block=block)
+                        rho_at_block(block, mu, v_sq, strategy=strategy)
                 else:
-                    compute_rho(mu, v_sq, strategy=strategy, block=block)
+                    rho_at_block(block, mu, v_sq, strategy=strategy)
+
+
+class TestOverflow:
+    """B's kernel squares a = |mu|^2 / v_sq; where that overflows the
+    inflation is refused, not returned as inf."""
+
+    @pytest.mark.parametrize("tiny", [1e-160, 1e-300])
+    @pytest.mark.parametrize("strategy", RHO_STRATEGIES)
+    def test_typed_error(self, tiny, strategy):
+        v_sq = np.array([tiny, tiny, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDenominator, match="overflow"):
+                compute_rho(np.ones((3, 2)), v_sq, strategy=strategy)
+
+    @pytest.mark.parametrize("strategy", RHO_STRATEGIES)
+    def test_finite_short_of_overflow(self, strategy):
+        v_sq = np.array([1e-100, 1e-100, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(compute_rho(np.ones((3, 2)), v_sq, strategy=strategy))
 
 
 class TestModelValidation:

@@ -130,19 +130,6 @@ class TestDrawSamples:
         lone = draw_sample(small_model, 7, RngSpec(41))
         assert shifted.loadings.tobytes() == lone.loadings.tobytes()
 
-    def test_sink_mode(self, small_model):
-        got = []
-        out = draw_samples(small_model, 3, RngSpec(43), sink=got.append)
-        assert out is None
-        assert [s.index for s in got] == [1, 2, 3]
-
-    def test_sink_errors_propagate(self, small_model):
-        def bad(sample):
-            raise RuntimeError("downstream full")
-
-        with pytest.raises(RuntimeError, match="downstream full"):
-            draw_samples(small_model, 2, RngSpec(43), sink=bad)
-
     def test_zero_count_rejected(self, small_model):
         with pytest.raises(InvalidSampleCount):
             draw_samples(small_model, 0, RngSpec(1))
