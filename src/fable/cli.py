@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -332,7 +333,7 @@ def _cmd_oos(args) -> int:
     )
     targets = parse_indices(args.targets)
     extras = parse_indices(args.extras) if args.extras else []
-    test_block = DataMatrix(test_all.values[:, kept][:, targets])
+    test_block = DataMatrix._adopt(test_all.values[:, kept][:, targets])
     value = oos_loglik(train_dm, test_block, targets, extras, **_fit_options(args))
     result = {
         "oos_loglik": value,
@@ -629,13 +630,28 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     args._argv = list(argv)
+    # Warnings are held back while the command runs: on failure they go
+    # into the JSON error record, so stderr is that one record; otherwise
+    # they are shown as usual once the command returns.
+    caught: list[warnings.WarningMessage] = []
     try:
-        _validate(args)
-        return args.func(args)
-    except (FableError, ValueError, OSError) as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return 1
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                _validate(args)
+                return args.func(args)
+            except (FableError, ValueError, OSError) as exc:
+                record = {"error": type(exc).__name__, "message": str(exc)}
+                if caught:
+                    record["warnings"] = [
+                        {"category": w.category.__name__, "message": str(w.message)}
+                        for w in caught
+                    ]
+                    caught.clear()
+                print(json.dumps(record, sort_keys=True), file=sys.stderr)
+                return 1
+    finally:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
 
 
 if __name__ == "__main__":

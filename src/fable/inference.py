@@ -331,11 +331,7 @@ def oos_loglik(
             f"test has {test.p} columns but {len(targets)} targets were named"
         )
     cols = targets + extras
-    sub = DataMatrix(
-        train.values[:, cols],
-        centered=True,
-        column_means=train.column_means[cols],
-    )
+    sub = DataMatrix._adopt(train.values[:, cols], train.column_means[cols])
     model = fit(sub, **fit_options)
     t = len(targets)
     block = StructuredCovariance(model.mu[:t], model.delta_sq[:t])

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -24,7 +25,7 @@ from .errors import (
     ShapeError,
 )
 from .inference import IntervalGrid
-from .linalg import DataMatrix, center_columns
+from .linalg import DataMatrix, _abs_max, center_columns
 from .model import FableModel
 from .sampler import CovarianceSample
 from .simharness import BenchmarkRow, ConfigSummary, MetricRecord
@@ -158,20 +159,30 @@ def _parse_delimited(text: str, path: str) -> LoadedMatrix:
     raise ParseError(f"{path}: could not read the numeric body")
 
 
-def _load_binary(raw: bytes, path: str) -> LoadedMatrix:
-    if raw[: len(MATRIX_MAGIC)] != MATRIX_MAGIC:
-        raise MagicMismatch(f"{path}: not a FABLEMAT1 file")
+def _load_binary(fh, path: str) -> LoadedMatrix:
+    """Read the FABLEMAT1 file open at its start in ``fh`` straight into
+    one array; the size of the file is checked before it is allocated."""
     header_end = len(MATRIX_MAGIC) + 16
-    if len(raw) < header_end:
+    head = fh.read(header_end)
+    if head[: len(MATRIX_MAGIC)] != MATRIX_MAGIC:
+        raise MagicMismatch(f"{path}: not a FABLEMAT1 file")
+    if len(head) < header_end:
         raise ShapeError(f"{path}: truncated header")
-    n, p = struct.unpack_from("<QQ", raw, len(MATRIX_MAGIC))
-    body = raw[header_end:]
+    n, p = struct.unpack_from("<QQ", head, len(MATRIX_MAGIC))
+    body = os.fstat(fh.fileno()).st_size - header_end
     expected = n * p * 8
-    if len(body) != expected:
+    if body != expected:
         raise ShapeError(
-            f"{path}: body holds {len(body)} bytes, expected {expected} for {n}x{p}"
+            f"{path}: body holds {body} bytes, expected {expected} for {n}x{p}"
         )
-    return LoadedMatrix(_f8_array(body, (n, p), 0, path))
+    try:
+        values = np.empty((n, p), dtype="<f8")
+    except ValueError as exc:
+        # a zero-size array with a dimension past numpy's limit
+        raise ShapeError(f"{path}: unsupported shape {(n, p)} ({exc})") from exc
+    if fh.readinto(memoryview(values).cast("B")) != expected:
+        raise ShapeError(f"{path}: the body changed while it was read")
+    return LoadedMatrix(values.astype(np.float64, copy=False))
 
 
 def load_matrix(path: str | Path, format: str = "auto") -> LoadedMatrix:
@@ -180,16 +191,16 @@ def load_matrix(path: str | Path, format: str = "auto") -> LoadedMatrix:
     Text files may carry a header row of column labels and a leading
     label column; both are detected by whether cells parse as numbers,
     as ``np.loadtxt`` reads a float64. ``format="auto"`` sniffs the
-    binary magic.
+    binary magic. A binary file is read into the returned array itself.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    if format == "auto":
-        format = (
-            "raw_binary" if raw[: len(MATRIX_MAGIC)] == MATRIX_MAGIC else "delimited_text"
-        )
-    if format == "raw_binary":
-        return _load_binary(raw, str(path))
+    with open(path, "rb") as fh:
+        if format == "auto":
+            magic = fh.peek(len(MATRIX_MAGIC))[: len(MATRIX_MAGIC)]
+            format = "raw_binary" if magic == MATRIX_MAGIC else "delimited_text"
+        if format == "raw_binary":
+            return _load_binary(fh, str(path))
+        raw = fh.read()
     if format == "delimited_text":
         try:
             text = raw.decode("utf-8")
@@ -227,7 +238,7 @@ def preprocess(
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"matrix must be 2-d, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not math.isfinite(_abs_max(arr)):
         raise NonFinite("input matrix contains non-finite values")
     f = float(filter_top_variance_fraction)
     if not 0.0 < f <= 1.0:
@@ -235,7 +246,8 @@ def preprocess(
     if transform == "log2_plus_one":
         if arr.min() < 0:
             raise NegativeCount("log2(1 + x) transform needs nonnegative counts")
-        arr = np.log2(1.0 + arr)
+        arr = arr + 1.0
+        np.log2(arr, out=arr)
     elif transform != "none":
         raise ValueError(f"unknown transform {transform!r}")
 
@@ -248,8 +260,11 @@ def preprocess(
         kept = np.sort(order[:m])
     else:
         kept = np.arange(p)
+    # The gather runs even when every column is kept: its copy is laid
+    # out column-major, and the column means summed over that layout are
+    # the ones every artifact so far was made from.
     arr = arr[:, kept]
-    dm = center_columns(arr) if center else DataMatrix(arr)
+    dm = center_columns(arr) if center else DataMatrix._adopt(arr)
     return dm, kept
 
 

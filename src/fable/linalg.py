@@ -8,6 +8,7 @@ covariance evaluated without ever forming the p x p matrix.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -46,11 +47,18 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _GRAM_MIN_RATIO = 1e-6
 
 
+def _abs_max(arr: np.ndarray) -> float:
+    """max |x| over ``arr`` (0 when it is empty), or inf when it holds a
+    NaN or an infinity. Two reductions, and no temporary of arr's size."""
+    hi, lo = float(arr.max(initial=0.0)), float(arr.min(initial=0.0))
+    return max(hi, -lo) if math.isfinite(hi) and math.isfinite(lo) else math.inf
+
+
 def _as_float_matrix(raw: np.ndarray, name: str = "input") -> np.ndarray:
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-d, got ndim={arr.ndim}")
-    if not np.isfinite(arr).all():
+    if not math.isfinite(_abs_max(arr)):
         raise NonFinite(f"{name} contains NaN or infinite entries")
     return arr
 
@@ -68,6 +76,11 @@ class DataMatrix:
     ``centered`` records whether column means have already been removed;
     when it is set, ``column_means`` holds the means that were subtracted
     so downstream artifacts can report them.
+
+    ``values`` is read-only. The constructor copies the array it is
+    given, so later writes to the caller's array do not reach it. An
+    array that fable has just made itself (centered, transformed or
+    sliced) is adopted as it is, without a copy, by ``_adopt``.
     """
 
     values: np.ndarray
@@ -75,10 +88,30 @@ class DataMatrix:
     column_means: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        vals = _as_float_matrix(self.values, "data matrix")
+        self._store(np.array(self.values, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, column_means: np.ndarray | None = None) -> DataMatrix:
+        """Wrap a float64 array that the caller has just made and holds no
+        other reference to, without copying it; centered when
+        ``column_means`` is given. The checks are the constructor's."""
+        dm = object.__new__(cls)
+        object.__setattr__(dm, "centered", column_means is not None)
+        object.__setattr__(dm, "column_means", column_means)
+        dm._store(values)
+        return dm
+
+    def _store(self, vals: np.ndarray) -> None:
+        """Check ``vals`` and keep it, made read-only, as the values."""
+        if vals.ndim != 2:
+            raise DimensionMismatch(f"data matrix must be 2-d, got ndim={vals.ndim}")
+        scale = _abs_max(vals)
+        if not math.isfinite(scale):
+            raise NonFinite("data matrix contains NaN or infinite entries")
         if vals.shape[0] < 2:
             raise TooFewRows(f"need at least 2 rows, got {vals.shape[0]}")
-        object.__setattr__(self, "values", _frozen(vals))
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
         if self.centered:
             if self.column_means is None:
                 raise DimensionMismatch("centered data must carry column_means")
@@ -89,9 +122,8 @@ class DataMatrix:
                 )
             if not np.isfinite(means).all():
                 raise NonFinite("column_means contains NaN or infinite entries")
-            scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
             resid = np.abs(vals.mean(axis=0)).max(initial=0.0)
-            if resid > 1e-8 * scale:
+            if resid > 1e-8 * max(1.0, scale):
                 raise ValueError(
                     f"claimed centered but max |column mean| = {resid:.3e}"
                 )
@@ -209,6 +241,8 @@ MatrixLike = Union[np.ndarray, LinearMap]
 def center_columns(raw: np.ndarray) -> DataMatrix:
     """Subtract column means and return the centered matrix.
 
+    ``raw`` is left as it was: the centered values are one new array,
+    which the returned :class:`DataMatrix` holds without a further copy.
     Columns that are constant become identically zero; that is allowed
     but flagged with a warning because later noise-variance estimates
     will reject them.
@@ -218,7 +252,7 @@ def center_columns(raw: np.ndarray) -> DataMatrix:
         raise TooFewRows(f"need at least 2 rows to center, got {vals.shape[0]}")
     means = vals.mean(axis=0)
     centered = vals - means
-    dead = np.flatnonzero(np.abs(centered).max(axis=0) == 0.0)
+    dead = np.flatnonzero((centered.max(axis=0) == 0.0) & (centered.min(axis=0) == 0.0))
     if dead.size:
         warnings.warn(
             f"{dead.size} constant column(s) became identically zero after "
@@ -226,7 +260,7 @@ def center_columns(raw: np.ndarray) -> DataMatrix:
             RuntimeWarning,
             stacklevel=2,
         )
-    return DataMatrix(values=centered, centered=True, column_means=means)
+    return DataMatrix._adopt(centered, means)
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

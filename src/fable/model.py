@@ -48,8 +48,8 @@ class RankSelection:
     """Outcome of the information-criterion rank search.
 
     ``jic_values[i]`` is the criterion at rank ``i + 1``; the grid runs
-    from 1 to ``K0``, the spectrum-proportion cap, or to min(n, p) - 1
-    if that is smaller.
+    from 1 to ``K0``, the spectrum-proportion cap, or to min(n - 1, p) - 1,
+    one below the rank of the centered data, if that is smaller.
     """
 
     k_hat: int
@@ -141,7 +141,8 @@ def _select_rank(n: int, p: int, spectrum: np.ndarray, S0: float) -> RankSelecti
     penalty k * max(n, p) * log(min(n, p)), where RSS_k, the squared
     Frobenius norm of the residual after the best rank-k approximation,
     is the tail of the squared spectrum. Ties break toward the smaller
-    rank. Needs min(n, p) >= 2.
+    rank. The spectrum is of centered data, whose rank is at most
+    min(n - 1, p); needs that to be at least 2.
     """
     total = spectrum.sum()
     if total <= 0:
@@ -150,12 +151,13 @@ def _select_rank(n: int, p: int, spectrum: np.ndarray, S0: float) -> RankSelecti
     # Roundoff can leave the last cumulative fraction a hair under 1.
     frac[-1] = 1.0
     K0 = int(np.searchsorted(frac, S0) + 1)
-    # Full rank always has zero residual, so the scored grid stops one
-    # short of min(n, p).
-    top = min(K0, min(n, p) - 1)
+    # Centering leaves rank min(n - 1, p), which has zero residual up to
+    # roundoff, so the scored grid stops one short of it.
+    rank = min(n - 1, p)
+    top = min(K0, rank - 1)
     if top < 1:
         raise ZeroResidual(
-            f"no scorable ranks with min(n, p)={min(n, p)}"
+            f"no scorable ranks: centered {n}x{p} data has rank at most {rank}"
         )
     values = []
     for k in range(1, top + 1):

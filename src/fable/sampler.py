@@ -318,8 +318,11 @@ def sample_entry_stats(
     sd = np.sqrt(np.maximum(var, 0.0))
     exact = n_samples <= cap
     qlevels = list(quantiles)
+    # buf is not read again, so the quantiles may partition it in place
     qvals = (
-        np.quantile(buf, qlevels, axis=0) if qlevels else np.empty((0, len(pairs)))
+        np.quantile(buf, qlevels, axis=0, overwrite_input=True)
+        if qlevels
+        else np.empty((0, len(pairs)))
     )
     out: dict[tuple[int, int], EntryStats] = {}
     for e, pair in enumerate(pairs):

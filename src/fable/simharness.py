@@ -170,8 +170,11 @@ def generate_data_with_scores(
     the fitted column basis should center them the same way the data is.
     """
     eta = rng.standard_normal((n, truth.k))
-    eps = rng.standard_normal((n, truth.p)) * np.sqrt(truth.diag)
-    return center_columns(eta @ truth.loadings.T + eps), eta
+    # y is built in the noise draws' array: y = eps * sqrt(diag) + eta @ L'
+    y = rng.standard_normal((n, truth.p))
+    y *= np.sqrt(truth.diag)
+    y += eta @ truth.loadings.T
+    return center_columns(y), eta
 
 
 def generate_data(

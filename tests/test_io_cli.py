@@ -771,6 +771,40 @@ class TestCliRankSelectionErrors:
         record = self.fit_error(tmp_path, capsys, values)
         assert record["error"] == "ZeroResidual"
         assert "no scorable ranks" in record["message"]
+        assert "warnings" not in record  # the key appears only when one was raised
+
+
+class TestCliWarnings:
+    """Warnings a command raises go into the JSON error record when it
+    fails, so stderr is one record; on success they are shown as ever."""
+
+    def test_failure_stderr_is_one_record(self, tmp_path):
+        path = tmp_path / "const.csv"
+        path.write_text("2,2,2\n2,2,2\n2,2,2\n2,2,2\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(fable.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fable.cli", "fit", "--input", str(path),
+             "--output", str(tmp_path / "m.bin")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        record = json.loads(proc.stderr)
+        assert record["error"] == "AllZeroSpectrum"
+        assert [w["category"] for w in record["warnings"]] == ["RuntimeWarning"]
+        assert "3 constant column(s)" in record["warnings"][0]["message"]
+
+    def test_success_still_shows_warnings(self, workspace, tmp_path, capsys):
+        # a constant column outside the target and extra sets warns while
+        # centering, and the fit on the other columns succeeds
+        train = np.array(workspace["train_values"])
+        train[:, 59] = 1.5
+        save_matrix(tmp_path / "train.mat", train)
+        with pytest.warns(RuntimeWarning, match="1 constant column"):
+            code = main(["oos", "--input", str(tmp_path / "train.mat"),
+                         "--test", str(workspace["test"]), "--targets", "0-9",
+                         "--extras", "10-19", "--k", "2"])
+        assert code == 0
+        assert np.isfinite(json.loads(capsys.readouterr().out)["oos_loglik"])
 
 
 class TestCliDiagnose:

@@ -210,6 +210,18 @@ class TestSelectRank:
         sel = select_rank(center_columns(rng.normal(size=(30, 2))), S0=1.0)
         assert sel.k_hat == 1 and len(sel.jic_values) == 1
 
+    def test_wide_data_stops_below_the_centered_rank(self):
+        # centering leaves rank n - 1 = 3, whose residual is only roundoff:
+        # scored, k = 3 would win at -inf and leave every column with zero
+        # residual variance (ZeroResidualVariance)
+        dm = center_columns(np.random.default_rng(0).normal(size=(4, 50)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sel = select_rank(dm)
+            m = fit(dm)
+        assert len(sel.jic_values) == 2 and np.all(np.isfinite(sel.jic_values))
+        assert m.k == sel.k_hat
+
     def test_fit_refuses_a_constant_matrix(self):
         with pytest.warns(RuntimeWarning, match="constant"):
             dm = center_columns(np.full((5, 4), 3.0))
