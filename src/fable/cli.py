@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import FableError, IndexOutOfRange, ReplayMismatch
+from .errors import FableError, IndexOutOfRange, ParseError, ReplayMismatch
 from .inference import (
     credible_intervals,
     fitted_loglik,
@@ -63,8 +63,13 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def parse_indices(text: str) -> list[int]:
-    """Parse "0,5,10-12" into [0, 5, 10, 11, 12]."""
+def parse_indices(text: str, p: int) -> list[int]:
+    """Parse "0,5,10-12" into [0, 5, 10, 11, 12], every index in [0, p).
+
+    A range is checked against p before it is expanded, so an index set
+    that names more variables than the model has is refused without
+    being built.
+    """
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -75,9 +80,13 @@ def parse_indices(text: str) -> list[int]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise ValueError(f"decreasing range {part!r}")
-            out.extend(range(lo, hi + 1))
         else:
-            out.append(int(part))
+            lo = hi = int(part)
+        if not 0 <= lo < p:
+            raise IndexOutOfRange(f"index {lo} outside [0, {p})")
+        if hi >= p:
+            raise IndexOutOfRange(f"index {p} outside [0, {p})")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError(f"no indices in {text!r}")
     return out
@@ -183,10 +192,7 @@ def _save_manifest(
 def _index_pairs(text: str, p: int) -> list[tuple[int, int]]:
     """The pairs (u, v), v at or after u in the list, of the index set
     ``text``; every index is checked against p before any pair is made."""
-    idx = parse_indices(text)
-    for i in idx:
-        if not 0 <= i < p:
-            raise IndexOutOfRange(f"index {i} outside [0, {p})")
+    idx = parse_indices(text, p)
     return [(u, v) for i, u in enumerate(idx) for v in idx[i:]]
 
 
@@ -331,8 +337,8 @@ def _cmd_oos(args) -> int:
         filter_top_variance_fraction=1.0,
         center=False,
     )
-    targets = parse_indices(args.targets)
-    extras = parse_indices(args.extras) if args.extras else []
+    targets = parse_indices(args.targets, train_dm.p)
+    extras = parse_indices(args.extras, train_dm.p) if args.extras else []
     test_block = DataMatrix._adopt(test_all.values[:, kept][:, targets])
     value = oos_loglik(train_dm, test_block, targets, extras, **_fit_options(args))
     result = {
@@ -438,6 +444,8 @@ def _cmd_replay(args) -> int:
     argv = list(manifest.config.get("argv", []))
     if not argv:
         raise ValueError(f"{args.manifest}: manifest records no argv to replay")
+    if argv[0] == "replay":
+        raise ParseError(f"{args.manifest}: manifest argv runs replay, which would not end")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     mapping = {
@@ -616,6 +624,8 @@ def _validate(args) -> None:
         else:
             if args.indices is None or args.output is None:
                 raise ValueError("dense_entrywise mean needs --indices and --output")
+    if getattr(args, "command", None) == "bench" and not args.repeats >= 1:
+        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     if getattr(args, "command", None) == "intervals":
         if args.method == "sample_quantile" and args.seed is None:
             raise ValueError("sample_quantile intervals need --seed")

@@ -544,15 +544,16 @@ def save_manifest(path: str | Path, manifest: RunManifest) -> None:
 
 
 def load_manifest(path: str | Path) -> RunManifest:
-    with open(path) as fh:
+    """Read a manifest, checking the type of every field replay uses."""
+    with open(path, "rb") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: manifest is not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: manifest is not a JSON object")
     try:
-        return RunManifest(
+        manifest = RunManifest(
             command=payload["command"],
             config=payload["config"],
             software_version=payload["software_version"],
@@ -566,6 +567,30 @@ def load_manifest(path: str | Path) -> RunManifest:
         )
     except KeyError as exc:
         raise ParseError(f"{path}: manifest missing field {exc}") from exc
+
+    def require(ok: bool, name: str, what: str) -> None:
+        if not ok:
+            raise ParseError(f"{path}: manifest field {name} is not {what}")
+
+    require(isinstance(manifest.command, str), "command", "a string")
+    require(isinstance(manifest.software_version, str), "software_version", "a string")
+    require(isinstance(manifest.config, dict), "config", "an object")
+    argv = manifest.config.get("argv", [])
+    require(
+        isinstance(argv, list) and all(isinstance(arg, str) for arg in argv),
+        "config.argv", "a list of strings",
+    )
+    for name in ("outputs", "measured"):
+        records = getattr(manifest, name)
+        require(isinstance(records, dict), name, "an object")
+        for role, record in records.items():
+            require(
+                isinstance(record, dict)
+                and isinstance(record.get("path"), str)
+                and isinstance(record.get("sha256"), str),
+                f"{name}.{role}", "an object with string path and sha256",
+            )
+    return manifest
 
 
 def file_sha256(path: str | Path) -> str:

@@ -253,10 +253,13 @@ def fit(
         raise InvalidAlpha(f"coverage_alpha must be in (0, 1), got {coverage_alpha}")
     if not data.centered:
         raise ValueError("fit requires centered data; see center_columns")
-    if gamma0 <= 0 or delta0_sq <= 0:
-        raise ValueError("gamma0 and delta0_sq must be positive")
-    if tau_sq is not None and tau_sq <= 0:
-        raise ValueError(f"tau_sq must be positive, got {tau_sq}")
+    # "not 0 < x < inf" refuses NaN as well
+    if not 0.0 < gamma0 < math.inf:
+        raise ValueError(f"gamma0 must be positive and finite, got {gamma0}")
+    if not 0.0 < delta0_sq < math.inf:
+        raise ValueError(f"delta0_sq must be positive and finite, got {delta0_sq}")
+    if tau_sq is not None and not 0.0 < tau_sq < math.inf:
+        raise ValueError(f"tau_sq must be positive and finite, got {tau_sq}")
     if rho_strategy not in RHO_STRATEGIES:
         raise ValueError(
             f"rho_strategy must be one of {RHO_STRATEGIES}, got {rho_strategy!r}"

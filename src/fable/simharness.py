@@ -359,8 +359,11 @@ def runtime_benchmark(
     """Median wall-clock time of fitting, sampling, and the posterior
     mean across a grid of dimensions.
 
-    One truth and one data set per p; ``repeats`` timed passes each.
+    One truth and one data set per p; ``repeats`` (at least 1) timed
+    passes each.
     """
+    if not repeats >= 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     rows = []
     for p in p_grid:
         # tracked is unused here; 1 keeps the config valid at any p

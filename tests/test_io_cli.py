@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import fable
 from fable.cli import main, parse_indices, _parse_p_grid
 from fable.errors import (
+    IndexOutOfRange,
     MagicMismatch,
     NegativeCount,
     NonFinite,
@@ -40,6 +42,7 @@ from fable.io import (
 from fable.linalg import DataMatrix, center_columns
 from fable.model import fit
 from fable.sampler import RngSpec, draw_samples, posterior_mean
+from fable.simharness import runtime_benchmark
 
 from test_model import make_factor_data
 
@@ -551,17 +554,96 @@ class TestManifest:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
+    @staticmethod
+    def malformed(tmp_path, change):
+        payload = {
+            "command": "fit",
+            "config": {"argv": ["fit", "--input", "x.mat"]},
+            "software_version": "0.2.0",
+            "outputs": {"model": {"path": "m.bin", "sha256": "cd" * 32}},
+            "measured": {"table": {"path": "t.csv", "sha256": "ef" * 32}},
+        }
+        change(payload)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("config", lambda m: m.update(config=["fit"])),
+            ("config.argv", lambda m: m["config"].update(argv="fit --input x.mat")),
+            ("config.argv", lambda m: m["config"].update(argv=["fit", 3])),
+            ("outputs", lambda m: m.update(outputs=["m.bin"])),
+            ("outputs.model", lambda m: m["outputs"].update(model="m.bin")),
+            ("outputs.model", lambda m: m["outputs"]["model"].pop("path")),
+            ("outputs.model", lambda m: m["outputs"]["model"].update(sha256=None)),
+            ("measured.table", lambda m: m["measured"].update(table=[1])),
+            ("measured.table", lambda m: m["measured"]["table"].update(path=7)),
+            ("command", lambda m: m.update(command=None)),
+            ("software_version", lambda m: m.update(software_version=2)),
+        ],
+    )
+    def test_malformed_field(self, tmp_path, capsys, field, change):
+        path = self.malformed(tmp_path, change)
+        with pytest.raises(ParseError, match=f"field {field} is not"):
+            load_manifest(path)
+        code = main(["replay", "--manifest", str(path), "--outdir", str(tmp_path / "o")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParseError"
+        assert f"field {field} is not" in record["message"]
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"command": "\xff"}')
+        with pytest.raises(ParseError, match="not valid JSON"):
+            load_manifest(path)
+
+    def test_replay_of_replay_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+
+        def replays_itself(m):
+            m["command"] = "replay"
+            m["config"]["argv"] = ["replay", "--manifest", str(path), "--outdir", "o"]
+
+        self.malformed(tmp_path, replays_itself)
+        code = main(["replay", "--manifest", str(path), "--outdir", str(tmp_path / "o")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParseError"
+        assert "argv runs replay" in record["message"]
+
 
 class TestArgParsing:
     def test_parse_indices(self):
-        assert parse_indices("0,5,10-12") == [0, 5, 10, 11, 12]
-        assert parse_indices("3") == [3]
+        assert parse_indices("0,5,10-12", 13) == [0, 5, 10, 11, 12]
+        assert parse_indices("3", 4) == [3]
 
     def test_parse_indices_errors(self):
         with pytest.raises(ValueError, match="decreasing"):
-            parse_indices("5-3")
+            parse_indices("5-3", 10)
         with pytest.raises(ValueError, match="no indices"):
-            parse_indices(",")
+            parse_indices(",", 10)
+        with pytest.raises(IndexOutOfRange, match=r"index 13 outside \[0, 13\)"):
+            parse_indices("0,5,10-13", 13)
+        with pytest.raises(IndexOutOfRange, match=r"index 20 outside \[0, 13\)"):
+            parse_indices("20-30", 13)
+
+    def test_range_refused_before_it_is_built(self, workspace, tmp_path, capsys):
+        # as a list, 10^7 indices would take hundreds of megabytes
+        out = tmp_path / "iv.csv"
+        tracemalloc.start()
+        try:
+            code = main(["intervals", "--model", str(workspace["model"]),
+                         "--indices", "0-10000000", "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "IndexOutOfRange"
+        assert peak < 1 << 20
+        assert not out.exists()
 
     def test_parse_p_grid(self):
         assert _parse_p_grid("500:2000:500") == [500, 1000, 1500, 2000]
@@ -620,6 +702,23 @@ class TestCliFit:
                      "--output", str(outdir / "m.bin")])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == error
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--tau-sq", "nan", "tau_sq"), ("--gamma0", "nan", "gamma0"),
+         ("--delta0-sq", "inf", "delta0_sq")],
+    )
+    def test_nan_or_inf_prior_names_its_option(self, workspace, tmp_path, capsys,
+                                               flag, value, name):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        code = main(["fit", "--input", str(workspace["train"]), "--k", "3",
+                     flag, value, "--output", str(outdir / "m.bin")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValueError"
+        assert record["message"] == f"{name} must be positive and finite, got {value}"
         assert list(outdir.iterdir()) == []
 
     def test_usage_error_exits_two(self):
@@ -835,6 +934,14 @@ class TestCliOos:
         assert report["oos_loglik"] == want
         assert report["targets"] == 30 and report["extras"] == 30
 
+    @pytest.mark.parametrize("flag, indices", [("--targets", "0-60"), ("--extras", "30-99")])
+    def test_index_outside_the_kept_columns(self, workspace, capsys, flag, indices):
+        argv = ["oos", "--input", str(workspace["train"]), "--test", str(workspace["test"]),
+                "--targets", "0-29", "--k", "3", flag, indices]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "IndexOutOfRange", "message": "index 60 outside [0, 60)"}
+
     def test_mismatched_columns(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.mat"
         save_matrix(bad, np.random.default_rng(0).standard_normal((10, 7)))
@@ -882,6 +989,19 @@ class TestCliBench:
         for row in rows:
             fit_s = float(row[3])
             assert np.isclose(10.0 ** float(row[6]), fit_s, rtol=1e-10)
+
+
+    def test_zero_repeats_refused(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--p-grid", "40", "--n", "50", "--k", "2",
+                     "--n-samples", "20", "--repeats", "0", "--output", str(out)])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "ValueError",
+                          "message": "--repeats must be at least 1, got 0"}
+        assert not out.exists()
+        with pytest.raises(ValueError, match="repeats must be at least 1"):
+            runtime_benchmark([40], n=50, k_true=2, n_samples=20, repeats=0)
 
 
 class TestCliReplay:

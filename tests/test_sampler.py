@@ -342,8 +342,14 @@ class TestUniformBlocks:
 
     @staticmethod
     def transformed(model, block, rows, r):
-        """Rows ``rows`` of a draw, from a clipped uniform block."""
-        from scipy.special import gammaincinv, ndtri
+        """Rows ``rows`` of a draw, from a clipped uniform block.
+
+        The transforms are fable's own: this checks which uniforms a row
+        reads, not the transforms (tests/test_special.py does).
+        """
+        from scipy.special import ndtri
+
+        from fable._special import gammaincinv
 
         block = block[rows]
         noise_sq = (model.gamma_n * model.delta_sq[rows] / 2.0) / gammaincinv(
