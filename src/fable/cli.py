@@ -20,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import FableError, IndexOutOfRange, ParseError, ReplayMismatch
+from .errors import (
+    DimensionMismatch,
+    FableError,
+    IndexOutOfRange,
+    InvalidOption,
+    ParseError,
+    ReplayMismatch,
+)
 from .inference import (
     credible_intervals,
     fitted_loglik,
@@ -46,20 +53,24 @@ from .io import (
 )
 from .linalg import DataMatrix
 from .model import RHO_STRATEGIES, fit
-from .sampler import RngSpec, draw_samples, posterior_mean
+from .sampler import RngSpec, _upper_pairs, draw_samples, posterior_mean
 from .simharness import SimulationConfig, run_study, runtime_benchmark
 
 # the four (n, p) cells of the headline study, all at rank 10
 PAPER_TABLE1_CELLS = ((500, 1000), (1000, 1000), (500, 5000), (1000, 5000))
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidOption(f"{what} must be an integer, got {text!r}") from None
+
+
 def _default_threads() -> int:
     env = os.environ.get("FABLE_THREADS", "")
     if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"FABLE_THREADS must be an integer, got {env!r}")
+        return max(1, _parse_int(env, "FABLE_THREADS"))
     return os.cpu_count() or 1
 
 
@@ -77,18 +88,18 @@ def parse_indices(text: str, p: int) -> list[int]:
             continue
         if "-" in part[1:]:
             lo_s, hi_s = part.split("-", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _parse_int(lo_s, "an index"), _parse_int(hi_s, "an index")
             if hi < lo:
-                raise ValueError(f"decreasing range {part!r}")
+                raise InvalidOption(f"decreasing range {part!r}")
         else:
-            lo = hi = int(part)
+            lo = hi = _parse_int(part, "an index")
         if not 0 <= lo < p:
             raise IndexOutOfRange(f"index {lo} outside [0, {p})")
         if hi >= p:
             raise IndexOutOfRange(f"index {p} outside [0, {p})")
         out.extend(range(lo, hi + 1))
     if not out:
-        raise ValueError(f"no indices in {text!r}")
+        raise InvalidOption(f"no indices in {text!r}")
     return out
 
 
@@ -97,12 +108,12 @@ def _parse_p_grid(text: str) -> list[int]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (int(x) for x in parts)
+            raise InvalidOption(f"grid must be start:stop:step, got {text!r}")
+        start, stop, step = (_parse_int(x, "a grid bound") for x in parts)
         if step <= 0 or stop < start:
-            raise ValueError(f"bad grid bounds {text!r}")
+            raise InvalidOption(f"bad grid bounds {text!r}")
         return list(range(start, stop + 1, step))
-    return [int(x) for x in text.split(",") if x.strip()]
+    return [_parse_int(x, "a grid size") for x in text.split(",") if x.strip()]
 
 
 def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
@@ -189,11 +200,10 @@ def _save_manifest(
     ))
 
 
-def _index_pairs(text: str, p: int) -> list[tuple[int, int]]:
-    """The pairs (u, v), v at or after u in the list, of the index set
-    ``text``; every index is checked against p before any pair is made."""
-    idx = parse_indices(text, p)
-    return [(u, v) for i, u in enumerate(idx) for v in idx[i:]]
+def _index_pairs(text: str, p: int) -> np.ndarray:
+    """The (m, 2) entries (u, v), v at or after u in the list, of the index
+    set ``text``; every index is checked against p before any is made."""
+    return _upper_pairs(parse_indices(text, p))
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
@@ -262,8 +272,8 @@ def _cmd_mean(args) -> int:
         entries = posterior_mean(model, form="dense_entrywise", indices=pairs)
         with open(args.output, "w") as fh:
             fh.write("u,v,mean\n")
-            for (u, v) in pairs:
-                fh.write(f"{u},{v},{float(entries[(u, v)])!r}\n")
+            for (u, v), value in zip(pairs.tolist(), entries.tolist()):
+                fh.write(f"{u},{v},{value!r}\n")
         written = {"entries": args.output}
         print(f"mean: {len(pairs)} entrywise means -> {args.output}")
     _save_manifest(args, args.manifest, written, resolved={"form": args.form})
@@ -319,7 +329,7 @@ def _cmd_oos(args) -> int:
     train_loaded = load_matrix(args.input, format=args.format)
     test_loaded = load_matrix(args.test, format=args.format)
     if test_loaded.values.shape[1] != train_loaded.values.shape[1]:
-        raise ValueError(
+        raise DimensionMismatch(
             f"train and test column counts differ "
             f"({train_loaded.values.shape[1]} vs {test_loaded.values.shape[1]})"
         )
@@ -369,7 +379,7 @@ def _simulate_configs(args) -> list[SimulationConfig]:
     if args.preset == "paper-table1":
         return [SimulationConfig(n=n, p=p, **common) for n, p in PAPER_TABLE1_CELLS]
     if args.n is None or args.p is None:
-        raise ValueError("simulate needs either --preset or both --n and --p")
+        raise InvalidOption("simulate needs either --preset or both --n and --p")
     return [SimulationConfig(n=args.n, p=args.p, **common)]
 
 
@@ -443,7 +453,7 @@ def _cmd_replay(args) -> int:
     manifest = load_manifest(args.manifest)
     argv = list(manifest.config.get("argv", []))
     if not argv:
-        raise ValueError(f"{args.manifest}: manifest records no argv to replay")
+        raise ParseError(f"{args.manifest}: manifest records no argv to replay")
     if argv[0] == "replay":
         raise ParseError(f"{args.manifest}: manifest argv runs replay, which would not end")
     outdir = Path(args.outdir)
@@ -474,7 +484,9 @@ def _cmd_replay(args) -> int:
         if not Path(mapping[record["path"]]).exists()
     ]
     if missing:
-        raise ValueError(f"replay did not rewrite measured file(s): {', '.join(sorted(missing))}")
+        raise ReplayMismatch(
+            f"replay did not rewrite measured file(s): {', '.join(sorted(missing))}"
+        )
     print(
         f"replay: {manifest.command} reproduced {len(manifest.outputs)} "
         f"output(s) bit-identically"
@@ -614,21 +626,23 @@ def _validate(args) -> None:
     if getattr(args, "threads", None) is None and hasattr(args, "threads"):
         args.threads = _default_threads()
     if getattr(args, "threads", 1) < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        raise InvalidOption(f"--threads must be at least 1, got {args.threads}")
     if getattr(args, "command", None) == "mean":
         if args.form == "factored":
             if args.output_loadings is None or args.output_noise is None:
-                raise ValueError(
+                raise InvalidOption(
                     "factored mean needs --output-loadings and --output-noise"
                 )
         else:
             if args.indices is None or args.output is None:
-                raise ValueError("dense_entrywise mean needs --indices and --output")
+                raise InvalidOption("dense_entrywise mean needs --indices and --output")
     if getattr(args, "command", None) == "bench" and not args.repeats >= 1:
-        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
-    if getattr(args, "command", None) == "intervals":
-        if args.method == "sample_quantile" and args.seed is None:
-            raise ValueError("sample_quantile intervals need --seed")
+        raise InvalidOption(f"--repeats must be at least 1, got {args.repeats}")
+    if getattr(args, "command", None) == "intervals" and args.method == "sample_quantile":
+        if args.seed is None:
+            raise InvalidOption("sample_quantile intervals need --seed")
+        if args.n_samples is None:
+            raise InvalidOption("sample_quantile intervals need --n-samples")
 
 
 def main(argv: list[str] | None = None) -> int:

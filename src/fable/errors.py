@@ -12,6 +12,11 @@ class FableError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidOption(FableError, ValueError):
+    """An option or argument value is refused: out of range, NaN, an
+    unknown choice, or missing. A ValueError too, for older callers."""
+
+
 class NonFinite(FableError):
     """Input array contains NaN or infinity."""
 

@@ -11,7 +11,7 @@ on held-out rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,12 +22,13 @@ from .errors import (
     IndexOutOfRange,
     IndexSetMismatch,
     InvalidAlpha,
+    InvalidOption,
     OverlappingIndexSets,
     TooFewSamples,
 )
 from .linalg import DataMatrix, StructuredCovariance, _frozen, gaussian_loglik
 from .model import FableModel, fit
-from .sampler import RngSpec, _check_pairs, posterior_mean, sample_entry_stats
+from .sampler import RngSpec, _entry_set, posterior_mean, sample_entry_stats
 
 __all__ = [
     "AsymptoticVariances",
@@ -48,23 +49,26 @@ _MIN_QUANTILE_SAMPLES = 100
 
 @dataclass(frozen=True)
 class AsymptoticVariances:
-    """Large-sample variances (times n) of covariance-entry estimators.
+    """Large-sample variances (times n) of covariance-entry estimators,
+    as (m,) arrays in entry order.
 
-    ``l0_sq[(u, v)]`` is the variance of the surrogate posterior draws,
-    which scales with rho; ``s0_sq[(u, v)]`` is the variance of the
-    frequentist sampling distribution of the plug-in estimator. Their
-    ratio at rho = b_uv is one by construction.
+    ``l0_sq`` is the variance of the surrogate posterior draws, which
+    scales with rho; ``s0_sq`` is the variance of the frequentist
+    sampling distribution of the plug-in estimator. Their ratio at
+    rho = b_uv is one by construction.
     """
 
-    l0_sq: dict[tuple[int, int], float]
-    s0_sq: dict[tuple[int, int], float]
+    l0_sq: np.ndarray
+    s0_sq: np.ndarray
 
 
 @dataclass(frozen=True)
 class IntervalGrid:
-    """Equal-tailed credible intervals for a fixed set of entries."""
+    """Equal-tailed credible intervals for a fixed set of entries: entry
+    e is (u[e], v[e]), and every array is read-only with shape (m,)."""
 
-    pairs: tuple[tuple[int, int], ...]
+    u: np.ndarray
+    v: np.ndarray
     center: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -73,15 +77,15 @@ class IntervalGrid:
     method: str
 
     def __post_init__(self) -> None:
-        m = len(self.pairs)
-        for name in ("center", "lower", "upper", "asym_sd"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+        m = len(self.u)
+        for name in ("u", "v", "center", "lower", "upper", "asym_sd"):
+            dtype = np.intp if name in ("u", "v") else np.float64
+            arr = _frozen(getattr(self, name), dtype)
             if arr.shape != (m,):
                 raise DimensionMismatch(f"{name} must have shape ({m},)")
-            object.__setattr__(self, name, _frozen(arr))
+            object.__setattr__(self, name, arr)
         if np.any(self.lower > self.upper):
             raise ValueError("interval lower bounds exceed upper bounds")
-        object.__setattr__(self, "pairs", tuple((int(u), int(v)) for u, v in self.pairs))
 
     @property
     def width(self) -> np.ndarray:
@@ -90,9 +94,11 @@ class IntervalGrid:
 
 @dataclass(frozen=True)
 class CoverageSummary:
-    """Entrywise empirical coverage of repeated interval grids."""
+    """Entrywise empirical coverage of repeated interval grids, whose
+    entries are (u[e], v[e])."""
 
-    pairs: tuple[tuple[int, int], ...]
+    u: np.ndarray
+    v: np.ndarray
     per_entry: np.ndarray
     mean_coverage: float
     median_coverage: float
@@ -100,57 +106,40 @@ class CoverageSummary:
     n_grids: int
 
 
-def _entry_arrays(pairs: Sequence[tuple[int, int]]):
-    u = np.fromiter((p[0] for p in pairs), dtype=np.intp, count=len(pairs))
-    v = np.fromiter((p[1] for p in pairs), dtype=np.intp, count=len(pairs))
-    return u, v
-
-
-def _variance_terms(model: FableModel, pairs, rho: float):
-    u_idx, v_idx = _entry_arrays(pairs)
+def _variance_terms(model: FableModel, u_idx, v_idx, rho: float):
     m_sq = np.einsum("jk,jk->j", model.mu, model.mu)
     dots = np.einsum("ek,ek->e", model.mu[u_idx], model.mu[v_idx])
     vu, vv = model.v_sq[u_idx], model.v_sq[v_idx]
     mu2, mv2 = m_sq[u_idx], m_sq[v_idx]
     diag = u_idx == v_idx
     cross = vv * mu2 + vu * mv2
-    l0 = np.where(
-        diag,
-        2.0 * vu * vu + 4.0 * rho**2 * vu * mu2,
-        rho**2 * cross,
-    )
-    s0 = np.where(
-        diag,
-        2.0 * (mu2 + vu) ** 2,
-        cross + mu2 * mv2 + dots * dots,
-    )
-    return u_idx, v_idx, dots, l0, s0
+    l0 = np.where(diag, 2.0 * vu * vu + 4.0 * rho**2 * vu * mu2, rho**2 * cross)
+    s0 = np.where(diag, 2.0 * (mu2 + vu) ** 2, cross + mu2 * mv2 + dots * dots)
+    return dots, l0, s0
 
 
 def asymptotic_variances(
     model: FableModel,
-    indices: Sequence[tuple[int, int]],
+    indices: Sequence[tuple[int, int]] | np.ndarray,
     *,
     rho: float | None = None,
 ) -> AsymptoticVariances:
-    """Closed-form plug-in variances for the requested entries.
+    """Closed-form plug-in variances for the entries ``indices``, a list
+    of (u, v) pairs or an (m, 2) array.
 
     Off-diagonal: l0^2 = rho^2 (V_v^2 |mu_u|^2 + V_u^2 |mu_v|^2) and
     S0^2 adds |mu_u|^2 |mu_v|^2 + (mu_u . mu_v)^2. Diagonal: l0^2 =
     2 V_u^4 + 4 rho^2 V_u^2 |mu_u|^2 and S0^2 = 2 (|mu_u|^2 + V_u^2)^2.
     """
-    pairs = _check_pairs(indices, model.p)
+    u, v = _entry_set(indices, model.p)
     r = model.rho if rho is None else float(rho)
-    _, _, _, l0, s0 = _variance_terms(model, pairs, r)
-    return AsymptoticVariances(
-        l0_sq={pair: float(x) for pair, x in zip(pairs, l0)},
-        s0_sq={pair: float(x) for pair, x in zip(pairs, s0)},
-    )
+    _, l0, s0 = _variance_terms(model, u, v, r)
+    return AsymptoticVariances(l0_sq=l0, s0_sq=s0)
 
 
 def credible_intervals(
     model: FableModel,
-    indices: Sequence[tuple[int, int]],
+    indices: Sequence[tuple[int, int]] | np.ndarray,
     *,
     alpha: float = 0.05,
     method: str = "asymptotic",
@@ -158,7 +147,8 @@ def credible_intervals(
     rng: RngSpec | None = None,
     threads: int = 1,
 ) -> IntervalGrid:
-    """Equal-tailed (1 - alpha) intervals for selected covariance entries.
+    """Equal-tailed (1 - alpha) intervals for the covariance entries
+    ``indices``, a list of (u, v) pairs or an (m, 2) array.
 
     method="asymptotic" centers at mu_u . mu_v (plus delta_u^2 on the
     diagonal) and uses the closed-form sd over sqrt(n); no sampling.
@@ -168,9 +158,9 @@ def credible_intervals(
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
-    pairs = _check_pairs(indices, model.p)
-    u_idx, v_idx, dots, l0, _ = _variance_terms(model, pairs, model.rho)
-    center = dots + np.where(u_idx == v_idx, model.delta_sq[u_idx], 0.0)
+    u, v = _entry_set(indices, model.p)
+    dots, l0, _ = _variance_terms(model, u, v, model.rho)
+    center = dots + np.where(u == v, model.delta_sq[u], 0.0)
     sd = np.sqrt(l0 / model.n)
 
     if method == "asymptotic":
@@ -179,7 +169,7 @@ def credible_intervals(
         lower, upper = center - half, center + half
     elif method == "sample_quantile":
         if n_samples is None or rng is None:
-            raise ValueError("sample_quantile needs n_samples and rng")
+            raise InvalidOption("sample_quantile needs n_samples and rng")
         if n_samples < _MIN_QUANTILE_SAMPLES:
             raise TooFewSamples(
                 f"sample_quantile needs at least {_MIN_QUANTILE_SAMPLES} draws"
@@ -188,17 +178,18 @@ def credible_intervals(
             model,
             n_samples,
             rng,
-            pairs,
+            indices,
             quantiles=(alpha / 2.0, 1.0 - alpha / 2.0),
             threads=threads,
         )
-        lower = np.array([stats[pair].quantiles[alpha / 2.0] for pair in pairs])
-        upper = np.array([stats[pair].quantiles[1.0 - alpha / 2.0] for pair in pairs])
+        lower = stats.quantiles[alpha / 2.0]
+        upper = stats.quantiles[1.0 - alpha / 2.0]
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidOption(f"unknown method {method!r}")
 
     return IntervalGrid(
-        pairs=tuple(pairs),
+        u=u,
+        v=v,
         center=center,
         lower=lower,
         upper=upper,
@@ -208,50 +199,34 @@ def credible_intervals(
     )
 
 
-def _truth_values(
-    truth: Mapping[tuple[int, int], float] | np.ndarray,
-    pairs: Sequence[tuple[int, int]],
-) -> np.ndarray:
-    if isinstance(truth, np.ndarray):
-        if truth.ndim != 2 or truth.shape[0] != truth.shape[1]:
-            raise DimensionMismatch("dense truth must be a square matrix")
-        top = max(max(u, v) for u, v in pairs)
-        if top >= truth.shape[0]:
-            raise IndexOutOfRange(
-                f"pair index {top} outside truth of size {truth.shape[0]}"
-            )
-        return np.array([truth[u, v] for u, v in pairs], dtype=np.float64)
-    try:
-        return np.array([truth[u, v] for u, v in pairs], dtype=np.float64)
-    except KeyError as missing:
-        raise IndexSetMismatch(f"truth lacks entry {missing.args[0]}") from None
-
-
 def coverage_audit(
-    truth: Mapping[tuple[int, int], float] | np.ndarray,
-    grids: Sequence[IntervalGrid],
+    truth_values: np.ndarray, grids: Sequence[IntervalGrid]
 ) -> CoverageSummary:
     """Fraction of grids whose intervals strictly contain the truth.
 
-    All grids must share one pair set. Containment is strict, so a
-    zero-width interval never covers and an infinite one always does.
-    ``mean_width`` averages over entries and grids together.
+    All grids must share one entry set, and ``truth_values`` holds the
+    true value of each of its entries, in order. Containment is strict,
+    so a zero-width interval never covers and an infinite one always
+    does. ``mean_width`` averages over entries and grids together.
     """
     if not grids:
         raise IndexSetMismatch("need at least one interval grid")
-    pairs = grids[0].pairs
+    u, v = grids[0].u, grids[0].v
     for g in grids[1:]:
-        if g.pairs != pairs:
+        if not (np.array_equal(g.u, u) and np.array_equal(g.v, v)):
             raise IndexSetMismatch("interval grids disagree on their entries")
-    target = _truth_values(truth, pairs)
-    hits = np.zeros(len(pairs))
+    target = np.asarray(truth_values, dtype=np.float64)
+    if target.shape != u.shape:
+        raise IndexSetMismatch(f"{target.size} truth values for {len(u)} entries")
+    hits = np.zeros(len(u))
     width_total = 0.0
     for g in grids:
         hits += (g.lower < target) & (target < g.upper)
         width_total += float(np.mean(g.width))
     per_entry = hits / len(grids)
     return CoverageSummary(
-        pairs=pairs,
+        u=u,
+        v=v,
         per_entry=_frozen(per_entry),
         mean_coverage=float(per_entry.mean()),
         median_coverage=float(np.median(per_entry)),

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    InvalidOption,
     MagicMismatch,
     NegativeCount,
     NonFinite,
@@ -207,7 +208,7 @@ def load_matrix(path: str | Path, format: str = "auto") -> LoadedMatrix:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not valid UTF-8 text ({exc})") from exc
         return _parse_delimited(text, str(path))
-    raise ValueError(f"unknown format {format!r}")
+    raise InvalidOption(f"unknown format {format!r}")
 
 
 def save_matrix(path: str | Path, values: np.ndarray) -> None:
@@ -242,14 +243,14 @@ def preprocess(
         raise NonFinite("input matrix contains non-finite values")
     f = float(filter_top_variance_fraction)
     if not 0.0 < f <= 1.0:
-        raise ValueError(f"filter fraction must lie in (0, 1], got {f}")
+        raise InvalidOption(f"filter fraction must lie in (0, 1], got {f}")
     if transform == "log2_plus_one":
         if arr.min() < 0:
             raise NegativeCount("log2(1 + x) transform needs nonnegative counts")
         arr = arr + 1.0
         np.log2(arr, out=arr)
     elif transform != "none":
-        raise ValueError(f"unknown transform {transform!r}")
+        raise InvalidOption(f"unknown transform {transform!r}")
 
     p = arr.shape[1]
     # round before ceil so 0.1 * 5300 keeps 530 columns, not 531
@@ -378,7 +379,7 @@ def save_samples(
                 fh.write(_floats_csv(sample.noise_sq) + "\n")
                 count += 1
     else:
-        raise ValueError(f"unknown sample format {format!r}")
+        raise InvalidOption(f"unknown sample format {format!r}")
     return count
 
 
@@ -448,18 +449,16 @@ def load_samples(path: str | Path, *, format: str = "auto") -> Iterator[Covarian
         return _load_samples_binary(path)
     if format == "text":
         return _load_samples_text(path)
-    raise ValueError(f"unknown sample format {format!r}")
+    raise InvalidOption(f"unknown sample format {format!r}")
 
 
 def write_intervals(path: str | Path, grid: IntervalGrid) -> None:
     """Delimited interval table: u, v, center, lower, upper, asym_sd, method."""
     with open(path, "w") as fh:
         fh.write("u,v,center,lower,upper,asym_sd,method\n")
-        for i, (u, v) in enumerate(grid.pairs):
-            fh.write(
-                f"{u},{v},{_floats_csv((grid.center[i], grid.lower[i], grid.upper[i], grid.asym_sd[i]))},"
-                f"{grid.method}\n"
-            )
+        columns = (grid.u, grid.v, grid.center, grid.lower, grid.upper, grid.asym_sd)
+        for u, v, *values in zip(*(col.tolist() for col in columns)):
+            fh.write(f"{u},{v},{_floats_csv(values)},{grid.method}\n")
 
 
 def write_metric_records(path: str | Path, records: Sequence[MetricRecord]) -> None:

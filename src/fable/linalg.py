@@ -63,8 +63,8 @@ def _as_float_matrix(raw: np.ndarray, name: str = "input") -> np.ndarray:
     return arr
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
+def _frozen(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
+    out = np.array(arr, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 

@@ -23,6 +23,7 @@ from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
     InvalidAlpha,
+    InvalidOption,
     InvalidSpectrumFraction,
     NonFinite,
     ZeroResidual,
@@ -255,13 +256,13 @@ def fit(
         raise ValueError("fit requires centered data; see center_columns")
     # "not 0 < x < inf" refuses NaN as well
     if not 0.0 < gamma0 < math.inf:
-        raise ValueError(f"gamma0 must be positive and finite, got {gamma0}")
+        raise InvalidOption(f"gamma0 must be positive and finite, got {gamma0}")
     if not 0.0 < delta0_sq < math.inf:
-        raise ValueError(f"delta0_sq must be positive and finite, got {delta0_sq}")
+        raise InvalidOption(f"delta0_sq must be positive and finite, got {delta0_sq}")
     if tau_sq is not None and not 0.0 < tau_sq < math.inf:
-        raise ValueError(f"tau_sq must be positive and finite, got {tau_sq}")
+        raise InvalidOption(f"tau_sq must be positive and finite, got {tau_sq}")
     if rho_strategy not in RHO_STRATEGIES:
-        raise ValueError(
+        raise InvalidOption(
             f"rho_strategy must be one of {RHO_STRATEGIES}, got {rho_strategy!r}"
         )
     n, p = data.n, data.p
@@ -404,9 +405,9 @@ def compute_rho(
         return max(float(b.max()) for _, _, b in _b_blocks(mu, v_sq, _BLOCK))
 
     if strategy != "solve_mean_coverage":
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise InvalidOption(f"unknown strategy {strategy!r}")
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise InvalidOption(f"alpha must be in (0, 1), got {alpha}")
     return _solve_mean_coverage(mu, v_sq, alpha)
 
 

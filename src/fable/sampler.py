@@ -22,10 +22,11 @@ from ._special import gammaincinv, ndtri
 from .errors import (
     GammaTooSmall,
     IndexOutOfRange,
+    InvalidOption,
     InvalidSampleCount,
     TooFewSamples,
 )
-from .linalg import StructuredCovariance
+from .linalg import StructuredCovariance, _frozen
 from .model import FableModel
 
 __all__ = [
@@ -61,11 +62,11 @@ class RngSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+            raise InvalidOption(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def generator(self, t: int) -> np.random.Generator:
         if t < 0:
-            raise ValueError(f"draw index must be nonnegative, got {t}")
+            raise InvalidOption(f"draw index must be nonnegative, got {t}")
         return np.random.Generator(
             np.random.Philox(np.random.SeedSequence((self.seed, t)))
         )
@@ -95,16 +96,17 @@ class CovarianceSample:
 
 @dataclass(frozen=True)
 class EntryStats:
-    """Streamed summaries of one covariance entry across draws.
+    """Streamed summaries of m covariance entries across draws.
 
-    ``exact`` is False when quantiles came from a reservoir subsample
-    rather than the full draw sequence (mean and sd always use every
-    draw).
+    ``mean`` and ``sd`` are (m,) arrays in entry order, and ``quantiles``
+    maps each level to an (m,) array. ``exact`` is False when quantiles
+    came from a reservoir subsample rather than the full draw sequence
+    (mean and sd always use every draw).
     """
 
-    mean: float
-    sd: float
-    quantiles: dict[float, float]
+    mean: np.ndarray
+    sd: np.ndarray
+    quantiles: dict[float, np.ndarray]
     n_samples: int
     exact: bool
 
@@ -113,7 +115,7 @@ def _effective_rho(model: FableModel, rho: float | None) -> float:
     if rho is None:
         return model.rho
     if rho < 0 or not np.isfinite(rho):
-        raise ValueError(f"rho must be finite and nonnegative, got {rho}")
+        raise InvalidOption(f"rho must be finite and nonnegative, got {rho}")
     return float(rho)
 
 
@@ -202,26 +204,62 @@ def draw_samples(
     """
     n_samples = _check_count(n_samples)
     indices = range(start, start + n_samples)
-    return _iter_draws(model, indices, rng, rho, threads)
+    # rho is checked now, not when the stream is first read
+    return _iter_draws(model, indices, rng, _effective_rho(model, rho), threads)
 
 
-def _check_pairs(
-    indices: Sequence[tuple[int, int]], p: int
-) -> list[tuple[int, int]]:
-    pairs = []
-    for pair in indices:
-        u, v = int(pair[0]), int(pair[1])
-        if not (0 <= u < p and 0 <= v < p):
-            raise IndexOutOfRange(f"entry ({u}, {v}) outside a {p} x {p} matrix")
-        pairs.append((u, v))
-    return pairs
+def _entry_set(
+    indices: Sequence[tuple[int, int]] | np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The covariance entries ``indices``, a list of (u, v) pairs or an
+    (m, 2) integer array, as two read-only intp arrays u and v in entry
+    order, every index checked against [0, p)."""
+    uv = np.asarray(indices if len(indices) else np.empty((0, 2), np.intp))
+    if uv.ndim != 2 or uv.shape[1] != 2 or uv.dtype.kind not in "iu":
+        raise InvalidOption(f"entries must be integer (u, v) pairs, got {uv.shape} {uv.dtype}")
+    if len(uv) and (uv.min() < 0 or uv.max() >= p):
+        first = np.flatnonzero(((uv < 0) | (uv >= p)).any(axis=1))[0]
+        u, v = uv[first].tolist()
+        raise IndexOutOfRange(f"entry ({u}, {v}) outside a {p} x {p} matrix")
+    return _frozen(uv[:, 0], np.intp), _frozen(uv[:, 1], np.intp)
+
+
+def _upper_pairs(idx: Sequence[int]) -> np.ndarray:
+    """The (m, 2) entries (idx[i], idx[j]), i <= j, row by row: the upper
+    triangle of the submatrix that the index list ``idx`` selects."""
+    return np.asarray(idx, dtype=np.intp)[np.stack(np.triu_indices(len(idx)), axis=1)]
+
+
+def _entry_values(
+    loadings: np.ndarray, diag: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Entries (u[e], v[e]) of loadings @ loadings.T + diag(diag), bit for
+    bit what ``loadings[u] @ loadings[v]`` (plus ``diag[u]`` if u == v)
+    gives one pair at a time; einsum rounds differently.
+
+    That ``@`` is a BLAS dot, whose summation order depends on whether a
+    row's elements are adjacent in memory (in a fitted, column-major
+    ``mu`` they are not). The rows are gathered in the same kind of
+    layout, and a stacked matmul makes the same dot call for each entry.
+    """
+
+    def rows(idx: np.ndarray) -> np.ndarray:
+        if loadings.strides[1] == loadings.itemsize:
+            return loadings[idx]
+        # gather one row more and drop it: elements stay m + 1 apart
+        return np.take(loadings.T, np.append(idx, 0), axis=1)[:, :-1].T
+
+    out = (rows(u)[:, None, :] @ rows(v)[:, :, None])[:, 0, 0]
+    on_diag = u == v
+    out[on_diag] += diag[u[on_diag]]
+    return out
 
 
 def posterior_mean(
     model: FableModel,
     *,
     form: str = "factored",
-    indices: Sequence[tuple[int, int]] | None = None,
+    indices: Sequence[tuple[int, int]] | np.ndarray | None = None,
 ):
     """Closed-form posterior mean of the covariance.
 
@@ -229,44 +267,39 @@ def posterior_mean(
     mu @ mu.T + diag(delta_sq) as a :class:`StructuredCovariance`; this
     is the estimator used throughout and what the simulation studies
     score. form="dense_entrywise" returns the exact entrywise mean
-    E[lambda_u . lambda_v + sigma_u^2 1(u=v)] for the requested index
-    pairs as a dict; on the diagonal it exceeds the factored value by
-    the mean noise inflation, which vanishes at rate 1/n.
+    E[lambda_u . lambda_v + sigma_u^2 1(u=v)] of the entries ``indices``
+    (a list of (u, v) pairs or an (m, 2) array) as an (m,) array; on the
+    diagonal it exceeds the factored value by the mean noise inflation,
+    which vanishes at rate 1/n.
     """
     if form == "factored":
         return StructuredCovariance(model.mu, model.delta_sq)
     if form != "dense_entrywise":
-        raise ValueError(f"unknown form {form!r}")
+        raise InvalidOption(f"unknown form {form!r}")
     if indices is None:
-        raise ValueError("dense_entrywise needs explicit index pairs")
+        raise InvalidOption("dense_entrywise needs explicit index pairs")
     if model.gamma_n <= 2:
         raise GammaTooSmall(
             f"noise mean needs gamma_n > 2, got {model.gamma_n}"
         )
-    pairs = _check_pairs(indices, model.p)
     noise_mean = model.gamma_n * model.delta_sq / (model.gamma_n - 2.0)
     inflation = 1.0 + model.k * model.rho**2 * model.posterior_scale_sq
-    out: dict[tuple[int, int], float] = {}
-    for u, v in pairs:
-        val = float(model.mu[u] @ model.mu[v])
-        if u == v:
-            val += float(inflation * noise_mean[u])
-        out[(u, v)] = val
-    return out
+    return _entry_values(model.mu, inflation * noise_mean, *_entry_set(indices, model.p))
 
 
 def sample_entry_stats(
     model: FableModel,
     n_samples: int,
     rng: RngSpec,
-    indices: Sequence[tuple[int, int]],
+    indices: Sequence[tuple[int, int]] | np.ndarray,
     *,
     rho: float | None = None,
     quantiles: Sequence[float] = (0.025, 0.5, 0.975),
     threads: int = 1,
     reservoir: int = 10_000,
-) -> dict[tuple[int, int], EntryStats]:
-    """Mean, sd, and quantiles of selected covariance entries over draws.
+) -> EntryStats:
+    """Mean, sd, and quantiles of the entries ``indices`` (a list of
+    (u, v) pairs or an (m, 2) array) over draws, as (m,) arrays.
 
     Mean and sd are streamed over every draw. Quantiles use the full
     draw sequence when n_samples <= ``reservoir`` and an Algorithm-R
@@ -279,26 +312,23 @@ def sample_entry_stats(
     n_samples = _check_count(n_samples)
     if n_samples < 2:
         raise TooFewSamples("need at least 2 samples for a standard deviation")
-    pairs = _check_pairs(indices, model.p)
+    u, v = _entry_set(indices, model.p)
     for q in quantiles:
         if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile levels must lie in [0, 1], got {q}")
-    uv = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+            raise InvalidOption(f"quantile levels must lie in [0, 1], got {q}")
     # u_loc / v_loc index into the distinct rows, the only ones drawn
-    rows, inverse = np.unique(uv, return_inverse=True)
-    u_loc, v_loc = inverse.reshape(uv.shape).T
-    diag_mask = (uv[:, 0] == uv[:, 1]).astype(np.float64)
+    rows, inverse = np.unique(np.concatenate((u, v)), return_inverse=True)
+    u_loc, v_loc = inverse.reshape(2, -1)
+    diag_mask = (u == v).astype(np.float64)
 
     cap = min(n_samples, reservoir)
-    buf = np.empty((cap, len(pairs)))
+    buf = np.empty((cap, len(u)))
     res_rng = np.random.default_rng(
         np.random.SeedSequence((rng.seed, _RESERVOIR_TAG))
     )
-    s1 = np.zeros(len(pairs))
-    s2 = np.zeros(len(pairs))
-    seen = 0
+    s1, s2 = np.zeros(len(u)), np.zeros(len(u))
     draws = _iter_draws(model, range(1, n_samples + 1), rng, rho, threads, rows)
-    for sample in draws:
+    for seen, sample in enumerate(draws):
         vals = (
             np.einsum("ek,ek->e", sample.loadings[u_loc], sample.loadings[v_loc])
             + diag_mask * sample.noise_sq[u_loc]
@@ -311,26 +341,17 @@ def sample_entry_stats(
             slot = int(res_rng.integers(0, seen + 1))
             if slot < cap:
                 buf[slot] = vals
-        seen += 1
 
     mean = s1 / n_samples
     var = (s2 - n_samples * mean * mean) / (n_samples - 1)
     sd = np.sqrt(np.maximum(var, 0.0))
-    exact = n_samples <= cap
     qlevels = list(quantiles)
     # buf is not read again, so the quantiles may partition it in place
-    qvals = (
-        np.quantile(buf, qlevels, axis=0, overwrite_input=True)
-        if qlevels
-        else np.empty((0, len(pairs)))
+    qvals = np.quantile(buf, qlevels, axis=0, overwrite_input=True) if qlevels else []
+    return EntryStats(
+        mean=mean,
+        sd=sd,
+        quantiles=dict(zip(qlevels, qvals)),
+        n_samples=n_samples,
+        exact=n_samples <= cap,
     )
-    out: dict[tuple[int, int], EntryStats] = {}
-    for e, pair in enumerate(pairs):
-        out[pair] = EntryStats(
-            mean=float(mean[e]),
-            sd=float(sd[e]),
-            quantiles={q: float(qvals[i, e]) for i, q in enumerate(qlevels)},
-            n_samples=n_samples,
-            exact=exact,
-        )
-    return out

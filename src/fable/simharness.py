@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, FableError
+from .errors import DimensionMismatch, FableError, InvalidOption
 from .inference import CoverageSummary, coverage_audit, credible_intervals
 from .linalg import (
     DataMatrix,
@@ -28,7 +28,7 @@ from .linalg import (
     spectral_norm,
 )
 from .model import fit
-from .sampler import RngSpec, draw_samples, posterior_mean
+from .sampler import RngSpec, _entry_values, _upper_pairs, draw_samples, posterior_mean
 
 __all__ = [
     "SimulationConfig",
@@ -78,19 +78,19 @@ class SimulationConfig:
         if self.n < 2 or self.p < 1:
             raise DimensionMismatch(f"need n >= 2 and p >= 1, got {self.n}, {self.p}")
         if not 1 <= self.k_true <= min(self.n, self.p):
-            raise ValueError(f"k_true={self.k_true} outside [1, min(n, p)]")
+            raise InvalidOption(f"k_true={self.k_true} outside [1, min(n, p)]")
         if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+            raise InvalidOption("replicates must be >= 1")
         if not 1 <= self.tracked <= self.p:
-            raise ValueError(f"tracked={self.tracked} outside [1, p]")
+            raise InvalidOption(f"tracked={self.tracked} outside [1, p]")
         if not 0.0 <= self.spike_prob <= 1.0:
-            raise ValueError("spike_prob must lie in [0, 1]")
+            raise InvalidOption("spike_prob must lie in [0, 1]")
         if not 0.0 < self.noise_lo <= self.noise_hi:
-            raise ValueError("noise bounds must satisfy 0 < lo <= hi")
+            raise InvalidOption("noise bounds must satisfy 0 < lo <= hi")
         if isinstance(self.fit_rank, str) and self.fit_rank not in ("true", "select"):
-            raise ValueError(f"fit_rank must be 'true', 'select', or an int, got {self.fit_rank!r}")
+            raise InvalidOption(f"fit_rank must be 'true', 'select', or an int, got {self.fit_rank!r}")
         if self.interval_method not in ("asymptotic", "sample_quantile"):
-            raise ValueError(f"unknown interval_method {self.interval_method!r}")
+            raise InvalidOption(f"unknown interval_method {self.interval_method!r}")
 
     @property
     def config_id(self) -> str:
@@ -209,26 +209,10 @@ def rel_spectral_error(
     return num / truth_norm
 
 
-def _tracked_pairs(config: SimulationConfig) -> list[tuple[int, int]]:
+def _tracked_pairs(config: SimulationConfig) -> np.ndarray:
+    """The (m, 2) entries of the tracked submatrix's upper triangle."""
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _TRACKED)))
-    subset = rng.permutation(config.p)[: config.tracked]
-    return [
-        (int(subset[i]), int(subset[j]))
-        for i in range(len(subset))
-        for j in range(i, len(subset))
-    ]
-
-
-def _truth_entries(
-    truth: StructuredCovariance, pairs: Sequence[tuple[int, int]]
-) -> dict[tuple[int, int], float]:
-    out = {}
-    for u, v in pairs:
-        val = float(truth.loadings[u] @ truth.loadings[v])
-        if u == v:
-            val += float(truth.diag[u])
-        out[(u, v)] = val
-    return out
+    return _upper_pairs(rng.permutation(config.p)[: config.tracked])
 
 
 def _sampler_seed(config_seed: int, replicate: int) -> int:
@@ -277,8 +261,7 @@ def _run_replicate(config, truth, truth_norm, pairs, truth_vals, replicate):
         else:
             grid = credible_intervals(model, pairs, alpha=config.alpha)
             record.sample_seconds = 0.0
-        target = np.array([truth_vals[pair] for pair in pairs])
-        covered = (grid.lower < target) & (target < grid.upper)
+        covered = (grid.lower < truth_vals) & (truth_vals < grid.upper)
         record.coverage = float(np.mean(covered))
         record.mean_width = float(np.mean(grid.width))
     except (FableError, np.linalg.LinAlgError) as exc:
@@ -308,7 +291,7 @@ def run_study(
             LinearMap(shape=(truth.p, truth.p), matvec=truth.matvec), tol=1e-6
         )
         pairs = _tracked_pairs(config)
-        truth_vals = _truth_entries(truth, pairs)
+        truth_vals = _entry_values(truth.loadings, truth.diag, *pairs.T)
         reps = range(1, config.replicates + 1)
 
         def one(r, _cfg=config, _t=truth, _tn=truth_norm, _pr=pairs, _tv=truth_vals):
@@ -363,7 +346,7 @@ def runtime_benchmark(
     passes each.
     """
     if not repeats >= 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats}")
+        raise InvalidOption(f"repeats must be at least 1, got {repeats}")
     rows = []
     for p in p_grid:
         # tracked is unused here; 1 keeps the config valid at any p

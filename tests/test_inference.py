@@ -29,6 +29,13 @@ from fable.linalg import DataMatrix, center_columns, gaussian_loglik
 from fable.model import FableModel, fit
 from fable.sampler import RngSpec, posterior_mean
 from test_model import compute_b_matrix, make_factor_data
+from test_sampler import (
+    ENTRY_SETS,
+    entry_forms,
+    entry_input,
+    entry_sets,
+    reference_check_pairs,
+)
 
 
 def manual_model(mu, v_sq, delta_sq=None, n=10, rho=1.0, tau_sq=1.0):
@@ -63,19 +70,19 @@ class TestAsymptoticVariances:
     def test_hand_example(self):
         m = manual_model([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
         av = asymptotic_variances(m, [(0, 1), (0, 0)])
-        assert av.l0_sq[(0, 1)] == pytest.approx(2.0)
-        assert av.s0_sq[(0, 1)] == pytest.approx(3.0)
+        assert av.l0_sq[0] == pytest.approx(2.0)
+        assert av.s0_sq[0] == pytest.approx(3.0)
         # Diagonal: 2 V^4 + 4 rho^2 V^2 m^2 and 2 (m^2 + V^2)^2.
-        assert av.l0_sq[(0, 0)] == pytest.approx(6.0)
-        assert av.s0_sq[(0, 0)] == pytest.approx(8.0)
+        assert av.l0_sq[1] == pytest.approx(6.0)
+        assert av.s0_sq[1] == pytest.approx(8.0)
 
     def test_zero_loadings_diagonal(self):
         m = manual_model(np.zeros((3, 2)), np.full(3, 2.0))
         av = asymptotic_variances(m, [(1, 1), (0, 2)])
-        assert av.l0_sq[(1, 1)] == pytest.approx(8.0)
-        assert av.s0_sq[(1, 1)] == pytest.approx(8.0)
-        assert av.l0_sq[(0, 2)] == 0.0
-        assert av.s0_sq[(0, 2)] == 0.0
+        assert av.l0_sq[0] == pytest.approx(8.0)
+        assert av.s0_sq[0] == pytest.approx(8.0)
+        assert av.l0_sq[1] == 0.0
+        assert av.s0_sq[1] == 0.0
 
     def test_b_equates_the_two_variances(self, fitted):
         # rho = b_uv is, by construction, the inflation at which the
@@ -84,7 +91,7 @@ class TestAsymptoticVariances:
         b = compute_b_matrix(m)
         for u, v in [(0, 1), (3, 17), (8, 8), (25, 25), (11, 39)]:
             av = asymptotic_variances(m, [(u, v)], rho=float(b[u, v]))
-            assert av.l0_sq[(u, v)] == pytest.approx(av.s0_sq[(u, v)], rel=1e-10)
+            assert av.l0_sq[0] == pytest.approx(av.s0_sq[0], rel=1e-10)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(402)
@@ -93,9 +100,42 @@ class TestAsymptoticVariances:
         v_sq = rng.uniform(0.5, 2.0, 5)
         a = asymptotic_variances(manual_model(mu, v_sq), [(0, 1), (2, 2)])
         b = asymptotic_variances(manual_model(mu @ q, v_sq), [(0, 1), (2, 2)])
-        for pair in [(0, 1), (2, 2)]:
-            assert a.l0_sq[pair] == pytest.approx(b.l0_sq[pair], rel=1e-10)
-            assert a.s0_sq[pair] == pytest.approx(b.s0_sq[pair], rel=1e-10)
+        for e in range(2):
+            assert a.l0_sq[e] == pytest.approx(b.l0_sq[e], rel=1e-10)
+            assert a.s0_sq[e] == pytest.approx(b.s0_sq[e], rel=1e-10)
+
+
+def reference_asymptotic_variances(model, indices, *, rho=None):
+    """asymptotic_variances as it was before entry sets became two index
+    arrays: pairs checked one at a time, dicts keyed by pair."""
+    pairs = reference_check_pairs(indices, model.p)
+    rho = model.rho if rho is None else float(rho)
+    u_idx = np.fromiter((pr[0] for pr in pairs), dtype=np.intp, count=len(pairs))
+    v_idx = np.fromiter((pr[1] for pr in pairs), dtype=np.intp, count=len(pairs))
+    m_sq = np.einsum("jk,jk->j", model.mu, model.mu)
+    dots = np.einsum("ek,ek->e", model.mu[u_idx], model.mu[v_idx])
+    vu, vv = model.v_sq[u_idx], model.v_sq[v_idx]
+    mu2, mv2 = m_sq[u_idx], m_sq[v_idx]
+    diag = u_idx == v_idx
+    cross = vv * mu2 + vu * mv2
+    l0 = np.where(diag, 2.0 * vu * vu + 4.0 * rho**2 * vu * mu2, rho**2 * cross)
+    s0 = np.where(diag, 2.0 * (mu2 + vu) ** 2, cross + mu2 * mv2 + dots * dots)
+    return (
+        {pair: float(x) for pair, x in zip(pairs, l0)},
+        {pair: float(x) for pair, x in zip(pairs, s0)},
+    )
+
+
+class TestAsymptoticVariancesOracle:
+    @entry_sets
+    @entry_forms
+    @pytest.mark.parametrize("rho", [None, 0.0], ids=["model-rho", "rho0"])
+    def test_matches_per_pair(self, fitted, name, form, rho):
+        m, _ = fitted
+        l0_want, s0_want = reference_asymptotic_variances(m, ENTRY_SETS[name], rho=rho)
+        got = asymptotic_variances(m, entry_input(name, form), rho=rho)
+        assert got.l0_sq.tolist() == [l0_want[pair] for pair in ENTRY_SETS[name]]
+        assert got.s0_sq.tolist() == [s0_want[pair] for pair in ENTRY_SETS[name]]
 
 
 class TestCredibleIntervals:
@@ -169,8 +209,10 @@ def make_grid(pairs, lower, upper, alpha=0.05):
     finite = np.isfinite(lower) & np.isfinite(upper)
     center = np.zeros(len(pairs))
     center[finite] = (lower[finite] + upper[finite]) / 2.0
+    u, v = np.array(pairs).reshape(-1, 2).T
     return IntervalGrid(
-        pairs=tuple(pairs),
+        u=u,
+        v=v,
         center=center,
         lower=lower,
         upper=upper,
@@ -183,42 +225,35 @@ def make_grid(pairs, lower, upper, alpha=0.05):
 class TestCoverageAudit:
     def test_infinite_width_always_covers(self):
         g = make_grid([(0, 0)], [-np.inf], [np.inf])
-        out = coverage_audit({(0, 0): 3.0}, [g, g])
+        out = coverage_audit([3.0], [g, g])
         assert out.mean_coverage == 1.0
         assert out.mean_width == np.inf
 
     def test_zero_width_never_covers(self):
         g = make_grid([(0, 0)], [3.0], [3.0])
-        out = coverage_audit({(0, 0): 3.0}, [g])
+        out = coverage_audit([3.0], [g])
         assert out.mean_coverage == 0.0
 
     def test_fractional_coverage(self):
         hit = make_grid([(0, 1)], [0.0], [1.0])
         miss = make_grid([(0, 1)], [0.6], [1.0])
-        out = coverage_audit({(0, 1): 0.5}, [hit, hit, hit, miss])
+        out = coverage_audit([0.5], [hit, hit, hit, miss])
         assert out.per_entry[0] == pytest.approx(0.75)
         assert out.n_grids == 4
         assert out.mean_width == pytest.approx((1.0 + 1.0 + 1.0 + 0.4) / 4.0)
-
-    def test_dense_truth_matches_dict(self):
-        pairs = [(0, 1), (1, 1)]
-        g = make_grid(pairs, [0.0, 0.5], [1.0, 1.5])
-        dense = np.array([[1.0, 0.4], [0.4, 1.2]])
-        as_dict = {(0, 1): 0.4, (1, 1): 1.2}
-        a = coverage_audit(dense, [g])
-        b = coverage_audit(as_dict, [g])
-        np.testing.assert_array_equal(a.per_entry, b.per_entry)
 
     def test_mismatched_grids(self):
         a = make_grid([(0, 0)], [0.0], [1.0])
         b = make_grid([(0, 1)], [0.0], [1.0])
         with pytest.raises(IndexSetMismatch):
-            coverage_audit({(0, 0): 0.5}, [a, b])
+            coverage_audit([0.5], [a, b])
 
     def test_missing_truth_entry(self):
         g = make_grid([(0, 2)], [0.0], [1.0])
         with pytest.raises(IndexSetMismatch):
-            coverage_audit({(0, 0): 0.5}, [g])
+            coverage_audit([], [g])
+        with pytest.raises(IndexSetMismatch):
+            coverage_audit([0.5, 0.5], [g])
 
 
 class TestDiagnostics:

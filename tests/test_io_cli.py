@@ -16,6 +16,7 @@ import fable
 from fable.cli import main, parse_indices, _parse_p_grid
 from fable.errors import (
     IndexOutOfRange,
+    InvalidOption,
     MagicMismatch,
     NegativeCount,
     NonFinite,
@@ -717,7 +718,7 @@ class TestCliFit:
                      flag, value, "--output", str(outdir / "m.bin")])
         assert code == 1
         record = json.loads(capsys.readouterr().err)
-        assert record["error"] == "ValueError"
+        assert record["error"] == "InvalidOption"
         assert record["message"] == f"{name} must be positive and finite, got {value}"
         assert list(outdir.iterdir()) == []
 
@@ -782,12 +783,12 @@ class TestCliMean:
                      "--output", str(out)])
         assert code == 0
         model = load_model(workspace["model"])
-        want = posterior_mean(model, form="dense_entrywise",
-                              indices=[(0, 0), (0, 2), (2, 2)])
+        pairs = [(0, 0), (0, 2), (2, 2)]
+        want = posterior_mean(model, form="dense_entrywise", indices=pairs)
         header, rows = read_csv_rows(out)
         assert header == ["u", "v", "mean"]
         got = {(int(r[0]), int(r[1])): float(r[2]) for r in rows}
-        assert got == {k: float(v) for k, v in want.items()}
+        assert got == {pair: float(v) for pair, v in zip(pairs, want)}
 
     def test_factored_needs_both_outputs(self, workspace, capsys):
         code = main(["mean", "--model", str(workspace["model"]),
@@ -948,7 +949,9 @@ class TestCliOos:
         code = main(["oos", "--input", str(workspace["train"]),
                      "--test", str(bad), "--targets", "0-4"])
         assert code == 1
-        assert "column counts" in json.loads(capsys.readouterr().err)["message"]
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "DimensionMismatch"
+        assert "column counts" in record["message"]
 
 
 class TestCliSimulate:
@@ -997,7 +1000,7 @@ class TestCliBench:
                      "--n-samples", "20", "--repeats", "0", "--output", str(out)])
         assert code == 1
         record = json.loads(capsys.readouterr().err)
-        assert record == {"error": "ValueError",
+        assert record == {"error": "InvalidOption",
                           "message": "--repeats must be at least 1, got 0"}
         assert not out.exists()
         with pytest.raises(ValueError, match="repeats must be at least 1"):
@@ -1166,6 +1169,81 @@ class TestStartupImports:
         assert "scipy.special" in intervals
 
 
+class TestTypedRefusals:
+    """A refused option or argument ends as one InvalidOption record."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--filter-fraction", "0"], "filter fraction"),
+            (["fit", "--filter-fraction", "nan"], "filter fraction"),
+            (["fit", "--tau-sq", "0"], "tau_sq"),
+            (["fit", "--gamma0", "-1"], "gamma0"),
+            (["sample", "--n-samples", "2", "--seed", "-1"], "seed"),
+            (["sample", "--n-samples", "2", "--seed", "1", "--rho", "-1"], "rho"),
+            (["sample", "--n-samples", "2", "--seed", "1", "--rho", "nan"], "rho"),
+            (["sample", "--n-samples", "2", "--seed", "1", "--threads", "0"], "--threads"),
+            (["intervals", "--indices", "5-3"], "decreasing range"),
+            (["intervals", "--indices", ","], "no indices"),
+            (["intervals", "--indices", "0-x"], "integer"),
+            (["intervals", "--indices", "0-2", "--method", "sample_quantile"], "--seed"),
+            (["intervals", "--indices", "0-2", "--method", "sample_quantile",
+              "--seed", "1"], "--n-samples"),
+            (["mean", "--form", "dense_entrywise"], "--indices"),
+            (["simulate", "--seed", "1"], "--preset"),
+            (["simulate", "--seed", "1", "--n", "30", "--p", "20", "--replicates", "0"],
+             "replicates"),
+            (["bench", "--p-grid", "10:5:1"], "grid bounds"),
+            (["bench", "--p-grid", "ten"], "integer"),
+        ],
+    )
+    def test_refusal_is_invalid_option(self, workspace, tmp_path, capsys, argv, message):
+        command, rest = argv[0], argv[1:]
+        paths = {
+            "fit": ["--input", str(workspace["train"]), "--k", "3"],
+            "sample": ["--model", str(workspace["model"])],
+            "intervals": ["--model", str(workspace["model"])],
+            "mean": ["--model", str(workspace["model"])],
+        }.get(command, [])
+        out = tmp_path / "out"
+        output = [] if command == "simulate" else ["--output", str(out)]
+        code = main([command, *paths, *rest, *output])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InvalidOption"
+        assert message in record["message"]
+        assert not out.exists()
+
+    def test_invalid_option_is_a_value_error(self):
+        with pytest.raises(ValueError, match="decreasing"):
+            parse_indices("5-3", 10)
+        with pytest.raises(InvalidOption, match="integer"):
+            parse_indices("1,x", 10)
+
+    def test_replay_of_no_argv_is_a_parse_error(self, tmp_path, capsys):
+        path = TestManifest.malformed(tmp_path, lambda m: m.update(config={}))
+        code = main(["replay", "--manifest", str(path), "--outdir", str(tmp_path / "o")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParseError"
+        assert "no argv" in record["message"]
+
+    def test_measured_file_not_rewritten_is_a_mismatch(self, workspace, tmp_path, capsys):
+        def no_table(m):
+            m["command"] = "mean"
+            m["config"]["argv"] = ["mean", "--model", str(workspace["model"]),
+                                   "--output-loadings", str(tmp_path / "l.mat"),
+                                   "--output-noise", str(tmp_path / "d.mat")]
+            m["outputs"] = {}
+
+        path = TestManifest.malformed(tmp_path, no_table)
+        code = main(["replay", "--manifest", str(path), "--outdir", str(tmp_path / "o")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ReplayMismatch"
+        assert "did not rewrite measured file(s): table" in record["message"]
+
+
 class TestThreadsEnv:
     def test_env_fallback_applies(self, workspace, tmp_path, monkeypatch):
         monkeypatch.setenv("FABLE_THREADS", "2")
@@ -1186,7 +1264,9 @@ class TestThreadsEnv:
                      "--n-samples", "2", "--seed", "1",
                      "--output", str(tmp_path / "s.bin")])
         assert code == 1
-        assert "FABLE_THREADS" in json.loads(capsys.readouterr().err)["message"]
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "InvalidOption"
+        assert "FABLE_THREADS" in record["message"]
 
 
 class TestBenchmarkContract:

@@ -8,7 +8,8 @@ with tracemalloc, which sees every numpy data buffer: centering makes
 one array, generating data two (the noise draws and the loading
 product), the log2 transform two (the transformed values and their
 column-major gather), and the binary reader one. The sample-quantile
-reservoir is partitioned in place.
+reservoir is partitioned in place. An entry set is two index arrays,
+never a Python tuple per entry.
 """
 
 import tracemalloc
@@ -16,7 +17,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fable.cli import _index_pairs
 from fable.errors import NonFinite, TooFewRows
+from fable.inference import credible_intervals
 from fable.io import load_matrix, preprocess, save_matrix
 from fable.linalg import DataMatrix, center_columns
 from fable.model import fit
@@ -74,6 +77,28 @@ class TestPeakMemory:
         ratio = peak_ratio(sample_entry_stats, model, draws, RngSpec(3), pairs,
                            size=draws * len(pairs) * 8)
         assert ratio < 1.5
+
+
+class TestEntrySetMemory:
+    """``--indices 0-999`` names 500,500 entries (u, v)."""
+
+    MB = 10**6
+
+    def test_index_pairs(self):
+        _index_pairs("0-3", 10)
+        # measured 16.1 MB (the triu_indices pair and the gathered entries);
+        # 30.7 MB as a list of tuples
+        assert peak_ratio(_index_pairs, "0-999", 1000, size=self.MB) < 20
+
+    def test_credible_intervals(self):
+        truth = generate_truth(SimulationConfig(n=60, p=1000, k_true=10, tracked=1),
+                               np.random.default_rng(1))
+        model = fit(generate_data(truth, 60, np.random.default_rng(2)), k=10)
+        entries = _index_pairs("0-999", 1000)
+        credible_intervals(model, entries[:3])
+        # measured 92.1 MB, of which the two gathered m x k row blocks are
+        # 80; 124.7 MB with a list of tuples in and a tuple per entry kept
+        assert peak_ratio(credible_intervals, model, entries, size=self.MB) < 100
 
 
 def made(kind, x):

@@ -1,15 +1,23 @@
 """Property tests for the file readers: FABLEMAT1 matrices, delimited
-text matrices, model artifacts, and sample streams (FABLESAMP1 and the
-text variant).
+text matrices, model artifacts, sample streams (FABLESAMP1 and the
+text variant), and run manifests.
 
 None of the formats stores a checksum, so a flipped payload byte loads
 as a different float. What a damaged file must never do is escape as
 anything but a :class:`FableError`: it either loads or raises one. A
 truncated matrix or model is always rejected; a truncated sample stream
 loads only when it was cut at a record boundary, and then it holds an
-exact prefix of the records.
+exact prefix of the records. A damaged manifest either loads or raises
+one, and ``fable replay`` on it exits 0, 1 with one JSON record naming
+a FableError (or, for a path that no longer names a file, an OSError),
+or 2 for a usage error; it never raises.
 """
 
+import builtins
+import contextlib
+import io
+import json
+import os
 import struct
 import unicodedata
 
@@ -18,12 +26,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fable.errors
+from fable.cli import main
 from fable.errors import FableError, ParseError, ShapeError
 from fable.io import (
     MATRIX_MAGIC,
     MODEL_MAGIC,
     SAMPLE_MAGIC,
     LoadedMatrix,
+    load_manifest,
     load_matrix,
     load_model,
     load_samples,
@@ -486,3 +497,91 @@ class TestSampleStreamReader:
     )
     def test_bad_text_records_are_rejected(self, originals, text):
         assert load_damaged(originals, "samples.txt", text, read_text_samples) is None
+
+
+@pytest.fixture(scope="module")
+def manifest(tmp_path_factory):
+    """An intervals run's manifest, the bytes as recorded; its paths are
+    absolute, inside the fixture's directory."""
+    root = tmp_path_factory.mktemp("manifest")
+    _, _, y = make_factor_data(30, 6, 2, seed=93)
+    save_model(root / "model.bin", fit(center_columns(y), k=2))
+    argv = ["intervals", "--model", str(root / "model.bin"), "--indices", "0-3",
+            "--alpha", "0.05", "--output", str(root / "iv.csv"),
+            "--manifest", str(root / "recorded.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return {"root": root, "raw": (root / "recorded.json").read_bytes()}
+
+
+def replay_damaged(manifest, data):
+    """Load and replay a damaged manifest, from inside the fixture's
+    directory so that a damaged relative path stays there."""
+    root = manifest["root"]
+    path = root / "damaged.json"
+    path.write_bytes(bytes(data))
+    try:
+        load_manifest(path)
+    except FableError:
+        pass
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["replay", "--manifest", str(path), "--outdir", str(root / "out")])
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1
+        name = json.loads(lines[0])["error"]
+        # a damaged path ends as the OSError of opening it, as in any command
+        error = getattr(fable.errors, name, None) or getattr(builtins, name)
+        assert issubclass(error, (FableError, OSError))
+    return code
+
+
+# field paths in the manifest, and values of other JSON types; strings
+# hold no path separator, so a damaged path names a file in the cwd
+MANIFEST_FIELDS = [
+    ("command",), ("config",), ("config", "argv"), ("config", "argv", 0),
+    ("config", "argv", 2), ("config", "argv", 8), ("software_version",), ("seed",),
+    ("input_sha256",), ("resolved",), ("outputs",), ("outputs", "intervals"),
+    ("outputs", "intervals", "path"), ("outputs", "intervals", "sha256"),
+    ("measured",), ("created_unix",), ("openblas_num_threads",),
+]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(alphabet="abc01-. _", max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["path", "sha256", "argv", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestManifestReader:
+    def test_recorded_manifest_replays(self, manifest):
+        assert replay_damaged(manifest, manifest["raw"]) == 0
+
+    @FUZZ
+    @given(cut=st.integers(0, 10_000))
+    def test_truncation_loads_or_refuses(self, manifest, cut):
+        raw = manifest["raw"]
+        replay_damaged(manifest, raw[: cut % len(raw)])
+
+    @FUZZ
+    @given(position=positions, mask=masks)
+    def test_flip_loads_or_refuses(self, manifest, position, mask):
+        replay_damaged(manifest, flipped(manifest["raw"], position, mask))
+
+    @FUZZ
+    @given(field=st.sampled_from(MANIFEST_FIELDS), value=json_values)
+    def test_field_type_swap_loads_or_refuses(self, manifest, field, value):
+        payload = json.loads(manifest["raw"])
+        holder = payload
+        for key in field[:-1]:
+            holder = holder[key]
+        holder[field[-1]] = value
+        replay_damaged(manifest, json.dumps(payload).encode())

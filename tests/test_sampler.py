@@ -1,11 +1,14 @@
 """Distributional, determinism, and streaming tests for the sampler."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fable.errors import (
     GammaTooSmall,
     IndexOutOfRange,
+    InvalidOption,
     InvalidSampleCount,
     TooFewSamples,
 )
@@ -14,7 +17,10 @@ from fable.model import FableModel, fit
 import fable.sampler
 from fable.sampler import (
     _RESERVOIR_TAG,
+    _check_count,
     _draw_rows,
+    _entry_set,
+    _iter_draws,
     CovarianceSample,
     EntryStats,
     RngSpec,
@@ -150,8 +156,8 @@ class TestPosteriorMean:
         pairs = [(0, 1), (2, 7), (5, 3)]
         dense = posterior_mean(mid_model, form="dense_entrywise", indices=pairs)
         cov = posterior_mean(mid_model)
-        for u, v in pairs:
-            assert dense[(u, v)] == pytest.approx(
+        for e, (u, v) in enumerate(pairs):
+            assert dense[e] == pytest.approx(
                 float(cov.loadings[u] @ cov.loadings[v]), rel=1e-12
             )
 
@@ -165,7 +171,7 @@ class TestPosteriorMean:
             + noise_mean
             - m.delta_sq[4]
         )
-        assert dense[(4, 4)] - factored == pytest.approx(want_gap, rel=1e-12)
+        assert dense[0] - factored == pytest.approx(want_gap, rel=1e-12)
 
     def test_diagonal_gap_shrinks_like_one_over_n(self):
         gaps = []
@@ -174,7 +180,7 @@ class TestPosteriorMean:
             m = fit(center_columns(y), k=2)
             dense = posterior_mean(m, form="dense_entrywise", indices=[(0, 0)])
             factored = float(m.mu[0] @ m.mu[0] + m.delta_sq[0])
-            gaps.append(dense[(0, 0)] - factored)
+            gaps.append(dense[0] - factored)
         ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
         assert np.all(ratios > 1.5) and np.all(ratios < 2.6)
 
@@ -182,9 +188,9 @@ class TestPosteriorMean:
         pairs = [(0, 0), (0, 1), (1, 2), (2, 2)]
         stats = sample_entry_stats(small_model, 20_000, RngSpec(53), pairs)
         dense = posterior_mean(small_model, form="dense_entrywise", indices=pairs)
-        for pair in pairs:
-            se = stats[pair].sd / np.sqrt(stats[pair].n_samples)
-            assert abs(stats[pair].mean - dense[pair]) < 5.0 * se
+        for e in range(len(pairs)):
+            se = stats.sd[e] / np.sqrt(stats.n_samples)
+            assert abs(stats.mean[e] - dense[e]) < 5.0 * se
 
     def test_gamma_too_small(self):
         m = FableModel(
@@ -238,16 +244,24 @@ def gathered_entry_stats(model, n_samples, seed, pairs, *, rho=None,
     mean = s1 / n_samples
     sd = np.sqrt(np.maximum((s2 - n_samples * mean * mean) / (n_samples - 1), 0.0))
     q = np.quantile(buf, list(quantiles), axis=0)
-    return {
-        pair: EntryStats(
-            mean=float(mean[e]),
-            sd=float(sd[e]),
-            quantiles={lv: float(q[i, e]) for i, lv in enumerate(quantiles)},
-            n_samples=n_samples,
-            exact=n_samples <= cap,
-        )
-        for e, pair in enumerate(pairs)
-    }
+    return EntryStats(
+        mean=mean,
+        sd=sd,
+        quantiles=dict(zip(quantiles, q)),
+        n_samples=n_samples,
+        exact=n_samples <= cap,
+    )
+
+
+def same_stats(a, b):
+    """Whether two EntryStats hold the same values, bit for bit."""
+    return (
+        a.mean.tobytes() == b.mean.tobytes()
+        and a.sd.tobytes() == b.sd.tobytes()
+        and a.quantiles.keys() == b.quantiles.keys()
+        and all(a.quantiles[q].tobytes() == b.quantiles[q].tobytes() for q in a.quantiles)
+        and (a.n_samples, a.exact) == (b.n_samples, b.exact)
+    )
 
 
 class TestSampleEntryStats:
@@ -283,8 +297,8 @@ class TestSampleEntryStats:
         got = sample_entry_stats(
             mid_model, 120, RngSpec(79), pairs, threads=threads, **options
         )
-        assert got == gathered_entry_stats(mid_model, 120, 79, pairs, **options)
-        assert all(st.exact == ("reservoir" not in options) for st in got.values())
+        assert same_stats(got, gathered_entry_stats(mid_model, 120, 79, pairs, **options))
+        assert got.exact == ("reservoir" not in options)
 
     def test_matches_manual_streaming(self, small_model):
         pairs = [(0, 1), (2, 2)]
@@ -293,29 +307,29 @@ class TestSampleEntryStats:
         for s in draw_samples(small_model, 500, RngSpec(61)):
             for pair in pairs:
                 vals[pair].append(s.entry(*pair))
-        for pair in pairs:
+        for e, pair in enumerate(pairs):
             arr = np.array(vals[pair])
-            assert stats[pair].mean == pytest.approx(arr.mean(), rel=1e-10)
-            assert stats[pair].sd == pytest.approx(arr.std(ddof=1), rel=1e-10)
-            assert stats[pair].quantiles[0.5] == pytest.approx(
+            assert stats.mean[e] == pytest.approx(arr.mean(), rel=1e-10)
+            assert stats.sd[e] == pytest.approx(arr.std(ddof=1), rel=1e-10)
+            assert stats.quantiles[0.5][e] == pytest.approx(
                 np.quantile(arr, 0.5), rel=1e-10
             )
-            assert stats[pair].exact
+            assert stats.exact
 
     def test_reservoir_flagged(self, small_model):
         stats = sample_entry_stats(
             small_model, 600, RngSpec(67), [(0, 0)], reservoir=200
         )
-        st = stats[(0, 0)]
+        st = stats
         assert not st.exact
         assert st.n_samples == 600
-        lo, hi = st.quantiles[0.025], st.quantiles[0.975]
-        assert lo < st.mean < hi
+        lo, hi = st.quantiles[0.025][0], st.quantiles[0.975][0]
+        assert lo < st.mean[0] < hi
 
     def test_thread_invariance(self, small_model):
         a = sample_entry_stats(small_model, 300, RngSpec(71), [(0, 1)], threads=1)
         b = sample_entry_stats(small_model, 300, RngSpec(71), [(0, 1)], threads=3)
-        assert a[(0, 1)] == b[(0, 1)]
+        assert same_stats(a, b)
 
     def test_too_few(self, small_model):
         with pytest.raises(TooFewSamples):
@@ -391,3 +405,166 @@ class TestUniformBlocks:
         loadings, noise_sq = self.transformed(mid_model, block, rows, mid_model.rho)
         assert draw.loadings.tobytes() == loadings.tobytes()
         assert draw.noise_sq.tobytes() == noise_sq.tobytes()
+
+
+# Oracles: the entry-set code as it was before an entry set became two
+# index arrays, one (u, v) tuple at a time into lists and dicts keyed by
+# pair. The array paths must give the same values bit for bit.
+
+
+def reference_check_pairs(indices, p):
+    pairs = []
+    for pair in indices:
+        u, v = int(pair[0]), int(pair[1])
+        if not (0 <= u < p and 0 <= v < p):
+            raise IndexOutOfRange(f"entry ({u}, {v}) outside a {p} x {p} matrix")
+        pairs.append((u, v))
+    return pairs
+
+
+def reference_dense_mean(model, indices):
+    pairs = reference_check_pairs(indices, model.p)
+    noise_mean = model.gamma_n * model.delta_sq / (model.gamma_n - 2.0)
+    inflation = 1.0 + model.k * model.rho**2 * model.posterior_scale_sq
+    out = {}
+    for u, v in pairs:
+        val = float(model.mu[u] @ model.mu[v])
+        if u == v:
+            val += float(inflation * noise_mean[u])
+        out[(u, v)] = val
+    return out
+
+
+def reference_sample_entry_stats(model, n_samples, rng, indices, *, rho=None,
+                                 quantiles=(0.025, 0.5, 0.975), threads=1,
+                                 reservoir=10_000):
+    n_samples = _check_count(n_samples)
+    pairs = reference_check_pairs(indices, model.p)
+    uv = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    rows, inverse = np.unique(uv, return_inverse=True)
+    u_loc, v_loc = inverse.reshape(uv.shape).T
+    diag_mask = (uv[:, 0] == uv[:, 1]).astype(np.float64)
+    cap = min(n_samples, reservoir)
+    buf = np.empty((cap, len(pairs)))
+    res_rng = np.random.default_rng(np.random.SeedSequence((rng.seed, _RESERVOIR_TAG)))
+    s1 = np.zeros(len(pairs))
+    s2 = np.zeros(len(pairs))
+    seen = 0
+    for sample in _iter_draws(model, range(1, n_samples + 1), rng, rho, threads, rows):
+        vals = (
+            np.einsum("ek,ek->e", sample.loadings[u_loc], sample.loadings[v_loc])
+            + diag_mask * sample.noise_sq[u_loc]
+        )
+        s1 += vals
+        s2 += vals * vals
+        if seen < cap:
+            buf[seen] = vals
+        else:
+            slot = int(res_rng.integers(0, seen + 1))
+            if slot < cap:
+                buf[slot] = vals
+        seen += 1
+    mean = s1 / n_samples
+    var = (s2 - n_samples * mean * mean) / (n_samples - 1)
+    sd = np.sqrt(np.maximum(var, 0.0))
+    qlevels = list(quantiles)
+    qvals = np.quantile(buf, qlevels, axis=0, overwrite_input=True)
+    return {
+        pair: EntryStats(
+            mean=float(mean[e]),
+            sd=float(sd[e]),
+            quantiles={q: float(qvals[i, e]) for i, q in enumerate(qlevels)},
+            n_samples=n_samples,
+            exact=n_samples <= cap,
+        )
+        for e, pair in enumerate(pairs)
+    }
+
+
+ENTRY_SETS = {
+    "duplicate": [(5, 1), (2, 6), (5, 1), (5, 1)],
+    "unsorted": [(4, 6), (0, 7), (3, 3), (1, 2)],
+    "diagonal": [(6, 6), (2, 2), (6, 6), (0, 0)],
+    "u_above_v": [(7, 0), (5, 3), (3, 5), (6, 6)],
+    "single": [(4, 1)],
+}
+
+
+def entry_input(name, form):
+    pairs = ENTRY_SETS[name]
+    return pairs if form == "tuples" else np.array(pairs, dtype=np.int32)
+
+
+entry_sets = pytest.mark.parametrize("name", list(ENTRY_SETS))
+entry_forms = pytest.mark.parametrize("form", ["tuples", "array"])
+
+
+class TestEntrySetOracles:
+    @entry_sets
+    @entry_forms
+    def test_entry_set_matches_check_pairs(self, name, form):
+        u, v = _entry_set(entry_input(name, form), 8)
+        assert list(zip(u.tolist(), v.tolist())) == reference_check_pairs(ENTRY_SETS[name], 8)
+        for arr in (u, v):
+            assert arr.dtype == np.intp and not arr.flags.writeable
+
+    @pytest.mark.parametrize(
+        "bad", [[(0, 1), (8, 2), (-1, 0)], [(3, -1)], [(2, 9), (9, 2)]]
+    )
+    @entry_forms
+    def test_entry_set_refuses_as_check_pairs(self, bad, form):
+        with pytest.raises(IndexOutOfRange) as want:
+            reference_check_pairs(bad, 8)
+        with pytest.raises(IndexOutOfRange) as got:
+            _entry_set(bad if form == "tuples" else np.array(bad), 8)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "bad", [np.array([0, 1]), np.zeros((2, 3), dtype=int), np.array([[0.0, 1.0]])],
+        ids=["flat", "three-columns", "float"],
+    )
+    def test_entry_set_refuses_other_shapes(self, bad):
+        with pytest.raises(InvalidOption):
+            _entry_set(bad, 8)
+
+    def test_empty_entry_set(self):
+        u, v = _entry_set([], 8)
+        assert u.shape == v.shape == (0,) and u.dtype == np.intp
+
+    @entry_sets
+    @entry_forms
+    def test_dense_mean_matches_per_pair_matmul(self, mid_model, name, form):
+        want = reference_dense_mean(mid_model, ENTRY_SETS[name])
+        got = posterior_mean(mid_model, form="dense_entrywise",
+                             indices=entry_input(name, form))
+        assert got.tolist() == [want[pair] for pair in ENTRY_SETS[name]]
+
+    @pytest.mark.parametrize("k", [1, 3, 10, 17, 50])
+    @pytest.mark.parametrize("order", ["F", "C"], ids=["fitted", "row-major"])
+    def test_dense_mean_matches_per_pair_matmul_at_rank(self, k, order):
+        # a stacked matmul rounds as a per-pair @ does at every width,
+        # where einsum differs on most entries; fit leaves mu column-major,
+        # a loaded artifact has it row-major, and BLAS sums the two apart
+        _, _, y = make_factor_data(max(4 * k, 40), 60, min(k, 5), seed=103)
+        model = fit(center_columns(y), k=k)
+        model = dataclasses.replace(model, mu=np.asarray(model.mu, order=order))
+        assert model.mu.flags[f"{order}_CONTIGUOUS"]
+        pairs = [(u, v) for u in range(60) for v in range(u, 60)]
+        want = reference_dense_mean(model, pairs)
+        got = posterior_mean(model, form="dense_entrywise", indices=pairs)
+        assert got.tolist() == [want[pair] for pair in pairs]
+
+    @entry_sets
+    @entry_forms
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rho", [None, 0.0], ids=["model-rho", "rho0"])
+    def test_sample_entry_stats_matches_per_pair(self, mid_model, name, form, threads, rho):
+        want = reference_sample_entry_stats(mid_model, 60, RngSpec(83), ENTRY_SETS[name],
+                                            rho=rho)
+        got = sample_entry_stats(mid_model, 60, RngSpec(83), entry_input(name, form),
+                                 rho=rho, threads=threads)
+        for e, pair in enumerate(ENTRY_SETS[name]):
+            assert got.mean[e] == want[pair].mean
+            assert got.sd[e] == want[pair].sd
+            assert {q: vals[e] for q, vals in got.quantiles.items()} == want[pair].quantiles
+            assert (got.n_samples, got.exact) == (want[pair].n_samples, want[pair].exact)

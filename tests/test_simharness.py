@@ -6,7 +6,10 @@ import pytest
 from dataclasses import replace
 
 from fable.errors import DimensionMismatch
+from fable.sampler import _entry_values
 from fable.simharness import (
+    _TRACKED,
+    _tracked_pairs,
     BenchmarkRow,
     SimulationConfig,
     generate_data,
@@ -209,6 +212,59 @@ class TestRelSpectralError:
         npt.assert_allclose(free, pinned, rtol=1e-5)
 
 
+def reference_tracked_pairs(config):
+    """The tracked entries as they were built before entry sets became
+    index arrays: a list of int tuples, one pair at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, _TRACKED)))
+    subset = rng.permutation(config.p)[: config.tracked]
+    return [
+        (int(subset[i]), int(subset[j]))
+        for i in range(len(subset))
+        for j in range(i, len(subset))
+    ]
+
+
+def reference_truth_entries(truth, pairs):
+    """The true entries as the study computed them before, a dict keyed
+    by pair with one ``@`` per pair."""
+    out = {}
+    for u, v in pairs:
+        val = float(truth.loadings[u] @ truth.loadings[v])
+        if u == v:
+            val += float(truth.diag[u])
+        out[(u, v)] = val
+    return out
+
+
+def truth_entries(truth, pairs):
+    """The true entries as the study computes them."""
+    return _entry_values(truth.loadings, truth.diag, *pairs.T)
+
+
+class TestTrackedEntriesOracle:
+    @pytest.mark.parametrize("tracked", [1, 2, 17, 40])
+    @pytest.mark.parametrize("k_true", [1, 4, 10])
+    def test_match_per_pair(self, tracked, k_true):
+        cfg = SimulationConfig(n=60, p=40, k_true=k_true, seed=31 + tracked, tracked=tracked)
+        truth = generate_truth(cfg, truth_rng(cfg.seed))
+        want_pairs = reference_tracked_pairs(cfg)
+        pairs = _tracked_pairs(cfg)
+        assert [tuple(pair) for pair in pairs.tolist()] == want_pairs
+        want = reference_truth_entries(truth, want_pairs)
+        assert truth_entries(truth, pairs).tolist() == [want[pair] for pair in want_pairs]
+
+    def test_entries_of_a_column_major_truth(self):
+        # BLAS sums a row of a column-major matrix in another order
+        cfg = SimulationConfig(n=60, p=40, k_true=10, seed=5, tracked=40)
+        truth = generate_truth(cfg, truth_rng(5))
+        truth = type(truth)(np.asfortranarray(truth.loadings), truth.diag)
+        assert truth.loadings.flags.f_contiguous
+        pairs = _tracked_pairs(cfg)
+        want_pairs = [tuple(pair) for pair in pairs.tolist()]
+        want = reference_truth_entries(truth, want_pairs)
+        assert truth_entries(truth, pairs).tolist() == [want[pair] for pair in want_pairs]
+
+
 @pytest.fixture(scope="module")
 def small_result():
     cfg = SimulationConfig(n=150, p=200, k_true=4, replicates=4, seed=7,
@@ -241,7 +297,7 @@ class TestRunStudy:
     def test_audit_pairs_cover_tracked_submatrix(self, small_result):
         cfg, res = small_result
         audit = res.audits[cfg.config_id]
-        assert len(audit.pairs) == 25 * 26 // 2
+        assert len(audit.u) == len(audit.v) == 25 * 26 // 2
         assert audit.n_grids == 4
         # replicate-level coverage means agree with the audit's pooled mean
         npt.assert_allclose(
