@@ -8,9 +8,10 @@ for what it computes with.
 - ``erfc`` and ``ndtri`` are thin wrappers that import ``scipy.special``
   on their first call. The sampler and the rho solver use them on arrays.
 - ``gammaincinv`` is the inverse-Gamma transform of the noise draws,
-  built for the one shape a model uses: a cached table of the log
-  quantile in ``z = ndtri(y)`` and one Halley step on scipy's
-  ``gammainc``/``gammaincc``.
+  built for the one shape a model uses: a cached table of quintic
+  pieces of the quantile in the log of each tail, whose nodes scipy's
+  ``gammainc``/``gammaincc`` refine once. A row costs a log, six
+  gathers and a quintic.
 - ``norm_ppf`` is the scalar normal quantile behind every interval's
   ``z``. It is cephes ``ndtri``, the algorithm ``scipy.special.ndtri``
   runs, ported line for line, so it returns the same float without
@@ -42,42 +43,87 @@ def ndtri(y):
 
 
 # The gate, per row: |x - x*| <= max(4 ulp(x*), |x_scipy - x*|), x* the
-# exact quantile. Rows where scipy's gammainc or gammaincc, and so the
-# Halley step, is coarse keep scipy's gammaincinv. Shape sweeps against
-# 200-bit mpmath roots set the bounds (README, "Sampling"):
-# - at shapes at or below _MIN_SHAPE some rows missed the gate;
-# - rows whose quantile is off a by more than _WINDOW * a missed it at
-#   shapes 100-250, where scipy's residual is 1e-13 off;
+# exact quantile. Shape sweeps against 200-bit mpmath roots set the
+# bounds (README, "Sampling"):
+# - shapes at or below _MIN_SHAPE stay scipy's;
+# - scipy's gammainc, which refines the nodes, is coarse for quantiles
+#   off a by more than _WINDOW * a, so intervals with such a node stay
+#   scipy's;
 # - rows within 1e-9 of 0 or 1 lie beyond the table.
 _MIN_SHAPE = 20.0
 _WINDOW = 0.4
 _TAIL = 0.5 - 1e-9
-# Table nodes, uniform in z = ndtri(y) on [-_Z_EDGE, _Z_EDGE]; the table
-# covers ndtri(1e-9) = -5.998.
-_NODES = 1024
-_Z_EDGE = 6.0
+# Table nodes, _STEPS to a unit of log y from log y = -_LOG_EDGE to just
+# past log 1/2, in each tail: log y * _STEPS is exact, so is the split
+# into an interval and the offset in it. log(1e-9) = -20.7.
+_STEPS = 256
+_LOG_EDGE = 21
+_FIRST = -_LOG_EDGE * _STEPS
+_INTERVALS = math.floor(math.log(0.5) * _STEPS) + 1 - _FIRST  # per tail
+
+
+def _log_pdf(a: float, q: np.ndarray) -> np.ndarray:
+    """Log density of Gamma(a, 1) at x = a + q, for a > _MIN_SHAPE.
+
+    Written about a, with Stirling's series for the constant
+    (a - 1) log a - a - log Gamma(a). Taken directly, that constant is a
+    difference of terms of size a log a: at a = 5000.5 it was 3e-12 off,
+    and the table's slopes moved one row in six by an ulp.
+    """
+    r = 1.0 / a
+    series = r * (1 / 12 - r * r * (1 / 360 - r * r * (1 / 1260 - r * r / 1680)))
+    return (a - 1.0) * np.log1p(q / a) - q - 0.5 * math.log(2.0 * math.pi * a) - series
 
 
 @functools.lru_cache(maxsize=16)
-def _log_quantile_table(a: float) -> tuple[np.ndarray, ...]:
-    """Cubic coefficients of log x(z) on each table interval, for shape a.
+def _quantile_table(a: float) -> tuple[np.ndarray, ...]:
+    """Quintic coefficients of q = x - a on each table interval, for shape
+    a, and which intervals stay scipy's.
 
-    x(z) is the Gamma(a) quantile at ``ndtr(z)``. On interval i the log
-    quantile is c0 + s (c1 + s (c2 + s c3)) with s in [0, 1]: the cubic
-    Hermite interpolant of log x and its derivative
-    d log x / dz = phi(z) / (x pdf(x)) at the two nodes.
+    x(w) is the Gamma(a) quantile whose lower tail (the first _INTERVALS
+    intervals) or upper tail (the rest) is exp(w). On interval i, q is
+    c0 + s (c1 + s (c2 + s (c3 + s (c4 + s c5)))) with s in [0, 1]: the
+    quintic Hermite interpolant of q, x' and x'' at the two nodes, where
+    x' = +-exp(w) / pdf(x) and x'' = x' (1 - x' ((a - 1) / x - 1)).
+    Each node starts at scipy's quantile and takes two Halley steps on
+    scipy's ``gammainc`` (lower) or ``gammaincc`` (upper), then one more
+    Newton step added to q rather than to x: within the window x - a is
+    exact, and q holds the step to a finer ulp than x would. q is stored rather than x or
+    q / sqrt(a): each rounding of it costs up to an ulp of x.
     """
     import scipy.special as sc
 
-    z = np.linspace(-_Z_EDGE, _Z_EDGE, _NODES)
-    x = np.where(
-        z <= 0.0, sc.gammaincinv(a, sc.ndtr(z)), sc.gammainccinv(a, sc.ndtr(-z))
+    w = np.arange(_FIRST, _FIRST + _INTERVALS + 1) / _STEPS
+    tail = np.exp(np.concatenate((w, w)))
+    upper = np.arange(tail.size) > w.size - 1
+    x = np.concatenate((sc.gammaincinv(a, tail[~upper]), sc.gammainccinv(a, tail[upper])))
+
+    def newton_step(x):  # residual / pdf, signed so that x - step is nearer
+        p = np.where(upper, tail - sc.gammaincc(a, x), sc.gammainc(a, x) - tail)
+        return p / np.exp(_log_pdf(a, x - a))
+
+    for _ in range(2):
+        step = newton_step(x)
+        x -= step / (1.0 - 0.5 * step * ((a - 1.0) / x - 1.0))
+    q = (x - a) - newton_step(x)
+    x = a + q
+    # h x' and h^2 x'' for the node spacing h = 1 / _STEPS, so s is in [0, 1]
+    slope = np.where(upper, -tail, tail) / np.exp(_log_pdf(a, q)) / _STEPS
+    bend = slope * (1.0 / _STEPS - slope * ((a - 1.0) / x - 1.0))
+    off = np.abs(q) > _WINDOW * a
+    # interval i runs from node i to node i + 1, within one tail
+    lo = np.flatnonzero(np.arange(q.size - 1) != w.size - 1)
+    hi = lo + 1
+    f, d0, d1, e0, e1 = q[hi] - q[lo], slope[lo], slope[hi], bend[lo], bend[hi]
+    coef = (
+        q[lo],
+        d0,
+        0.5 * e0,
+        10.0 * f - 6.0 * d0 - 4.0 * d1 - 0.5 * (3.0 * e0 - e1),
+        -15.0 * f + 8.0 * d0 + 7.0 * d1 + 0.5 * (3.0 * e0 - 2.0 * e1),
+        6.0 * f - 3.0 * d0 - 3.0 * d1 - 0.5 * (e0 - e1),
+        off[lo] | off[hi],
     )
-    f = np.log(x)
-    h = z[1] - z[0]
-    d = h * np.exp(x - a * f + sc.gammaln(a) - 0.5 * z * z - 0.5 * math.log(2 * math.pi))
-    f0, f1, d0, d1 = f[:-1], f[1:], d[:-1], d[1:]
-    coef = (f0, d0, 3.0 * (f1 - f0) - 2.0 * d0 - d1, 2.0 * (f0 - f1) + d0 + d1)
     for c in coef:
         c.setflags(write=False)
     return coef
@@ -89,14 +135,13 @@ def gammaincinv(a, y):
 
     Within max(4 ulp, scipy's own error) of the exact quantile on every
     row tested, and bit-identical to ``scipy.special.gammaincinv`` on
-    most. ``a`` is one shape. Each row goes through ``ndtri``, a cubic
-    in the cached table of :func:`_log_quantile_table`, ``exp`` and one
-    Halley step on ``gammainc(a, x) - y`` (``y <= 1/2``) or
-    ``(1 - y) - gammaincc(a, x)`` (above, where ``1 - y`` is exact).
-    Rows within 1e-9 of 0 or 1, rows whose quantile is off ``a`` by more
-    than ``_WINDOW * a``, and every row of a shape at or below
-    ``_MIN_SHAPE`` are scipy's. Every step is elementwise, so a row's
-    value does not depend on the other rows.
+    most. ``a`` is one shape. Each row takes the log of its tail,
+    ``y`` or ``1 - y`` (exact above 1/2), an index into the cached table
+    of :func:`_quantile_table`, six gathers, one Horner polynomial and
+    ``a + q``. Rows within 1e-9 of 0 or 1, rows in an interval with a
+    node off ``a`` by more than ``_WINDOW * a``, and every row of a shape
+    at or below ``_MIN_SHAPE`` are scipy's. Every step is elementwise, so
+    a row's value does not depend on the other rows.
     """
     import scipy.special as sc
 
@@ -104,28 +149,24 @@ def gammaincinv(a, y):
     y = np.ascontiguousarray(y, dtype=np.float64)
     if not a > _MIN_SHAPE:
         return sc.gammaincinv(a, y)
-    c0, c1, c2, c3 = _log_quantile_table(a)
-    t = sc.ndtri(y)
-    t += _Z_EDGE
-    t *= (_NODES - 1) / (2.0 * _Z_EDGE)
-    np.clip(t, 0.0, _NODES - 1.0, out=t)  # rows beyond are scipy's, below
-    i = np.minimum(t.astype(np.intp), _NODES - 2)
-    s = t - i
-    log_x = c0[i] + s * (c1[i] + s * (c2[i] + s * c3[i]))
-    x = np.exp(log_x)
-
-    # scipy's ufuncs are called on gathered rows: with ``where=`` they
-    # corrupt the heap (scipy 1.17)
-    lo = np.flatnonzero(y <= 0.5)
-    hi = np.flatnonzero(y > 0.5)
-    resid = np.empty_like(x)
-    resid[lo] = sc.gammainc(a, x[lo]) - y[lo]
-    resid[hi] = (1.0 - y[hi]) - sc.gammaincc(a, x[hi])
-    # Halley: f = P(a, x) - y, f' = pdf(x), f'' / f' = (a - 1) / x - 1
-    step = resid / np.exp((a - 1.0) * log_x - x - sc.gammaln(a))
-    x -= step / (1.0 - 0.5 * step * ((a - 1.0) / x - 1.0))
-    coarse = np.flatnonzero((np.abs(y - 0.5) > _TAIL) | (np.abs(x - a) > _WINDOW * a))
-    x[coarse] = sc.gammaincinv(a, y[coarse])
+    *coef, coarse = _quantile_table(a)
+    upper = y > 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):  # y = 0 or 1 is scipy's
+        t = np.log(np.where(upper, 1.0 - y, y))
+    t *= _STEPS
+    np.fmax(t, _FIRST, out=t)
+    node = np.floor(t)
+    s = t - node
+    i = node.astype(np.intp)
+    i += upper * _INTERVALS - _FIRST
+    q = coef[5][i]
+    for c in coef[4::-1]:
+        q *= s
+        q += c[i]
+    x = q + a
+    # NaN rows fail the comparison and go to scipy too
+    scipys = np.flatnonzero(~(np.abs(y - 0.5) <= _TAIL) | coarse[i])
+    x[scipys] = sc.gammaincinv(a, y[scipys])
     return x
 
 

@@ -15,6 +15,8 @@ import os
 import sys
 import time
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -449,6 +451,15 @@ def _run_setting(version: str, blas_threads: str | None) -> str:
     return f"fable {version}, {threads}"
 
 
+def _recorded_manifest(argv: list[str]) -> str | None:
+    """The ``--manifest`` path a recorded argv names, if any."""
+    try:
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            return getattr(build_parser().parse_args(argv), "manifest", None)
+    except SystemExit:
+        return None  # the replayed run reports the usage error itself
+
+
 def _cmd_replay(args) -> int:
     manifest = load_manifest(args.manifest)
     argv = list(manifest.config.get("argv", []))
@@ -458,11 +469,20 @@ def _cmd_replay(args) -> int:
         raise ParseError(f"{args.manifest}: manifest argv runs replay, which would not end")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    mapping = {
-        record["path"]: str(outdir / Path(record["path"]).name)
-        for record in {**manifest.outputs, **manifest.measured}.values()
-    }
-    new_argv = [mapping.get(arg, arg) for arg in argv]
+    written = [record["path"] for record in {**manifest.outputs, **manifest.measured}.values()]
+    # the replayed run's own manifest goes under outdir too, so the
+    # recorded one is not overwritten
+    if recorded := _recorded_manifest(argv):
+        written.append(recorded)
+    mapping = {path: str(outdir / Path(path).name) for path in written}
+
+    def mapped(arg: str) -> str:
+        option, eq, value = arg.partition("=")
+        if eq and option.startswith("--") and value in mapping:
+            return f"{option}={mapping[value]}"
+        return mapping.get(arg, arg)
+
+    new_argv = [mapped(arg) for arg in argv]
     code = main(new_argv)
     if code != 0:
         return code

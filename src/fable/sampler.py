@@ -12,6 +12,7 @@ transforms.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -182,10 +183,25 @@ def _iter_draws(
         for t in indices:
             yield draw(t)
         return
-    chunk = 4 * threads
+    # A window of 4 * threads draws stays in flight, so the workers keep
+    # drawing while the consumer writes or scores the draw it was given.
+    todo = iter(indices)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for lo in range(0, len(indices), chunk):
-            yield from pool.map(draw, indices[lo : lo + chunk])
+        pending = deque()
+        try:
+            for t in todo:
+                pending.append(pool.submit(draw, t))
+                if len(pending) == 4 * threads:
+                    break
+            while pending:
+                sample = pending.popleft().result()
+                t = next(todo, None)
+                if t is not None:
+                    pending.append(pool.submit(draw, t))
+                yield sample
+        finally:  # an error or an early close leaves no queued draw behind
+            for future in pending:
+                future.cancel()
 
 
 def draw_samples(
@@ -203,8 +219,14 @@ def draw_samples(
     Thread count affects wall time only, never values.
     """
     n_samples = _check_count(n_samples)
+    # rho and the index range are checked now, not when the stream is
+    # first read, so a refused run opens no output; a stream stores each
+    # index in 64 bits
+    if not isinstance(start, (int, np.integer)) or not 0 <= start <= 2**64 - n_samples:
+        raise InvalidOption(
+            f"draw indices must lie in [0, 2**64), got {start} to {start + n_samples - 1}"
+        )
     indices = range(start, start + n_samples)
-    # rho is checked now, not when the stream is first read
     return _iter_draws(model, indices, rng, _effective_rho(model, rho), threads)
 
 

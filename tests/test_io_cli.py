@@ -764,6 +764,15 @@ class TestCliSample:
         assert "--threads" in json.loads(capsys.readouterr().err)["message"]
         assert not out.exists()
 
+    def test_negative_start_writes_nothing(self, workspace, tmp_path, capsys):
+        out = tmp_path / "s.bin"
+        code = main(["sample", "--model", str(workspace["model"]),
+                     "--n-samples", "4", "--seed", "21", "--start", "-1",
+                     "--output", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidOption"
+        assert not out.exists()
+
 
 class TestCliMean:
     def test_factored_outputs(self, workspace, tmp_path):
@@ -1016,6 +1025,20 @@ class TestCliReplay:
         assert code == 0
         assert "bit-identically" in capsys.readouterr().out
         assert (outdir / "model.bin").read_bytes() == workspace["model"].read_bytes()
+
+    @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "option=value"])
+    def test_recorded_manifest_is_not_rewritten(self, workspace, tmp_path, capsys, joined):
+        recorded = tmp_path / "m.json"
+        paths = [("--output", str(tmp_path / "iv.csv")), ("--manifest", str(recorded))]
+        flags = [f"{o}={v}" for o, v in paths] if joined else [x for pair in paths for x in pair]
+        assert main(["intervals", "--model", str(workspace["model"]), "--indices", "0-4",
+                     *flags]) == 0
+        before = file_sha256(recorded)
+        outdir = tmp_path / "replayed"
+        assert main(["replay", "--manifest", str(recorded), "--outdir", str(outdir)]) == 0
+        assert file_sha256(recorded) == before
+        replayed = load_manifest(outdir / "m.json")
+        assert replayed.outputs["intervals"]["path"] == str(outdir / "iv.csv")
 
     def test_detects_changed_input(self, tmp_path, capsys):
         rng = np.random.default_rng(8)

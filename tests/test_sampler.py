@@ -1,6 +1,8 @@
 """Distributional, determinism, and streaming tests for the sampler."""
 
 import dataclasses
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from fable.errors import (
     IndexOutOfRange,
     InvalidOption,
     InvalidSampleCount,
+    NonFinite,
     TooFewSamples,
 )
 from fable.linalg import StructuredCovariance, center_columns
@@ -139,6 +142,69 @@ class TestDrawSamples:
     def test_zero_count_rejected(self, small_model):
         with pytest.raises(InvalidSampleCount):
             draw_samples(small_model, 0, RngSpec(1))
+
+    def test_negative_start_rejected_before_reading(self, small_model):
+        with pytest.raises(InvalidOption, match="draw indices"):
+            draw_samples(small_model, 3, RngSpec(1), start=-1)
+
+
+class TestSubmitAhead:
+    """The threaded stream keeps 4 * threads draws in flight and yields
+    them in order. 13 draws are not a multiple of the 8-draw window at
+    two threads, so the last window is partial."""
+
+    def test_stream_is_thread_invariant(self, mid_model):
+        one = list(draw_samples(mid_model, 13, RngSpec(43), threads=1))
+        two = list(draw_samples(mid_model, 13, RngSpec(43), threads=2))
+        assert [s.index for s in two] == list(range(1, 14))
+        for a, b in zip(one, two, strict=True):
+            assert a.loadings.tobytes() == b.loadings.tobytes()
+            assert a.noise_sq.tobytes() == b.noise_sq.tobytes()
+
+    def test_entry_stats_are_thread_invariant(self, mid_model):
+        pairs = [(0, 0), (1, 5), (7, 2)]
+        one = sample_entry_stats(mid_model, 13, RngSpec(47), pairs, threads=1)
+        two = sample_entry_stats(mid_model, 13, RngSpec(47), pairs, threads=2)
+        assert same_stats(one, two)
+
+    def test_failed_draw_raises_its_error_and_ends_the_pool(self, mid_model, monkeypatch):
+        baseline = threading.active_count()
+        real = fable.sampler.draw_sample
+
+        def failing(model, t, rng, **kw):
+            if t == 6:
+                raise NonFinite(f"draw {t} failed")
+            return real(model, t, rng, **kw)
+
+        monkeypatch.setattr(fable.sampler, "draw_sample", failing)
+        seen = []
+        with pytest.raises(NonFinite, match="draw 6 failed"):
+            for sample in draw_samples(mid_model, 13, RngSpec(53), threads=2):
+                seen.append(sample.index)
+        assert seen == [1, 2, 3, 4, 5]
+        assert threading.active_count() == baseline
+
+    def test_window_holds_four_draws_per_thread(self, mid_model, monkeypatch):
+        submitted = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, t):
+                submitted.append(t)
+                return super().submit(fn, t)
+
+        monkeypatch.setattr(fable.sampler, "ThreadPoolExecutor", CountingPool)
+        stream = draw_samples(mid_model, 13, RngSpec(61), threads=2)
+        assert next(stream).index == 1
+        # the first 8 draws, then one more for the draw handed out
+        assert submitted == list(range(1, 10))
+        stream.close()
+
+    def test_early_close_ends_the_pool(self, mid_model):
+        baseline = threading.active_count()
+        stream = draw_samples(mid_model, 13, RngSpec(59), threads=2)
+        assert next(stream).index == 1
+        stream.close()
+        assert threading.active_count() == baseline
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):

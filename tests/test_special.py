@@ -65,12 +65,13 @@ EDGE_UNIFORMS = np.array([2.0**-53, 1e-10, 0.5, 1.0 - 2.0**-53, 1.0 - 1e-10])
 
 
 def gate_rows(a: float, seed: int) -> np.ndarray:
-    """1500 uniforms, 1500 uniforms evenly spread in ndtri(y) over the
-    table (which reach its tails), and the edge uniforms."""
+    """1500 uniforms, 1500 uniforms evenly spread in ndtri(y) over
+    [-6, 6] (which reach the table's tails: ndtr(-6) = 9.9e-10), and the
+    edge uniforms."""
     rng = np.random.default_rng(seed)
     y = np.concatenate([
         rng.random(1500),
-        scipy.special.ndtr(rng.uniform(-_special._Z_EDGE, _special._Z_EDGE, 1500)),
+        scipy.special.ndtr(rng.uniform(-6.0, 6.0, 1500)),
         EDGE_UNIFORMS,
     ])
     return np.clip(y, 2.0**-53, 1.0 - 2.0**-53)
@@ -93,7 +94,10 @@ def exact_quantile(mpmath, a: float, y: float, x0: float):
     raise AssertionError(f"no 200-bit root for a={a}, y={y}")
 
 
-@pytest.mark.parametrize("a", [2.5, 15.5, _special._MIN_SHAPE, 20.5, 250.5, 500.5])
+@pytest.mark.parametrize(
+    "a",
+    [2.5, 15.5, _special._MIN_SHAPE, 20.5, 22.5, 30.5, 60.5, 100.5, 150.5, 250.5, 500.5, 5000.5],
+)
 def test_gammaincinv_gate(a):
     """Per row, |x - x*| <= max(4 ulp(x*), |x_scipy - x*|), with x* the
     exact quantile. A row equal to scipy's meets it by definition, so
