@@ -17,6 +17,7 @@ import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,8 @@ from .inference import (
 )
 from .io import (
     RunManifest,
+    _write_json,
+    _write_table,
     file_sha256,
     load_manifest,
     load_matrix,
@@ -71,9 +74,7 @@ def _parse_int(text: str, what: str) -> int:
 
 def _default_threads() -> int:
     env = os.environ.get("FABLE_THREADS", "")
-    if env.strip():
-        return max(1, _parse_int(env, "FABLE_THREADS"))
-    return os.cpu_count() or 1
+    return _parse_int(env, "FABLE_THREADS") if env.strip() else os.cpu_count() or 1
 
 
 def parse_indices(text: str, p: int) -> list[int]:
@@ -115,7 +116,10 @@ def _parse_p_grid(text: str) -> list[int]:
         if step <= 0 or stop < start:
             raise InvalidOption(f"bad grid bounds {text!r}")
         return list(range(start, stop + 1, step))
-    return [_parse_int(x, "a grid size") for x in text.split(",") if x.strip()]
+    sizes = [_parse_int(x, "a grid size") for x in text.split(",") if x.strip()]
+    if not sizes:
+        raise InvalidOption(f"no grid sizes in {text!r}")
+    return sizes
 
 
 def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
@@ -208,22 +212,12 @@ def _index_pairs(text: str, p: int) -> np.ndarray:
     return _upper_pairs(parse_indices(text, p))
 
 
-def _emit_json(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text)
-
-
 def _cmd_fit(args) -> int:
     dm, kept, checksum = _load_and_preprocess(args)
     model = fit(dm, **_fit_options(args))
     save_model(args.output, model)
     if args.output_columns is not None:
-        Path(args.output_columns).write_text(
-            "\n".join(str(int(i)) for i in kept) + "\n"
-        )
+        _write_table(args.output_columns, zip(kept.tolist()))  # one index a line
     resolved = {
         "k": model.k,
         "tau_sq": model.tau_sq,
@@ -272,10 +266,9 @@ def _cmd_mean(args) -> int:
     else:
         pairs = _index_pairs(args.indices, model.p)
         entries = posterior_mean(model, form="dense_entrywise", indices=pairs)
-        with open(args.output, "w") as fh:
-            fh.write("u,v,mean\n")
-            for (u, v), value in zip(pairs.tolist(), entries.tolist()):
-                fh.write(f"{u},{v},{value!r}\n")
+        _write_table(args.output, chain(
+            [("u", "v", "mean")], zip(*pairs.T.tolist(), entries.tolist())
+        ))
         written = {"entries": args.output}
         print(f"mean: {len(pairs)} entrywise means -> {args.output}")
     _save_manifest(args, args.manifest, written, resolved={"form": args.form})
@@ -318,7 +311,7 @@ def _cmd_diagnose(args) -> int:
         "p": dm.p,
         "k": model.k,
     }
-    _emit_json(result, args.output)
+    _write_json(args.output, result)
     keys = ("fitted_loglik", "variance_explained_mean", "predictive_coverage")
     _save_manifest(
         args, args.manifest, {"report": args.output}, input_sha256=checksum,
@@ -360,7 +353,7 @@ def _cmd_oos(args) -> int:
         "n_train": train_dm.n,
         "n_test": test_block.n,
     }
-    _emit_json(result, args.output)
+    _write_json(args.output, result)
     _save_manifest(
         args, args.manifest, {"report": args.output}, input_sha256=checksum,
         resolved={"oos_loglik": value},
@@ -643,10 +636,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        args.threads = _default_threads()
-    if getattr(args, "threads", 1) < 1:
-        raise InvalidOption(f"--threads must be at least 1, got {args.threads}")
+    if hasattr(args, "threads"):
+        option = "--threads"
+        if args.threads is None:
+            args.threads, option = _default_threads(), "FABLE_THREADS"
+        if args.threads < 1:
+            raise InvalidOption(f"{option} must be at least 1, got {args.threads}")
     if getattr(args, "command", None) == "mean":
         if args.form == "factored":
             if args.output_loadings is None or args.output_noise is None:

@@ -11,7 +11,9 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -339,8 +341,24 @@ def load_model(path: str | Path) -> FableModel:
         raise ParseError(f"{path}: invalid model ({exc})") from exc
 
 
-def _floats_csv(row: Iterable[float]) -> str:
-    return ",".join(repr(float(x)) for x in row)
+def _write_table(path: str | Path, rows: Iterable[Sequence]) -> None:
+    """Write ``rows`` as CSV lines; a header is just the first row. A
+    float cell (numpy float64 too) is its ``repr``, which reads back
+    bit-identically; any other cell is its ``str``."""
+    float_repr = float.__repr__
+    with open(path, "w") as fh:
+        for row in rows:
+            cells = [float_repr(x) if isinstance(x, float) else str(x) for x in row]
+            fh.write(",".join(cells) + "\n")
+
+
+def _write_json(path: str | Path | None, payload: dict) -> None:
+    """Sorted keys, an indent of 2, a final newline; stdout when ``path`` is None."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
 
 
 def save_samples(
@@ -370,14 +388,17 @@ def save_samples(
                 fh.write(noise.tobytes(order="C"))
                 count += 1
     elif format == "text":
-        with open(path, "w") as fh:
+
+        def rows():
+            nonlocal count
             for sample in samples:
                 p, k = sample.loadings.shape
-                fh.write(f"{sample.index},{k},{p}\n")
-                for row in sample.loadings:
-                    fh.write(_floats_csv(row) + "\n")
-                fh.write(_floats_csv(sample.noise_sq) + "\n")
+                yield sample.index, k, p
+                yield from sample.loadings.tolist()
+                yield sample.noise_sq.tolist()
                 count += 1
+
+        _write_table(path, rows())
     else:
         raise InvalidOption(f"unknown sample format {format!r}")
     return count
@@ -454,57 +475,31 @@ def load_samples(path: str | Path, *, format: str = "auto") -> Iterator[Covarian
 
 def write_intervals(path: str | Path, grid: IntervalGrid) -> None:
     """Delimited interval table: u, v, center, lower, upper, asym_sd, method."""
-    with open(path, "w") as fh:
-        fh.write("u,v,center,lower,upper,asym_sd,method\n")
-        columns = (grid.u, grid.v, grid.center, grid.lower, grid.upper, grid.asym_sd)
-        for u, v, *values in zip(*(col.tolist() for col in columns)):
-            fh.write(f"{u},{v},{_floats_csv(values)},{grid.method}\n")
+    columns = (grid.u, grid.v, grid.center, grid.lower, grid.upper, grid.asym_sd)
+    rows = zip(*(col.tolist() for col in columns), repeat(grid.method))
+    _write_table(path, chain(["u,v,center,lower,upper,asym_sd,method".split(",")], rows))
 
 
 def write_metric_records(path: str | Path, records: Sequence[MetricRecord]) -> None:
-    with open(path, "w") as fh:
-        fh.write(
-            "config_id,replicate,rel_error,coverage,mean_width,"
-            "fit_seconds,sample_seconds,error\n"
-        )
-        for r in records:
-            err = "" if r.error is None else r.error.replace(",", ";")
-            vals = _floats_csv(
-                (r.rel_error, r.coverage, r.mean_width, r.fit_seconds, r.sample_seconds)
-            )
-            fh.write(f"{r.config_id},{r.replicate},{vals},{err}\n")
+    """One row per replicate, columns named as MetricRecord's fields."""
+    header = [f.name for f in fields(MetricRecord)]
+    rows = (astuple(replace(r, error=(r.error or "").replace(",", ";"))) for r in records)
+    _write_table(path, chain([header], rows))
 
 
 def write_config_summaries(path: str | Path, summaries: Sequence[ConfigSummary]) -> None:
-    with open(path, "w") as fh:
-        fh.write(
-            "config_id,n,p,k_true,replicates_done,failures,mean_rel_error,"
-            "median_rel_error,mean_coverage,median_coverage,mean_width\n"
-        )
-        for s in summaries:
-            vals = _floats_csv(
-                (s.mean_rel_error, s.median_rel_error, s.mean_coverage,
-                 s.median_coverage, s.mean_width)
-            )
-            fh.write(
-                f"{s.config_id},{s.n},{s.p},{s.k_true},{s.replicates_done},"
-                f"{s.failures},{vals}\n"
-            )
+    """One row per configuration, columns named as ConfigSummary's fields."""
+    header = [f.name for f in fields(ConfigSummary)]
+    _write_table(path, chain([header], map(astuple, summaries)))
 
 
 def write_benchmark_table(path: str | Path, rows: Sequence[BenchmarkRow]) -> None:
-    """Plot-ready timing table: seconds and their log10 per problem size."""
-    with open(path, "w") as fh:
-        fh.write(
-            "n,p,n_samples,fit_seconds,sample_seconds,mean_seconds,"
-            "log10_fit_seconds,log10_sample_seconds,log10_mean_seconds\n"
-        )
-        for r in rows:
-            logs = [math.log10(x) for x in (r.fit_seconds, r.sample_seconds, r.mean_seconds)]
-            vals = _floats_csv(
-                (r.fit_seconds, r.sample_seconds, r.mean_seconds, *logs)
-            )
-            fh.write(f"{r.n},{r.p},{r.n_samples},{vals}\n")
+    """Plot-ready timing table: BenchmarkRow's fields, then the log10 of
+    each of its three timings."""
+    timings = ("fit_seconds", "sample_seconds", "mean_seconds")
+    header = [f.name for f in fields(BenchmarkRow)] + [f"log10_{t}" for t in timings]
+    lines = ((*astuple(r), *(math.log10(getattr(r, t)) for t in timings)) for r in rows)
+    _write_table(path, chain([header], lines))
 
 
 @dataclass(frozen=True)
@@ -537,9 +532,7 @@ class RunManifest:
 
 
 def save_manifest(path: str | Path, manifest: RunManifest) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(manifest), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(path, asdict(manifest))
 
 
 def load_manifest(path: str | Path) -> RunManifest:

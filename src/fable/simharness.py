@@ -10,6 +10,7 @@ thread count.
 
 from __future__ import annotations
 
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +29,9 @@ from .linalg import (
     spectral_norm,
 )
 from .model import fit
-from .sampler import RngSpec, _entry_values, _upper_pairs, draw_samples, posterior_mean
+from .sampler import (
+    RngSpec, _check_count, _entry_values, _upper_pairs, draw_samples, posterior_mean
+)
 
 __all__ = [
     "SimulationConfig",
@@ -79,6 +82,9 @@ class SimulationConfig:
             raise DimensionMismatch(f"need n >= 2 and p >= 1, got {self.n}, {self.p}")
         if not 1 <= self.k_true <= min(self.n, self.p):
             raise InvalidOption(f"k_true={self.k_true} outside [1, min(n, p)]")
+        # numpy cannot shape the n x p data past this; p * k_true <= n * p
+        if self.n * self.p > sys.maxsize // 8:
+            raise InvalidOption(f"n x p = {self.n} x {self.p} is too large for one array")
         if self.replicates < 1:
             raise InvalidOption("replicates must be >= 1")
         if not 1 <= self.tracked <= self.p:
@@ -347,6 +353,7 @@ def runtime_benchmark(
     """
     if not repeats >= 1:
         raise InvalidOption(f"repeats must be at least 1, got {repeats}")
+    _check_count(n_samples)
     rows = []
     for p in p_grid:
         # tracked is unused here; 1 keeps the config valid at any p

@@ -13,6 +13,7 @@ import numpy.testing as npt
 import pytest
 
 import fable
+import fable.simharness
 from fable.cli import main, parse_indices, _parse_p_grid
 from fable.errors import (
     IndexOutOfRange,
@@ -655,6 +656,9 @@ class TestArgParsing:
             _parse_p_grid("10:5:1")
         with pytest.raises(ValueError):
             _parse_p_grid("1:2:3:4")
+        for empty in ("", ",", " , "):
+            with pytest.raises(InvalidOption, match="no grid sizes"):
+                _parse_p_grid(empty)
 
 
 class TestCliFit:
@@ -1015,6 +1019,18 @@ class TestCliBench:
         with pytest.raises(ValueError, match="repeats must be at least 1"):
             runtime_benchmark([40], n=50, k_true=2, n_samples=20, repeats=0)
 
+    def test_zero_samples_refused_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before n_samples was checked")
+
+        monkeypatch.setattr(fable.simharness, "fit", no_fit)
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--p-grid", "40", "--n", "50", "--k", "2",
+                     "--n-samples", "0", "--repeats", "1", "--output", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidSampleCount"
+        assert not out.exists()
+
 
 class TestCliReplay:
     def test_fit_replays_bit_identically(self, workspace, tmp_path, capsys):
@@ -1218,6 +1234,14 @@ class TestTypedRefusals:
              "replicates"),
             (["bench", "--p-grid", "10:5:1"], "grid bounds"),
             (["bench", "--p-grid", "ten"], "integer"),
+            (["bench", "--p-grid", ""], "no grid sizes"),
+            (["bench", "--p-grid", ","], "no grid sizes"),
+            (["bench", "--p-grid", str(10**30), "--n", "12", "--repeats", "1"],
+             "too large"),
+            (["simulate", "--n", "20", "--p", str(10**30), "--replicates", "1",
+              "--seed", "1", "--tracked", "5", "--threads", "1"], "too large"),
+            (["simulate", "--n", "20", "--p", str(2 * 10**17), "--replicates", "1",
+              "--seed", "1", "--tracked", "5", "--threads", "1"], "too large"),
         ],
     )
     def test_refusal_is_invalid_option(self, workspace, tmp_path, capsys, argv, message):
@@ -1290,6 +1314,19 @@ class TestThreadsEnv:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "InvalidOption"
         assert "FABLE_THREADS" in record["message"]
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_count_below_one_is_an_error(self, workspace, tmp_path, monkeypatch, capsys,
+                                         value):
+        monkeypatch.setenv("FABLE_THREADS", value)
+        out = tmp_path / "s.bin"
+        code = main(["sample", "--model", str(workspace["model"]),
+                     "--n-samples", "2", "--seed", "1", "--output", str(out)])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "InvalidOption",
+                          "message": f"FABLE_THREADS must be at least 1, got {value}"}
+        assert not out.exists()
 
 
 class TestBenchmarkContract:

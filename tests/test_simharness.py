@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from dataclasses import replace
 
-from fable.errors import DimensionMismatch
+from fable.errors import DimensionMismatch, InvalidOption
 from fable.sampler import _entry_values
 from fable.simharness import (
     _TRACKED,
@@ -58,6 +58,11 @@ class TestSimulationConfig:
     def test_rejects_tracked_above_p(self):
         with pytest.raises(ValueError, match="tracked"):
             SimulationConfig(n=20, p=10, k_true=2, tracked=11)
+
+    @pytest.mark.parametrize("p", [2 * 10**17, 10**30])
+    def test_rejects_sizes_numpy_cannot_shape(self, p):
+        with pytest.raises(InvalidOption, match=f"n x p = 20 x {p} is too large"):
+            SimulationConfig(n=20, p=p, tracked=5)
 
     def test_rejects_bad_spike_prob(self):
         with pytest.raises(ValueError, match="spike_prob"):
