@@ -28,6 +28,7 @@ from .errors import (
     FableError,
     IndexOutOfRange,
     InvalidOption,
+    OutOfMemory,
     ParseError,
     ReplayMismatch,
 )
@@ -678,7 +679,9 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 _validate(args)
                 return args.func(args)
-            except (FableError, ValueError, OSError) as exc:
+            except (FableError, ValueError, OSError, MemoryError) as exc:
+                if isinstance(exc, MemoryError):
+                    exc = OutOfMemory(str(exc) or "out of memory")
                 record = {"error": type(exc).__name__, "message": str(exc)}
                 if caught:
                     record["warnings"] = [

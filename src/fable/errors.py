@@ -86,10 +86,6 @@ class IndexOutOfRange(FableError):
     """A variable index falls outside [0, p)."""
 
 
-class IndexSetMismatch(FableError):
-    """Two collections that must share an index set do not."""
-
-
 class OverlappingIndexSets(FableError):
     """Index sets that must be disjoint share elements."""
 
@@ -112,6 +108,10 @@ class MagicMismatch(FableError):
 
 class NegativeCount(FableError):
     """Count data required by a log transform contains negative values."""
+
+
+class OutOfMemory(FableError):
+    """An allocation failed: the command needs more memory than is free."""
 
 
 class ReplayMismatch(FableError):

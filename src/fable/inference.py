@@ -1,11 +1,11 @@
-"""Credible intervals, coverage audits, and model diagnostics.
+"""Credible intervals and model diagnostics.
 
 Interval centers are the factored posterior-mean entries. Asymptotic
 widths come from the closed-form large-sample variance of the surrogate
-draws; sample-quantile intervals rerun the sampler. The audit utilities
-score collections of interval grids against a known truth, and the
-out-of-sample log-likelihood evaluates a fitted target-block covariance
-on held-out rows.
+draws; sample-quantile intervals rerun the sampler. Coverage against a
+known truth is scored by the study harness, one replicate at a time.
+The out-of-sample log-likelihood evaluates a fitted target-block
+covariance on held-out rows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     EmptyTarget,
     IndexOutOfRange,
-    IndexSetMismatch,
     InvalidAlpha,
     InvalidOption,
     OverlappingIndexSets,
@@ -33,10 +32,8 @@ from .sampler import RngSpec, _entry_set, posterior_mean, sample_entry_stats
 __all__ = [
     "AsymptoticVariances",
     "IntervalGrid",
-    "CoverageSummary",
     "asymptotic_variances",
     "credible_intervals",
-    "coverage_audit",
     "fitted_loglik",
     "variance_explained",
     "predictive_coverage",
@@ -90,20 +87,6 @@ class IntervalGrid:
     @property
     def width(self) -> np.ndarray:
         return self.upper - self.lower
-
-
-@dataclass(frozen=True)
-class CoverageSummary:
-    """Entrywise empirical coverage of repeated interval grids, whose
-    entries are (u[e], v[e])."""
-
-    u: np.ndarray
-    v: np.ndarray
-    per_entry: np.ndarray
-    mean_coverage: float
-    median_coverage: float
-    mean_width: float
-    n_grids: int
 
 
 def _variance_terms(model: FableModel, u_idx, v_idx, rho: float):
@@ -196,42 +179,6 @@ def credible_intervals(
         asym_sd=sd,
         alpha=alpha,
         method=method,
-    )
-
-
-def coverage_audit(
-    truth_values: np.ndarray, grids: Sequence[IntervalGrid]
-) -> CoverageSummary:
-    """Fraction of grids whose intervals strictly contain the truth.
-
-    All grids must share one entry set, and ``truth_values`` holds the
-    true value of each of its entries, in order. Containment is strict,
-    so a zero-width interval never covers and an infinite one always
-    does. ``mean_width`` averages over entries and grids together.
-    """
-    if not grids:
-        raise IndexSetMismatch("need at least one interval grid")
-    u, v = grids[0].u, grids[0].v
-    for g in grids[1:]:
-        if not (np.array_equal(g.u, u) and np.array_equal(g.v, v)):
-            raise IndexSetMismatch("interval grids disagree on their entries")
-    target = np.asarray(truth_values, dtype=np.float64)
-    if target.shape != u.shape:
-        raise IndexSetMismatch(f"{target.size} truth values for {len(u)} entries")
-    hits = np.zeros(len(u))
-    width_total = 0.0
-    for g in grids:
-        hits += (g.lower < target) & (target < g.upper)
-        width_total += float(np.mean(g.width))
-    per_entry = hits / len(grids)
-    return CoverageSummary(
-        u=u,
-        v=v,
-        per_entry=_frozen(per_entry),
-        mean_coverage=float(per_entry.mean()),
-        median_coverage=float(np.median(per_entry)),
-        mean_width=width_total / len(grids),
-        n_grids=len(grids),
     )
 
 

@@ -54,9 +54,9 @@ _RESERVOIR_TAG = int.from_bytes(b"reservoir", "big")
 class RngSpec:
     """Root seed for the sampling streams.
 
-    ``uniform_block(t, p, k)`` returns the (p, k + 1) uniform block that
-    draw t consumes: column 0 drives the noise variances, the rest the
-    loading rows.
+    ``uniform_block(t, p, k, rows)`` returns rows ``rows`` (default all)
+    of the (p, k + 1) uniform block that draw t consumes: column 0 drives
+    the noise variances, the rest the loading rows.
     """
 
     seed: int
@@ -72,9 +72,13 @@ class RngSpec:
             np.random.Philox(np.random.SeedSequence((self.seed, t)))
         )
 
-    def uniform_block(self, t: int, p: int, k: int) -> np.ndarray:
-        block = self.generator(t).random((p, k + 1))
-        return np.clip(block, _UNIFORM_LO, _UNIFORM_HI)
+    def uniform_block(
+        self, t: int, p: int, k: int, rows: slice | np.ndarray = slice(None)
+    ) -> np.ndarray:
+        # The whole block is drawn, so row j reads the same uniforms
+        # whichever rows are asked for; only those rows are clipped.
+        block = self.generator(t).random((p, k + 1))[rows]
+        return np.clip(block, _UNIFORM_LO, _UNIFORM_HI, out=block)
 
 
 @dataclass(frozen=True)
@@ -142,14 +146,11 @@ def _draw_rows(
 ) -> CovarianceSample:
     """Rows ``rows`` of draw t, in that order.
 
-    The whole uniform block is generated so that row j reads the same
-    uniforms whichever rows are asked for; only the selected rows are
-    clipped as in ``RngSpec.uniform_block`` and go through the inverse
-    CDFs. Every step is elementwise, so the result equals the same rows
-    of the full draw bit for bit.
+    Only the rows' uniforms go through the inverse CDFs. Every step is
+    elementwise, so the result equals the same rows of the full draw bit
+    for bit.
     """
-    block = rng.generator(t).random((model.p, model.k + 1))[rows]
-    np.clip(block, _UNIFORM_LO, _UNIFORM_HI, out=block)
+    block = rng.uniform_block(t, model.p, model.k, rows)
     gamma_draw = gammaincinv(model.gamma_n / 2.0, block[:, 0])
     noise_sq = (model.gamma_n * model.delta_sq[rows] / 2.0) / gamma_draw
     scale = r * np.sqrt(noise_sq * model.posterior_scale_sq)

@@ -14,12 +14,15 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, FableError, InvalidOption
-from .inference import CoverageSummary, coverage_audit, credible_intervals
+from .errors import (
+    DimensionMismatch, FableError, InvalidAlpha, InvalidOption, TooFewSamples
+)
+from .inference import _MIN_QUANTILE_SAMPLES, credible_intervals
 from .linalg import (
     DataMatrix,
     LinearMap,
@@ -50,16 +53,20 @@ __all__ = [
 # Stream tags: (seed, _TRUTH), (seed, _TRACKED), (seed, _DATA, r), ...
 _TRUTH, _TRACKED, _DATA, _SAMPLER = 0, 1, 2, 3
 
+# The truth's shape: a loading is zero with probability _ZERO_PROB, else
+# a centered normal with sd _LOADING_SD; noise variances are uniform on
+# _NOISE_RANGE.
+_ZERO_PROB, _LOADING_SD, _NOISE_RANGE = 0.5, 0.5, (0.5, 5.0)
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One cell of a simulation study.
+    """One cell of a simulation study; a ``fable simulate`` flag sets
+    each field.
 
-    The truth has spike-and-slab loadings (a zero atom with probability
-    ``spike_prob``, else a centered normal with sd ``slab_sd``) and
-    noise variances uniform on [noise_lo, noise_hi]. ``fit_rank`` is
-    "true" to fix the rank at ``k_true``, "select" for the information
-    criterion, or an explicit integer.
+    The truth has ``k_true`` spike-and-slab factors (zero with
+    probability 0.5, else normal with sd 0.5) and noise variances uniform
+    on [0.5, 5]; every replicate is fitted at rank ``k_true``.
     """
 
     n: int
@@ -67,13 +74,8 @@ class SimulationConfig:
     k_true: int = 10
     replicates: int = 100
     seed: int = 0
-    spike_prob: float = 0.5
-    slab_sd: float = 0.5
-    noise_lo: float = 0.5
-    noise_hi: float = 5.0
     tracked: int = 100
     alpha: float = 0.05
-    fit_rank: int | str = "true"
     interval_method: str = "asymptotic"
     n_samples: int = 1000
 
@@ -89,14 +91,15 @@ class SimulationConfig:
             raise InvalidOption("replicates must be >= 1")
         if not 1 <= self.tracked <= self.p:
             raise InvalidOption(f"tracked={self.tracked} outside [1, p]")
-        if not 0.0 <= self.spike_prob <= 1.0:
-            raise InvalidOption("spike_prob must lie in [0, 1]")
-        if not 0.0 < self.noise_lo <= self.noise_hi:
-            raise InvalidOption("noise bounds must satisfy 0 < lo <= hi")
-        if isinstance(self.fit_rank, str) and self.fit_rank not in ("true", "select"):
-            raise InvalidOption(f"fit_rank must be 'true', 'select', or an int, got {self.fit_rank!r}")
+        if not 0.0 < self.alpha < 1.0:
+            raise InvalidAlpha(f"alpha must be in (0, 1), got {self.alpha}")
         if self.interval_method not in ("asymptotic", "sample_quantile"):
             raise InvalidOption(f"unknown interval_method {self.interval_method!r}")
+        sampled = self.interval_method == "sample_quantile"
+        if sampled and self.n_samples < _MIN_QUANTILE_SAMPLES:
+            raise TooFewSamples(
+                f"sample_quantile needs n_samples >= {_MIN_QUANTILE_SAMPLES}, got {self.n_samples}"
+            )
 
     @property
     def config_id(self) -> str:
@@ -109,11 +112,11 @@ class MetricRecord:
 
     config_id: str
     replicate: int
-    rel_error: float
-    coverage: float
-    mean_width: float
-    fit_seconds: float
-    sample_seconds: float
+    rel_error: float = np.nan
+    coverage: float = np.nan
+    mean_width: float = np.nan
+    fit_seconds: float = np.nan
+    sample_seconds: float = np.nan
     error: str | None = None
 
 
@@ -136,7 +139,6 @@ class ConfigSummary:
 class StudyResult:
     records: list[MetricRecord]
     summaries: list[ConfigSummary]
-    audits: dict[str, CoverageSummary]
 
 
 @dataclass(frozen=True)
@@ -161,9 +163,9 @@ def generate_truth(
     """
     p, k = config.p, config.k_true
     spikes = rng.random((p, k))
-    slabs = rng.normal(0.0, config.slab_sd, (p, k))
-    loadings = np.where(spikes < config.spike_prob, 0.0, slabs)
-    noise = rng.uniform(config.noise_lo, config.noise_hi, p)
+    slabs = rng.normal(0.0, _LOADING_SD, (p, k))
+    loadings = np.where(spikes < _ZERO_PROB, 0.0, slabs)
+    noise = rng.uniform(*_NOISE_RANGE, p)
     return StructuredCovariance(loadings, noise)
 
 
@@ -227,53 +229,35 @@ def _sampler_seed(config_seed: int, replicate: int) -> int:
 
 
 def _run_replicate(config, truth, truth_norm, pairs, truth_vals, replicate):
-    record = MetricRecord(
-        config_id=config.config_id,
-        replicate=replicate,
-        rel_error=np.nan,
-        coverage=np.nan,
-        mean_width=np.nan,
-        fit_seconds=np.nan,
-        sample_seconds=np.nan,
-    )
-    grid = None
+    record = MetricRecord(config.config_id, replicate)
     try:
         data_rng = np.random.default_rng(
             np.random.SeedSequence((config.seed, _DATA, replicate))
         )
         dm = generate_data(truth, config.n, data_rng)
         t0 = time.perf_counter()
-        if config.fit_rank == "true":
-            k = config.k_true
-        elif config.fit_rank == "select":
-            k = None
-        else:
-            k = int(config.fit_rank)
-        model = fit(dm, k=k)
+        model = fit(dm, k=config.k_true)
         record.fit_seconds = time.perf_counter() - t0
         estimate = posterior_mean(model)
         record.rel_error = rel_spectral_error(truth, estimate, truth_norm=truth_norm)
         t1 = time.perf_counter()
-        if config.interval_method == "sample_quantile":
-            grid = credible_intervals(
-                model,
-                pairs,
-                alpha=config.alpha,
-                method="sample_quantile",
-                n_samples=config.n_samples,
-                rng=RngSpec(_sampler_seed(config.seed, replicate)),
-            )
-            record.sample_seconds = time.perf_counter() - t1
-        else:
-            grid = credible_intervals(model, pairs, alpha=config.alpha)
-            record.sample_seconds = 0.0
+        # asymptotic intervals draw nothing and read neither n_samples nor rng
+        grid = credible_intervals(
+            model,
+            pairs,
+            alpha=config.alpha,
+            method=config.interval_method,
+            n_samples=config.n_samples,
+            rng=RngSpec(_sampler_seed(config.seed, replicate)),
+        )
+        sampled = config.interval_method == "sample_quantile"
+        record.sample_seconds = time.perf_counter() - t1 if sampled else 0.0
         covered = (grid.lower < truth_vals) & (truth_vals < grid.upper)
         record.coverage = float(np.mean(covered))
         record.mean_width = float(np.mean(grid.width))
     except (FableError, np.linalg.LinAlgError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
-        grid = None
-    return record, grid
+    return record
 
 
 def run_study(
@@ -287,7 +271,6 @@ def run_study(
     """
     records: list[MetricRecord] = []
     summaries: list[ConfigSummary] = []
-    audits: dict[str, CoverageSummary] = {}
     for config in configs:
         truth_rng = np.random.default_rng(
             np.random.SeedSequence((config.seed, _TRUTH))
@@ -299,20 +282,13 @@ def run_study(
         pairs = _tracked_pairs(config)
         truth_vals = _entry_values(truth.loadings, truth.diag, *pairs.T)
         reps = range(1, config.replicates + 1)
-
-        def one(r, _cfg=config, _t=truth, _tn=truth_norm, _pr=pairs, _tv=truth_vals):
-            return _run_replicate(_cfg, _t, _tn, _pr, _tv, r)
-
+        one = partial(_run_replicate, config, truth, truth_norm, pairs, truth_vals)
         if threads <= 1:
-            outcomes = [one(r) for r in reps]
+            config_records = [one(r) for r in reps]
         else:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(one, reps))
-        config_records = [rec for rec, _ in outcomes]
-        grids = [g for _, g in outcomes if g is not None]
+                config_records = list(pool.map(one, reps))
         records.extend(config_records)
-        if grids:
-            audits[config.config_id] = coverage_audit(truth_vals, grids)
         ok = [r for r in config_records if r.error is None]
         failures = len(config_records) - len(ok)
         rel = np.array([r.rel_error for r in ok])
@@ -333,7 +309,7 @@ def run_study(
                 mean_width=float(wid.mean()) if ok else np.nan,
             )
         )
-    return StudyResult(records=records, summaries=summaries, audits=audits)
+    return StudyResult(records=records, summaries=summaries)
 
 
 def runtime_benchmark(

@@ -1,4 +1,4 @@
-"""Tests for intervals, audits, diagnostics, and out-of-sample scoring."""
+"""Tests for intervals, diagnostics, and out-of-sample scoring."""
 
 import numpy as np
 import pytest
@@ -9,16 +9,13 @@ from fable.errors import (
     DimensionMismatch,
     EmptyTarget,
     IndexOutOfRange,
-    IndexSetMismatch,
     InvalidAlpha,
     OverlappingIndexSets,
     TooFewSamples,
 )
 from fable.inference import (
     AsymptoticVariances,
-    IntervalGrid,
     asymptotic_variances,
-    coverage_audit,
     credible_intervals,
     fitted_loglik,
     oos_loglik,
@@ -201,59 +198,6 @@ class TestCredibleIntervals:
         m, _ = fitted
         with pytest.raises(IndexOutOfRange):
             credible_intervals(m, [(0, m.p)])
-
-
-def make_grid(pairs, lower, upper, alpha=0.05):
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    finite = np.isfinite(lower) & np.isfinite(upper)
-    center = np.zeros(len(pairs))
-    center[finite] = (lower[finite] + upper[finite]) / 2.0
-    u, v = np.array(pairs).reshape(-1, 2).T
-    return IntervalGrid(
-        u=u,
-        v=v,
-        center=center,
-        lower=lower,
-        upper=upper,
-        asym_sd=np.ones(len(pairs)),
-        alpha=alpha,
-        method="asymptotic",
-    )
-
-
-class TestCoverageAudit:
-    def test_infinite_width_always_covers(self):
-        g = make_grid([(0, 0)], [-np.inf], [np.inf])
-        out = coverage_audit([3.0], [g, g])
-        assert out.mean_coverage == 1.0
-        assert out.mean_width == np.inf
-
-    def test_zero_width_never_covers(self):
-        g = make_grid([(0, 0)], [3.0], [3.0])
-        out = coverage_audit([3.0], [g])
-        assert out.mean_coverage == 0.0
-
-    def test_fractional_coverage(self):
-        hit = make_grid([(0, 1)], [0.0], [1.0])
-        miss = make_grid([(0, 1)], [0.6], [1.0])
-        out = coverage_audit([0.5], [hit, hit, hit, miss])
-        assert out.per_entry[0] == pytest.approx(0.75)
-        assert out.n_grids == 4
-        assert out.mean_width == pytest.approx((1.0 + 1.0 + 1.0 + 0.4) / 4.0)
-
-    def test_mismatched_grids(self):
-        a = make_grid([(0, 0)], [0.0], [1.0])
-        b = make_grid([(0, 1)], [0.0], [1.0])
-        with pytest.raises(IndexSetMismatch):
-            coverage_audit([0.5], [a, b])
-
-    def test_missing_truth_entry(self):
-        g = make_grid([(0, 2)], [0.0], [1.0])
-        with pytest.raises(IndexSetMismatch):
-            coverage_audit([], [g])
-        with pytest.raises(IndexSetMismatch):
-            coverage_audit([0.5, 0.5], [g])
 
 
 class TestDiagnostics:

@@ -991,6 +991,53 @@ class TestCliSimulate:
         assert code == 1
         assert "preset" in json.loads(capsys.readouterr().err)["message"]
 
+    SMALL = ["simulate", "--n", "20", "--p", "30", "--k", "2", "--replicates", "2",
+             "--seed", "1", "--tracked", "5", "--threads", "1"]
+
+    @pytest.mark.parametrize(
+        "extra, error",
+        [
+            (["--alpha", "2"], "InvalidAlpha"),
+            (["--interval-method", "sample_quantile", "--n-samples", "5"], "TooFewSamples"),
+        ],
+    )
+    def test_every_replicate_failing_is_refused_up_front(self, tmp_path, capsys, extra, error):
+        # these used to run every replicate into the same failure and
+        # write an all-NaN summary with exit 0
+        summ = tmp_path / "sum.csv"
+        code = main([*self.SMALL, *extra, "--output-summaries", str(summ)])
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+        assert captured.out == ""
+        assert not summ.exists()
+
+    @pytest.mark.parametrize(
+        "raised, message",
+        [
+            (MemoryError("Unable to allocate 745. PiB for an array"),
+             "Unable to allocate 745. PiB for an array"),
+            (MemoryError(), "out of memory"),
+        ],
+    )
+    def test_out_of_memory_is_a_record(self, tmp_path, capsys, monkeypatch, raised, message):
+        # never allocate for real: the machine may overcommit
+        def exhausted(config, rng):
+            raise raised
+
+        monkeypatch.setattr(fable.simharness, "generate_truth", exhausted)
+        summ = tmp_path / "sum.csv"
+        code = main([*self.SMALL, "--output-summaries", str(summ)])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record == {"error": "OutOfMemory", "message": message}
+        assert issubclass(getattr(fable.errors, record["error"]), fable.errors.FableError)
+        assert not summ.exists()
+
 
 class TestCliBench:
     def test_table_with_log_columns(self, tmp_path):

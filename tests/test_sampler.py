@@ -420,6 +420,16 @@ class TestUniformBlocks:
             rng.uniform_block(1, 4, 1), RngSpec(5).uniform_block(1, 4, 1)
         )
 
+    @pytest.mark.parametrize(
+        "rows", [slice(None), slice(2, 5), np.array([5, 1, 5, 7]), np.arange(8)[::-1]]
+    )
+    def test_row_selection_reads_the_full_block(self, rows):
+        # row j reads the same uniforms whichever rows are asked for
+        rng = RngSpec(9)
+        full = rng.uniform_block(4, 8, 2)
+        picked = rng.uniform_block(4, 8, 2, rows)
+        assert picked.tobytes() == full[rows].tobytes()
+
     @staticmethod
     def transformed(model, block, rows, r):
         """Rows ``rows`` of a draw, from a clipped uniform block.
