@@ -10,11 +10,13 @@ stderr and exit 1; usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 import warnings
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from itertools import chain
@@ -59,7 +61,7 @@ from .io import (
 )
 from .linalg import DataMatrix
 from .model import RHO_STRATEGIES, fit
-from .sampler import RngSpec, _upper_pairs, draw_samples, posterior_mean
+from .sampler import RngSpec, _cpu_count, _upper_pairs, draw_samples, posterior_mean
 from .simharness import SimulationConfig, run_study, runtime_benchmark
 
 # the four (n, p) cells of the headline study, all at rank 10
@@ -75,7 +77,7 @@ def _parse_int(text: str, what: str) -> int:
 
 def _default_threads() -> int:
     env = os.environ.get("FABLE_THREADS", "")
-    return _parse_int(env, "FABLE_THREADS") if env.strip() else os.cpu_count() or 1
+    return _parse_int(env, "FABLE_THREADS") if env.strip() else _cpu_count()
 
 
 def parse_indices(text: str, p: int) -> list[int]:
@@ -238,18 +240,15 @@ def _cmd_fit(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = load_model(args.model)
+    if args.rho is not None:
+        model = dataclasses.replace(model, rho=args.rho)
     draws = draw_samples(
-        model,
-        args.n_samples,
-        RngSpec(args.seed),
-        rho=args.rho,
-        threads=args.threads,
-        start=args.start,
+        model, args.n_samples, RngSpec(args.seed), threads=args.threads, start=args.start
     )
     count = save_samples(args.output, draws, format=args.sample_format)
     _save_manifest(
         args, args.manifest, {"samples": args.output}, seed=args.seed,
-        resolved={"n_samples": count, "rho": args.rho if args.rho is not None else model.rho},
+        resolved={"n_samples": count, "rho": model.rho},
     )
     print(f"sample: {count} draws -> {args.output}")
     return 0
@@ -454,6 +453,21 @@ def _recorded_manifest(argv: list[str]) -> str | None:
         return None  # the replayed run reports the usage error itself
 
 
+def _replay_paths(paths: list[str], outdir: Path) -> dict[str, str]:
+    """Map each distinct recorded path to its own file under ``outdir``:
+    its file name where no other path has that name, else the first free
+    numbered one, as "1-out.bin" and "2-out.bin"."""
+    names = {path: Path(path).name for path in paths}
+    counts = Counter(names.values())
+    taken = {name for name, n in counts.items() if n == 1}
+    for path, name in names.items():
+        if counts[name] > 1:  # of len(names) + 1 numbers, one is free
+            free = (f"{i}-{name}" for i in range(1, len(names) + 2))
+            names[path] = next(new for new in free if new not in taken)
+            taken.add(names[path])
+    return {path: str(outdir / name) for path, name in names.items()}
+
+
 def _cmd_replay(args) -> int:
     manifest = load_manifest(args.manifest)
     argv = list(manifest.config.get("argv", []))
@@ -468,7 +482,7 @@ def _cmd_replay(args) -> int:
     # recorded one is not overwritten
     if recorded := _recorded_manifest(argv):
         written.append(recorded)
-    mapping = {path: str(outdir / Path(path).name) for path in written}
+    mapping = _replay_paths(written, outdir)
 
     def mapped(arg: str) -> str:
         option, eq, value = arg.partition("=")

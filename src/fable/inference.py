@@ -89,34 +89,30 @@ class IntervalGrid:
         return self.upper - self.lower
 
 
-def _variance_terms(model: FableModel, u_idx, v_idx, rho: float):
+def _variance_terms(model: FableModel, u_idx, v_idx):
     m_sq = np.einsum("jk,jk->j", model.mu, model.mu)
     dots = np.einsum("ek,ek->e", model.mu[u_idx], model.mu[v_idx])
     vu, vv = model.v_sq[u_idx], model.v_sq[v_idx]
     mu2, mv2 = m_sq[u_idx], m_sq[v_idx]
     diag = u_idx == v_idx
     cross = vv * mu2 + vu * mv2
-    l0 = np.where(diag, 2.0 * vu * vu + 4.0 * rho**2 * vu * mu2, rho**2 * cross)
+    l0 = np.where(diag, 2.0 * vu * vu + 4.0 * model.rho**2 * vu * mu2, model.rho**2 * cross)
     s0 = np.where(diag, 2.0 * (mu2 + vu) ** 2, cross + mu2 * mv2 + dots * dots)
     return dots, l0, s0
 
 
 def asymptotic_variances(
-    model: FableModel,
-    indices: Sequence[tuple[int, int]] | np.ndarray,
-    *,
-    rho: float | None = None,
+    model: FableModel, indices: Sequence[tuple[int, int]] | np.ndarray
 ) -> AsymptoticVariances:
     """Closed-form plug-in variances for the entries ``indices``, a list
-    of (u, v) pairs or an (m, 2) array.
+    of (u, v) pairs or an (m, 2) array, at the model's rho.
 
     Off-diagonal: l0^2 = rho^2 (V_v^2 |mu_u|^2 + V_u^2 |mu_v|^2) and
     S0^2 adds |mu_u|^2 |mu_v|^2 + (mu_u . mu_v)^2. Diagonal: l0^2 =
     2 V_u^4 + 4 rho^2 V_u^2 |mu_u|^2 and S0^2 = 2 (|mu_u|^2 + V_u^2)^2.
     """
     u, v = _entry_set(indices, model.p)
-    r = model.rho if rho is None else float(rho)
-    _, l0, s0 = _variance_terms(model, u, v, r)
+    _, l0, s0 = _variance_terms(model, u, v)
     return AsymptoticVariances(l0_sq=l0, s0_sq=s0)
 
 
@@ -142,7 +138,7 @@ def credible_intervals(
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
     u, v = _entry_set(indices, model.p)
-    dots, l0, _ = _variance_terms(model, u, v, model.rho)
+    dots, l0, _ = _variance_terms(model, u, v)
     center = dots + np.where(u == v, model.delta_sq[u], 0.0)
     sd = np.sqrt(l0 / model.n)
 

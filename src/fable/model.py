@@ -67,7 +67,8 @@ class FableModel:
     sigma_j^2 ~ IG(gamma_n / 2, gamma_n * delta_sq[j] / 2) and, given
     sigma_j^2, the loading row is N(mu[j], rho^2 sigma_j^2 /
     (n + 1 / tau_sq) * I_k). ``rho`` is the variance inflation that
-    makes entrywise credible intervals match their asymptotic width.
+    makes entrywise credible intervals match their asymptotic width; for
+    another, use ``dataclasses.replace(model, rho=r)``.
     """
 
     n: int
@@ -108,21 +109,20 @@ class FableModel:
                 raise NonFinite(f"{name} contains NaN or infinite entries")
             object.__setattr__(self, name, _frozen(arr))
         if np.any(self.delta_sq <= 0):
-            raise ValueError("delta_sq must be strictly positive")
+            raise InvalidOption("delta_sq must be strictly positive")
         if np.any(self.v_sq < 0) or np.any(self.l_sq < 0):
-            raise ValueError("l_sq and v_sq must be nonnegative")
-        for val, name in (
-            (self.tau_sq, "tau_sq"),
-            (self.gamma0, "gamma0"),
-            (self.delta0_sq, "delta0_sq"),
-            (self.rho, "rho"),
-        ):
+            raise InvalidOption("l_sq and v_sq must be nonnegative")
+        for name in ("tau_sq", "gamma0", "delta0_sq"):
+            val = getattr(self, name)
             if not np.isfinite(val) or val <= 0:
-                raise ValueError(f"{name} must be positive and finite, got {val}")
+                raise InvalidOption(f"{name} must be positive and finite, got {val}")
+        # rho 0 is legal: its draws put the loadings at their posterior mean
+        if not np.isfinite(self.rho) or self.rho < 0:
+            raise InvalidOption(f"rho must be finite and nonnegative, got {self.rho}")
         if abs(self.gamma_n - (self.gamma0 + n)) > 1e-9 * max(1.0, self.gamma_n):
-            raise ValueError("gamma_n must equal gamma0 + n")
+            raise InvalidOption("gamma_n must equal gamma0 + n")
         if self.rho_strategy not in RHO_STRATEGIES and self.rho_strategy != "manual":
-            raise ValueError(f"unknown rho_strategy {self.rho_strategy!r}")
+            raise InvalidOption(f"unknown rho_strategy {self.rho_strategy!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
@@ -407,7 +407,7 @@ def compute_rho(
     if strategy != "solve_mean_coverage":
         raise InvalidOption(f"unknown strategy {strategy!r}")
     if not 0.0 < alpha < 1.0:
-        raise InvalidOption(f"alpha must be in (0, 1), got {alpha}")
+        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
     return _solve_mean_coverage(mu, v_sq, alpha)
 
 

@@ -12,10 +12,12 @@ transforms.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,9 +47,10 @@ __all__ = [
 _UNIFORM_LO = 2.0**-53
 _UNIFORM_HI = 1.0 - 2.0**-53
 
-# Tag mixed into the seed for auxiliary randomness (reservoir slots);
-# far larger than any plausible draw index, so the streams never collide.
-_RESERVOIR_TAG = int.from_bytes(b"reservoir", "big")
+# Draws kept for the quantiles of sample_entry_stats, and the tag mixed
+# into the seed for its reservoir slots; the tag is far larger than any
+# plausible draw index, so the streams never collide.
+_RESERVOIR, _RESERVOIR_TAG = 10_000, int.from_bytes(b"reservoir", "big")
 
 
 @dataclass(frozen=True)
@@ -116,33 +119,19 @@ class EntryStats:
     exact: bool
 
 
-def _effective_rho(model: FableModel, rho: float | None) -> float:
-    if rho is None:
-        return model.rho
-    if rho < 0 or not np.isfinite(rho):
-        raise InvalidOption(f"rho must be finite and nonnegative, got {rho}")
-    return float(rho)
-
-
-def draw_sample(
-    model: FableModel,
-    t: int,
-    rng: RngSpec,
-    *,
-    rho: float | None = None,
-) -> CovarianceSample:
+def draw_sample(model: FableModel, t: int, rng: RngSpec) -> CovarianceSample:
     """Draw number t from the surrogate posterior.
 
     Noise variance j inverts the Inverse-Gamma CDF at the block's first
     uniform; the loading row then adds rho * sigma_j / sqrt(n + 1/tau^2)
-    times a standard normal vector. ``rho=0`` collapses the loadings to
-    their posterior mean, which is occasionally useful for testing.
+    times a standard normal vector. A model with rho 0 collapses the
+    loadings to their posterior mean, which is occasionally useful.
     """
-    return _draw_rows(model, t, rng, _effective_rho(model, rho), slice(None))
+    return _draw_rows(model, t, rng, slice(None))
 
 
 def _draw_rows(
-    model: FableModel, t: int, rng: RngSpec, r: float, rows: slice | np.ndarray
+    model: FableModel, t: int, rng: RngSpec, rows: slice | np.ndarray
 ) -> CovarianceSample:
     """Rows ``rows`` of draw t, in that order.
 
@@ -153,7 +142,7 @@ def _draw_rows(
     block = rng.uniform_block(t, model.p, model.k, rows)
     gamma_draw = gammaincinv(model.gamma_n / 2.0, block[:, 0])
     noise_sq = (model.gamma_n * model.delta_sq[rows] / 2.0) / gamma_draw
-    scale = r * np.sqrt(noise_sq * model.posterior_scale_sq)
+    scale = model.rho * np.sqrt(noise_sq * model.posterior_scale_sq)
     loadings = model.mu[rows] + scale[:, None] * ndtri(block[:, 1:])
     return CovarianceSample(index=t, loadings=loadings, noise_sq=noise_sq)
 
@@ -164,45 +153,50 @@ def _check_count(n_samples: int) -> int:
     return int(n_samples)
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _in_order(fn: Callable, items: Iterable, threads: int) -> Iterator:
+    """Yield ``fn(item)`` for each of ``items``, in order: made here at one
+    thread, else by min(threads, CPUs) pool threads with 4 calls per thread
+    in flight, so they keep going while the consumer handles a result."""
+    workers = min(threads, _cpu_count())
+    if workers <= 1:
+        for item in items:
+            yield fn(item)
+        return
+    todo = iter(items)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        try:
+            pending.extend(pool.submit(fn, item) for item in islice(todo, 4 * workers))
+            while pending:
+                result = pending.popleft().result()
+                pending.extend(pool.submit(fn, item) for item in islice(todo, 1))
+                yield result
+        finally:  # an error or an early close leaves no queued call behind
+            for future in pending:
+                future.cancel()
+
+
 def _iter_draws(
     model: FableModel,
     indices: Sequence[int],
     rng: RngSpec,
-    rho: float | None,
     threads: int,
     rows: np.ndarray | None = None,
 ) -> Iterator[CovarianceSample]:
     """Draws ``indices`` in order; only ``rows`` of each when given."""
-    r = _effective_rho(model, rho)
 
     def draw(t: int) -> CovarianceSample:
         if rows is None:  # full draws stay visible to wrappers of draw_sample
-            return draw_sample(model, t, rng, rho=r)
-        return _draw_rows(model, t, rng, r, rows)
+            return draw_sample(model, t, rng)
+        return _draw_rows(model, t, rng, rows)
 
-    if threads <= 1:
-        for t in indices:
-            yield draw(t)
-        return
-    # A window of 4 * threads draws stays in flight, so the workers keep
-    # drawing while the consumer writes or scores the draw it was given.
-    todo = iter(indices)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
-        try:
-            for t in todo:
-                pending.append(pool.submit(draw, t))
-                if len(pending) == 4 * threads:
-                    break
-            while pending:
-                sample = pending.popleft().result()
-                t = next(todo, None)
-                if t is not None:
-                    pending.append(pool.submit(draw, t))
-                yield sample
-        finally:  # an error or an early close leaves no queued draw behind
-            for future in pending:
-                future.cancel()
+    return _in_order(draw, indices, threads)
 
 
 def draw_samples(
@@ -210,7 +204,6 @@ def draw_samples(
     n_samples: int,
     rng: RngSpec,
     *,
-    rho: float | None = None,
     threads: int = 1,
     start: int = 1,
 ) -> Iterator[CovarianceSample]:
@@ -220,15 +213,14 @@ def draw_samples(
     Thread count affects wall time only, never values.
     """
     n_samples = _check_count(n_samples)
-    # rho and the index range are checked now, not when the stream is
-    # first read, so a refused run opens no output; a stream stores each
-    # index in 64 bits
+    # the index range is checked now, not when the stream is first read,
+    # so a refused run opens no output; a stream stores each index in 64 bits
     if not isinstance(start, (int, np.integer)) or not 0 <= start <= 2**64 - n_samples:
         raise InvalidOption(
             f"draw indices must lie in [0, 2**64), got {start} to {start + n_samples - 1}"
         )
     indices = range(start, start + n_samples)
-    return _iter_draws(model, indices, rng, _effective_rho(model, rho), threads)
+    return _iter_draws(model, indices, rng, threads)
 
 
 def _entry_set(
@@ -316,17 +308,15 @@ def sample_entry_stats(
     rng: RngSpec,
     indices: Sequence[tuple[int, int]] | np.ndarray,
     *,
-    rho: float | None = None,
     quantiles: Sequence[float] = (0.025, 0.5, 0.975),
     threads: int = 1,
-    reservoir: int = 10_000,
 ) -> EntryStats:
     """Mean, sd, and quantiles of the entries ``indices`` (a list of
     (u, v) pairs or an (m, 2) array) over draws, as (m,) arrays.
 
     Mean and sd are streamed over every draw. Quantiles use the full
-    draw sequence when n_samples <= ``reservoir`` and an Algorithm-R
-    subsample of that size otherwise (results then carry exact=False).
+    draw sequence when n_samples <= 10,000 and an Algorithm-R subsample
+    of that size otherwise (results then carry exact=False).
     Reservoir decisions consume a dedicated substream, so outputs stay
     independent of the thread count. Each draw runs the inverse CDFs on
     the distinct rows of ``indices`` only; the values equal those of
@@ -344,13 +334,13 @@ def sample_entry_stats(
     u_loc, v_loc = inverse.reshape(2, -1)
     diag_mask = (u == v).astype(np.float64)
 
-    cap = min(n_samples, reservoir)
+    cap = min(n_samples, _RESERVOIR)
     buf = np.empty((cap, len(u)))
     res_rng = np.random.default_rng(
         np.random.SeedSequence((rng.seed, _RESERVOIR_TAG))
     )
     s1, s2 = np.zeros(len(u)), np.zeros(len(u))
-    draws = _iter_draws(model, range(1, n_samples + 1), rng, rho, threads, rows)
+    draws = _iter_draws(model, range(1, n_samples + 1), rng, threads, rows)
     for seen, sample in enumerate(draws):
         vals = (
             np.einsum("ek,ek->e", sample.loadings[u_loc], sample.loadings[v_loc])

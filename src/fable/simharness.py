@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -33,7 +32,8 @@ from .linalg import (
 )
 from .model import fit
 from .sampler import (
-    RngSpec, _check_count, _entry_values, _upper_pairs, draw_samples, posterior_mean
+    RngSpec, _check_count, _entry_values, _in_order, _upper_pairs, draw_samples,
+    posterior_mean,
 )
 
 __all__ = [
@@ -87,6 +87,8 @@ class SimulationConfig:
         # numpy cannot shape the n x p data past this; p * k_true <= n * p
         if self.n * self.p > sys.maxsize // 8:
             raise InvalidOption(f"n x p = {self.n} x {self.p} is too large for one array")
+        if self.seed < 0:
+            raise InvalidOption(f"seed must be nonnegative, got {self.seed}")
         if self.replicates < 1:
             raise InvalidOption("replicates must be >= 1")
         if not 1 <= self.tracked <= self.p:
@@ -283,11 +285,7 @@ def run_study(
         truth_vals = _entry_values(truth.loadings, truth.diag, *pairs.T)
         reps = range(1, config.replicates + 1)
         one = partial(_run_replicate, config, truth, truth_norm, pairs, truth_vals)
-        if threads <= 1:
-            config_records = [one(r) for r in reps]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                config_records = list(pool.map(one, reps))
+        config_records = list(_in_order(one, reps, threads))
         records.extend(config_records)
         ok = [r for r in config_records if r.error is None]
         failures = len(config_records) - len(ok)

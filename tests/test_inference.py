@@ -1,5 +1,7 @@
 """Tests for intervals, diagnostics, and out-of-sample scoring."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -87,7 +89,7 @@ class TestAsymptoticVariances:
         m, _ = fitted
         b = compute_b_matrix(m)
         for u, v in [(0, 1), (3, 17), (8, 8), (25, 25), (11, 39)]:
-            av = asymptotic_variances(m, [(u, v)], rho=float(b[u, v]))
+            av = asymptotic_variances(replace(m, rho=float(b[u, v])), [(u, v)])
             assert av.l0_sq[0] == pytest.approx(av.s0_sq[0], rel=1e-10)
 
     def test_rotation_invariance(self):
@@ -130,7 +132,8 @@ class TestAsymptoticVariancesOracle:
     def test_matches_per_pair(self, fitted, name, form, rho):
         m, _ = fitted
         l0_want, s0_want = reference_asymptotic_variances(m, ENTRY_SETS[name], rho=rho)
-        got = asymptotic_variances(m, entry_input(name, form), rho=rho)
+        got = asymptotic_variances(m if rho is None else replace(m, rho=rho),
+                                   entry_input(name, form))
         assert got.l0_sq.tolist() == [l0_want[pair] for pair in ENTRY_SETS[name]]
         assert got.s0_sq.tolist() == [s0_want[pair] for pair in ENTRY_SETS[name]]
 

@@ -13,6 +13,8 @@ import numpy.testing as npt
 import pytest
 
 import fable
+import fable.cli
+import fable.sampler
 import fable.simharness
 from fable.cli import main, parse_indices, _parse_p_grid
 from fable.errors import (
@@ -768,6 +770,19 @@ class TestCliSample:
         assert "--threads" in json.loads(capsys.readouterr().err)["message"]
         assert not out.exists()
 
+    def test_rho_zero_draws_at_the_posterior_mean(self, workspace, tmp_path):
+        out, man = tmp_path / "s.bin", tmp_path / "s.json"
+        assert main(["sample", "--model", str(workspace["model"]), "--n-samples", "3",
+                     "--seed", "21", "--rho", "0", "--output", str(out),
+                     "--manifest", str(man)]) == 0
+        model = load_model(workspace["model"])
+        draws = list(load_samples(out))
+        assert [d.index for d in draws] == [1, 2, 3]
+        for d, full in zip(draws, draw_samples(model, 3, RngSpec(21))):
+            assert d.loadings.tobytes() == model.mu.tobytes()
+            assert d.noise_sq.tobytes() == full.noise_sq.tobytes()
+        assert load_manifest(man).resolved["rho"] == 0.0
+
     def test_negative_start_writes_nothing(self, workspace, tmp_path, capsys):
         out = tmp_path / "s.bin"
         code = main(["sample", "--model", str(workspace["model"]),
@@ -1188,6 +1203,36 @@ class TestCliReplay:
         assert main(["replay", "--manifest", str(path), "--outdir", str(tmp_path / "r")]) == 0
         assert "bit-identically" in capsys.readouterr().out
 
+    def test_outputs_sharing_a_name_replay_apart(self, workspace, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        man = tmp_path / "mm.json"
+        assert main(["mean", "--model", str(workspace["model"]), "--form", "factored",
+                     "--output-loadings", str(tmp_path / "a" / "out.bin"),
+                     "--output-noise", str(tmp_path / "b" / "out.bin"),
+                     "--manifest", str(man)]) == 0
+        outdir = tmp_path / "rr"
+        assert main(["replay", "--manifest", str(man), "--outdir", str(outdir)]) == 0
+        assert "2 output(s)" in capsys.readouterr().out
+        assert (outdir / "1-out.bin").read_bytes() == (tmp_path / "a" / "out.bin").read_bytes()
+        assert (outdir / "2-out.bin").read_bytes() == (tmp_path / "b" / "out.bin").read_bytes()
+        assert (outdir / "mm.json").exists()
+
+    def test_manifest_sharing_the_report_name_replays(self, workspace, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        report, man = tmp_path / "a" / "d.json", tmp_path / "b" / "d.json"
+        assert main(["diagnose", "--model", str(workspace["model"]),
+                     "--input", str(workspace["train"]),
+                     "--output", str(report), "--manifest", str(man)]) == 0
+        outdir = tmp_path / "rr"
+        assert main(["replay", "--manifest", str(man), "--outdir", str(outdir)]) == 0
+        assert "1 output(s)" in capsys.readouterr().out
+        assert (outdir / "1-d.json").read_bytes() == report.read_bytes()
+        assert load_manifest(outdir / "2-d.json").outputs["report"]["path"] == str(
+            outdir / "1-d.json"
+        )
+
     def test_sample_replay(self, workspace, tmp_path, capsys):
         out = tmp_path / "s.bin"
         man = tmp_path / "s.manifest.json"
@@ -1289,6 +1334,10 @@ class TestTypedRefusals:
               "--seed", "1", "--tracked", "5", "--threads", "1"], "too large"),
             (["simulate", "--n", "20", "--p", str(2 * 10**17), "--replicates", "1",
               "--seed", "1", "--tracked", "5", "--threads", "1"], "too large"),
+            (["simulate", "--n", "20", "--p", "30", "--k", "2", "--replicates", "1",
+              "--seed", "-1", "--tracked", "5", "--threads", "1"], "seed"),
+            (["bench", "--p-grid", "40", "--n", "20", "--k", "2", "--n-samples", "5",
+              "--repeats", "1", "--seed", "-1"], "seed"),
         ],
     )
     def test_refusal_is_invalid_option(self, workspace, tmp_path, capsys, argv, message):
@@ -1351,6 +1400,12 @@ class TestThreadsEnv:
                      "--n-samples", "4", "--seed", "21",
                      "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_default_is_the_cpus_the_pool_is_capped_by(self, monkeypatch):
+        monkeypatch.delenv("FABLE_THREADS", raising=False)
+        assert fable.cli._default_threads() == fable.sampler._cpu_count()
+        monkeypatch.setattr(fable.cli, "_cpu_count", lambda: 3)
+        assert fable.cli._default_threads() == 3
 
     def test_invalid_env_is_an_error(self, workspace, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FABLE_THREADS", "lots")

@@ -1,5 +1,6 @@
 """Oracle and property tests for rank selection, fitting, and rho."""
 
+import dataclasses
 import math
 import warnings
 
@@ -11,6 +12,8 @@ from fable.errors import (
     AllZeroSpectrum,
     DegenerateDenominator,
     DimensionMismatch,
+    InvalidAlpha,
+    InvalidOption,
     InvalidSpectrumFraction,
     NonFinite,
     RankOutOfRange,
@@ -592,6 +595,15 @@ class TestComputeRho:
                 }
                 assert len(got) == 1, (p, strategy)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, np.nan])
+    def test_solve_refuses_alpha_as_fit_does(self, alpha):
+        mu, v_sq = np.ones((3, 2)), np.ones(3)
+        with pytest.raises(InvalidAlpha, match="alpha"):
+            compute_rho(mu, v_sq, strategy="solve_mean_coverage", alpha=alpha)
+        _, _, y = make_factor_data(40, 10, 2, seed=61)
+        with pytest.raises(InvalidAlpha, match="alpha"):
+            fit(center_columns(y), k=2, coverage_alpha=alpha)
+
 
 def rho_at_block(block, *args, **kwargs):
     """compute_rho streaming B in row blocks of ``block`` rows."""
@@ -757,7 +769,7 @@ class TestOverflow:
 
 class TestModelValidation:
     def test_gamma_n_consistency(self):
-        with pytest.raises(ValueError, match="gamma_n"):
+        with pytest.raises(InvalidOption, match="gamma_n"):
             TestBMatrix.manual_model([[1.0]], [1.0]).__class__(
                 **{
                     **TestBMatrix.manual_model([[1.0]], [1.0]).__dict__,
@@ -767,8 +779,23 @@ class TestModelValidation:
 
     def test_nonpositive_delta(self):
         m = TestBMatrix.manual_model([[1.0]], [1.0])
-        with pytest.raises(ValueError, match="delta_sq"):
+        with pytest.raises(InvalidOption, match="delta_sq"):
             FableModel(**{**m.__dict__, "delta_sq": np.zeros(1)})
+
+    def test_rho_zero_is_legal(self):
+        m = TestBMatrix.manual_model([[1.0]], [1.0], rho=0.0)
+        assert dataclasses.replace(m, rho=0).rho == 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rho", -1.0), ("rho", np.nan), ("rho", np.inf), ("tau_sq", -1.0),
+         ("gamma0", 0.0), ("delta0_sq", np.nan), ("rho_strategy", "median_b"),
+         ("v_sq", -np.ones(1))],
+    )
+    def test_value_refusals_are_invalid_option(self, field, value):
+        m = TestBMatrix.manual_model([[1.0]], [1.0])
+        with pytest.raises(InvalidOption, match=field):
+            dataclasses.replace(m, **{field: value})
 
     def test_mu_shape(self):
         m = TestBMatrix.manual_model([[1.0]], [1.0])

@@ -49,7 +49,7 @@ def mid_model():
 
 class TestDrawSample:
     def test_rho_zero_collapses_loadings(self, small_model):
-        s = draw_sample(small_model, 1, RngSpec(3), rho=0.0)
+        s = draw_sample(dataclasses.replace(small_model, rho=0.0), 1, RngSpec(3))
         np.testing.assert_array_equal(s.loadings, small_model.mu)
         assert np.all(s.noise_sq > 0)
 
@@ -185,19 +185,22 @@ class TestSubmitAhead:
         assert threading.active_count() == baseline
 
     def test_window_holds_four_draws_per_thread(self, mid_model, monkeypatch):
-        submitted = []
-
-        class CountingPool(ThreadPoolExecutor):
-            def submit(self, fn, t):
-                submitted.append(t)
-                return super().submit(fn, t)
-
-        monkeypatch.setattr(fable.sampler, "ThreadPoolExecutor", CountingPool)
+        pool = counting_pool(monkeypatch, cpus=2)
         stream = draw_samples(mid_model, 13, RngSpec(61), threads=2)
         assert next(stream).index == 1
         # the first 8 draws, then one more for the draw handed out
-        assert submitted == list(range(1, 10))
+        assert pool.submitted == list(range(1, 10))
         stream.close()
+
+    def test_workers_capped_by_the_cpus(self, mid_model, monkeypatch):
+        pool = counting_pool(monkeypatch, cpus=2)
+        stream = draw_samples(mid_model, 13, RngSpec(61), threads=50)
+        assert next(stream).index == 1
+        assert pool.max_workers == [2]
+        assert pool.submitted == list(range(1, 10))
+        assert [s.index for s in stream] == list(range(2, 14))
+        # 8 calls in flight whenever a result is taken, until none is left
+        assert pool.taken_at == [min(8 + i, 13) for i in range(13)]
 
     def test_early_close_ends_the_pool(self, mid_model):
         baseline = threading.active_count()
@@ -209,6 +212,35 @@ class TestSubmitAhead:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RngSpec(-1)
+
+
+def counting_pool(monkeypatch, cpus):
+    """Swap the sampler's thread pool for one that records its worker
+    counts, the items submitted to it, and how many had been submitted
+    when each result was taken; the sampler sees ``cpus`` CPUs."""
+
+    class CountingPool(ThreadPoolExecutor):
+        max_workers, submitted, taken_at = [], [], []
+
+        def __init__(self, max_workers):
+            self.max_workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def submit(self, fn, item):
+            self.submitted.append(item)
+            future = super().submit(fn, item)
+            result = future.result
+
+            def taken():
+                self.taken_at.append(len(self.submitted))
+                return result()
+
+            future.result = taken
+            return future
+
+    monkeypatch.setattr(fable.sampler, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(fable.sampler, "ThreadPoolExecutor", CountingPool)
+    return CountingPool
 
 
 class TestPosteriorMean:
@@ -289,6 +321,8 @@ def gathered_entry_stats(model, n_samples, seed, pairs, *, rho=None,
     """Oracle for sample_entry_stats: every row of each draw from
     draw_sample, the pairs' rows gathered afterwards, then the same
     streaming sums and Algorithm-R reservoir substream."""
+    if rho is not None:
+        model = dataclasses.replace(model, rho=rho)
     u = np.array([a for a, _ in pairs])
     v = np.array([b for _, b in pairs])
     diag = (u == v).astype(np.float64)
@@ -297,7 +331,7 @@ def gathered_entry_stats(model, n_samples, seed, pairs, *, rho=None,
     res_rng = np.random.default_rng(np.random.SeedSequence((seed, _RESERVOIR_TAG)))
     s1, s2 = np.zeros(len(pairs)), np.zeros(len(pairs))
     for seen, t in enumerate(range(1, n_samples + 1)):
-        d = draw_sample(model, t, RngSpec(seed), rho=rho)
+        d = draw_sample(model, t, RngSpec(seed))
         vals = np.einsum("ek,ek->e", d.loadings[u], d.loadings[v]) + diag * d.noise_sq[u]
         s1 += vals
         s2 += vals * vals
@@ -359,10 +393,14 @@ class TestSampleEntryStats:
         [{}, {"rho": 0.0}, {"reservoir": 40}],
         ids=["default", "rho0", "reservoir"],
     )
-    def test_bit_identical_to_gathered_full_draws(self, mid_model, threads, pairs, options):
-        got = sample_entry_stats(
-            mid_model, 120, RngSpec(79), pairs, threads=threads, **options
-        )
+    def test_bit_identical_to_gathered_full_draws(self, mid_model, threads, pairs, options,
+                                                  monkeypatch):
+        model = mid_model
+        if "rho" in options:
+            model = dataclasses.replace(mid_model, rho=options["rho"])
+        if "reservoir" in options:
+            monkeypatch.setattr(fable.sampler, "_RESERVOIR", options["reservoir"])
+        got = sample_entry_stats(model, 120, RngSpec(79), pairs, threads=threads)
         assert same_stats(got, gathered_entry_stats(mid_model, 120, 79, pairs, **options))
         assert got.exact == ("reservoir" not in options)
 
@@ -382,10 +420,9 @@ class TestSampleEntryStats:
             )
             assert stats.exact
 
-    def test_reservoir_flagged(self, small_model):
-        stats = sample_entry_stats(
-            small_model, 600, RngSpec(67), [(0, 0)], reservoir=200
-        )
+    def test_reservoir_flagged(self, small_model, monkeypatch):
+        monkeypatch.setattr(fable.sampler, "_RESERVOIR", 200)
+        stats = sample_entry_stats(small_model, 600, RngSpec(67), [(0, 0)])
         st = stats
         assert not st.exact
         assert st.n_samples == 600
@@ -457,7 +494,7 @@ class TestUniformBlocks:
         # of the same rows of uniform_block through the transforms
         rng = RngSpec(17)
         for r in (mid_model.rho, 0.7):
-            draw = _draw_rows(mid_model, t, rng, r, rows)
+            draw = _draw_rows(dataclasses.replace(mid_model, rho=r), t, rng, rows)
             loadings, noise_sq = self.transformed(
                 mid_model, rng.uniform_block(t, mid_model.p, mid_model.k), rows, r
             )
@@ -476,7 +513,7 @@ class TestUniformBlocks:
         rng, rows = RngSpec(1), np.array([6, 2, 3])
         block = rng.uniform_block(0, mid_model.p, mid_model.k)
         assert block.min() == 2.0**-53
-        draw = _draw_rows(mid_model, 0, rng, mid_model.rho, rows)
+        draw = _draw_rows(mid_model, 0, rng, rows)
         assert np.isfinite(draw.loadings).all()
         loadings, noise_sq = self.transformed(mid_model, block, rows, mid_model.rho)
         assert draw.loadings.tobytes() == loadings.tobytes()
@@ -515,6 +552,8 @@ def reference_sample_entry_stats(model, n_samples, rng, indices, *, rho=None,
                                  quantiles=(0.025, 0.5, 0.975), threads=1,
                                  reservoir=10_000):
     n_samples = _check_count(n_samples)
+    if rho is not None:
+        model = dataclasses.replace(model, rho=rho)
     pairs = reference_check_pairs(indices, model.p)
     uv = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     rows, inverse = np.unique(uv, return_inverse=True)
@@ -526,7 +565,7 @@ def reference_sample_entry_stats(model, n_samples, rng, indices, *, rho=None,
     s1 = np.zeros(len(pairs))
     s2 = np.zeros(len(pairs))
     seen = 0
-    for sample in _iter_draws(model, range(1, n_samples + 1), rng, rho, threads, rows):
+    for sample in _iter_draws(model, range(1, n_samples + 1), rng, threads, rows):
         vals = (
             np.einsum("ek,ek->e", sample.loadings[u_loc], sample.loadings[v_loc])
             + diag_mask * sample.noise_sq[u_loc]
@@ -637,8 +676,9 @@ class TestEntrySetOracles:
     def test_sample_entry_stats_matches_per_pair(self, mid_model, name, form, threads, rho):
         want = reference_sample_entry_stats(mid_model, 60, RngSpec(83), ENTRY_SETS[name],
                                             rho=rho)
-        got = sample_entry_stats(mid_model, 60, RngSpec(83), entry_input(name, form),
-                                 rho=rho, threads=threads)
+        model = mid_model if rho is None else dataclasses.replace(mid_model, rho=rho)
+        got = sample_entry_stats(model, 60, RngSpec(83), entry_input(name, form),
+                                 threads=threads)
         for e, pair in enumerate(ENTRY_SETS[name]):
             assert got.mean[e] == want[pair].mean
             assert got.sd[e] == want[pair].sd

@@ -9,6 +9,7 @@ from fable.errors import DimensionMismatch, InvalidAlpha, InvalidOption, TooFewS
 from fable.inference import _MIN_QUANTILE_SAMPLES
 from fable.linalg import StructuredCovariance
 from fable.sampler import _entry_values
+from test_sampler import counting_pool
 from fable.simharness import (
     _TRACKED,
     _tracked_pairs,
@@ -54,6 +55,10 @@ class TestSimulationConfig:
     def test_rejects_zero_replicates(self):
         with pytest.raises(ValueError, match="replicates"):
             SimulationConfig(n=20, p=10, k_true=2, replicates=0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidOption, match="seed must be nonnegative, got -1"):
+            SimulationConfig(n=20, p=10, k_true=2, tracked=5, seed=-1)
 
     def test_rejects_tracked_above_p(self):
         with pytest.raises(ValueError, match="tracked"):
@@ -304,6 +309,16 @@ class TestRunStudy:
         threaded = run_study([cfg], threads=3)
         assert metric_fields(res.records) == metric_fields(threaded.records)
         assert res.summaries == threaded.summaries
+
+    def test_workers_capped_by_the_cpus(self, monkeypatch):
+        pool = counting_pool(monkeypatch, cpus=2)
+        cfg = SimulationConfig(n=20, p=10, k_true=2, replicates=13, seed=5, tracked=4)
+        res = run_study([cfg], threads=50)
+        assert [r.replicate for r in res.records] == list(range(1, 14))
+        assert pool.max_workers == [2]
+        assert pool.submitted == list(range(1, 14))
+        # 8 replicates in flight whenever a result is taken, until none is left
+        assert pool.taken_at == [min(8 + i, 13) for i in range(13)]
 
     def test_coverage_near_nominal(self):
         cfg = SimulationConfig(n=200, p=400, k_true=5, replicates=6, seed=11,
