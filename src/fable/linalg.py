@@ -46,6 +46,9 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # about 2e-10 (TruncatedSvd rejects 1e-8).
 _GRAM_MIN_RATIO = 1e-6
 
+# spectral_norm's cap on ARPACK restarts.
+_LANCZOS_MAX_ITER = 10000
+
 
 def _abs_max(arr: np.ndarray) -> float:
     """max |x| over ``arr`` (0 when it is empty), or inf when it holds a
@@ -64,7 +67,10 @@ def _as_float_matrix(raw: np.ndarray, name: str = "input") -> np.ndarray:
 
 
 def _frozen(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
-    out = np.array(arr, dtype=dtype, copy=True)
+    """A read-only row-major copy: every array a fable object holds has
+    one layout, so reductions over it round the same way wherever it
+    came from."""
+    out = np.array(arr, dtype=dtype, copy=True, order="C")
     out.setflags(write=False)
     return out
 
@@ -338,19 +344,13 @@ def truncated_svd(
     return TruncatedSvd(u=u, singvals=s, v=v, spectrum=spectrum, k=rank)
 
 
-def spectral_norm(
-    a: MatrixLike,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 10000,
-    seed: int = 0,
-) -> float:
+def spectral_norm(a: MatrixLike, *, tol: float = 1e-8) -> float:
     """Largest singular value by Lanczos (ARPACK ``eigsh``) on A.T @ A.
 
     Accepts a dense array or a :class:`LinearMap`; the latter keeps the
     computation matrix-free for structured operators. ``tol`` is ARPACK's
-    relative accuracy for the top eigenvalue of A.T A, ``max_iter`` its
-    restart cap, and ``seed`` draws the starting vector. Unlike power
+    relative accuracy for the top eigenvalue of A.T A; the starting
+    vector is the same fixed normal draw on every call. Unlike power
     iteration, Lanczos converges when the two largest singular values
     nearly tie. Raises :class:`ConvergenceFailure` when ARPACK fails.
     """
@@ -367,10 +367,10 @@ def spectral_norm(
     if n <= 1:  # ARPACK needs n >= 2; A is then its one column (or none)
         return float(np.ldexp(np.linalg.norm(a.matvec(np.ones(n))), exponent))
     gram = LinearOperator((n, n), matvec=lambda x: a.rmatvec(a.matvec(x)), dtype=np.float64)
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
         top = eigsh(
-            gram, k=1, which="LA", v0=v0, tol=tol, maxiter=max_iter,
+            gram, k=1, which="LA", v0=v0, tol=tol, maxiter=_LANCZOS_MAX_ITER,
             return_eigenvectors=False,
         )
     except ArpackError as exc:
@@ -379,7 +379,7 @@ def spectral_norm(
             # operator is zero on the relevant subspace
             return 0.0
         raise ConvergenceFailure(
-            f"Lanczos did not meet tol={tol} within {max_iter} restarts ({exc})"
+            f"Lanczos did not meet tol={tol} within {_LANCZOS_MAX_ITER} restarts ({exc})"
         ) from exc
     return float(np.ldexp(np.sqrt(max(float(top[0]), 0.0)), exponent))
 

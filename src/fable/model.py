@@ -116,12 +116,16 @@ class FableModel:
             val = getattr(self, name)
             if not np.isfinite(val) or val <= 0:
                 raise InvalidOption(f"{name} must be positive and finite, got {val}")
-        # rho 0 is legal: its draws put the loadings at their posterior mean
-        if not np.isfinite(self.rho) or self.rho < 0:
-            raise InvalidOption(f"rho must be finite and nonnegative, got {self.rho}")
+        # rho 0 is legal: its draws put the loadings at their posterior mean.
+        # rho is squared downstream; ``*`` gives inf where ``**`` would raise.
+        rho = float(self.rho)
+        if not (rho >= 0 and math.isfinite(rho * rho)):
+            raise InvalidOption(
+                f"rho must be nonnegative with a finite square, got {self.rho}"
+            )
         if abs(self.gamma_n - (self.gamma0 + n)) > 1e-9 * max(1.0, self.gamma_n):
             raise InvalidOption("gamma_n must equal gamma0 + n")
-        if self.rho_strategy not in RHO_STRATEGIES and self.rho_strategy != "manual":
+        if self.rho_strategy not in RHO_STRATEGIES:
             raise InvalidOption(f"unknown rho_strategy {self.rho_strategy!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
@@ -290,6 +294,8 @@ def fit(
     mu = (np.sqrt(n) / denom) * proj.T
     gamma_n = gamma0 + n
     delta_sq = (gamma0 * delta0_sq + ysq - (n / denom) * projsq) / gamma_n
+    # rho's bits depend on mu's layout; it is computed from this column-major
+    # product, as every artifact's rho was, and the model keeps a row-major copy
     rho = compute_rho(mu, v_sq, strategy=rho_strategy, alpha=coverage_alpha)
     return FableModel(
         n=n,

@@ -93,10 +93,7 @@ class CovarianceSample:
     noise_sq: np.ndarray
 
     def entry(self, u: int, v: int) -> float:
-        val = float(self.loadings[u] @ self.loadings[v])
-        if u == v:
-            val += float(self.noise_sq[u])
-        return val
+        return float(_entry_values(self.loadings, self.noise_sq, np.intp([u]), np.intp([v]))[0])
 
     def dense(self) -> np.ndarray:
         return self.loadings @ self.loadings.T + np.diag(self.noise_sq)
@@ -248,23 +245,9 @@ def _upper_pairs(idx: Sequence[int]) -> np.ndarray:
 def _entry_values(
     loadings: np.ndarray, diag: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Entries (u[e], v[e]) of loadings @ loadings.T + diag(diag), bit for
-    bit what ``loadings[u] @ loadings[v]`` (plus ``diag[u]`` if u == v)
-    gives one pair at a time; einsum rounds differently.
-
-    That ``@`` is a BLAS dot, whose summation order depends on whether a
-    row's elements are adjacent in memory (in a fitted, column-major
-    ``mu`` they are not). The rows are gathered in the same kind of
-    layout, and a stacked matmul makes the same dot call for each entry.
-    """
-
-    def rows(idx: np.ndarray) -> np.ndarray:
-        if loadings.strides[1] == loadings.itemsize:
-            return loadings[idx]
-        # gather one row more and drop it: elements stay m + 1 apart
-        return np.take(loadings.T, np.append(idx, 0), axis=1)[:, :-1].T
-
-    out = (rows(u)[:, None, :] @ rows(v)[:, :, None])[:, 0, 0]
+    """Entries (u[e], v[e]) of loadings @ loadings.T + diag(diag): the one
+    kernel every covariance entry fable reports goes through."""
+    out = np.einsum("ek,ek->e", loadings[u], loadings[v])
     on_diag = u == v
     out[on_diag] += diag[u[on_diag]]
     return out
@@ -332,7 +315,6 @@ def sample_entry_stats(
     # u_loc / v_loc index into the distinct rows, the only ones drawn
     rows, inverse = np.unique(np.concatenate((u, v)), return_inverse=True)
     u_loc, v_loc = inverse.reshape(2, -1)
-    diag_mask = (u == v).astype(np.float64)
 
     cap = min(n_samples, _RESERVOIR)
     buf = np.empty((cap, len(u)))
@@ -342,10 +324,7 @@ def sample_entry_stats(
     s1, s2 = np.zeros(len(u)), np.zeros(len(u))
     draws = _iter_draws(model, range(1, n_samples + 1), rng, threads, rows)
     for seen, sample in enumerate(draws):
-        vals = (
-            np.einsum("ek,ek->e", sample.loadings[u_loc], sample.loadings[v_loc])
-            + diag_mask * sample.noise_sq[u_loc]
-        )
+        vals = _entry_values(sample.loadings, sample.noise_sq, u_loc, v_loc)
         s1 += vals
         s2 += vals * vals
         if seen < cap:

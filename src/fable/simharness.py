@@ -201,7 +201,6 @@ def rel_spectral_error(
     *,
     truth_norm: float | None = None,
     tol: float = 1e-6,
-    seed: int = 0,
 ) -> float:
     """Spectral norm of (truth - estimate) over the spectral norm of truth.
 
@@ -209,12 +208,10 @@ def rel_spectral_error(
     assembled. Pass ``truth_norm`` to reuse a precomputed denominator
     across replicates.
     """
-    num = spectral_norm(covariance_difference(truth, estimate), tol=tol, seed=seed)
+    num = spectral_norm(covariance_difference(truth, estimate), tol=tol)
     if truth_norm is None:
         truth_norm = spectral_norm(
-            LinearMap(shape=(truth.p, truth.p), matvec=truth.matvec),
-            tol=tol,
-            seed=seed,
+            LinearMap(shape=(truth.p, truth.p), matvec=truth.matvec), tol=tol
         )
     return num / truth_norm
 

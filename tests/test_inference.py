@@ -49,7 +49,7 @@ def manual_model(mu, v_sq, delta_sq=None, n=10, rho=1.0, tau_sq=1.0):
         delta0_sq=1.0,
         gamma_n=float(n + 1),
         rho=rho,
-        rho_strategy="manual",
+        rho_strategy="mean_b",
         mu=mu,
         delta_sq=np.ones(p) if delta_sq is None else np.asarray(delta_sq, float),
         v_sq=np.asarray(v_sq, dtype=float),

@@ -26,7 +26,14 @@ from fable.errors import (
     ParseError,
     ShapeError,
 )
-from fable.inference import credible_intervals, oos_loglik
+from fable.inference import (
+    asymptotic_variances,
+    credible_intervals,
+    fitted_loglik,
+    oos_loglik,
+    predictive_coverage,
+    variance_explained,
+)
 from fable.io import (
     MODEL_MAGIC,
     LoadedMatrix,
@@ -45,7 +52,9 @@ from fable.io import (
 )
 from fable.linalg import DataMatrix, center_columns
 from fable.model import fit
-from fable.sampler import RngSpec, draw_samples, posterior_mean
+from fable.sampler import (
+    RngSpec, draw_sample, draw_samples, posterior_mean, sample_entry_stats
+)
 from fable.simharness import runtime_benchmark
 
 from test_model import make_factor_data
@@ -368,6 +377,44 @@ class TestModelArtifact:
         for name in ("mu", "delta_sq", "v_sq", "l_sq", "u", "spectrum"):
             npt.assert_array_equal(getattr(back, name), getattr(model, name))
 
+    def test_fitted_model_gives_its_artifacts_bytes(self, tmp_path):
+        # fit builds mu column-major and load_model row-major; a model holds
+        # one layout, so every value read from it is the same, bit for bit
+        data = center_columns(make_factor_data(120, 150, 8, seed=37)[2])
+        fitted = fit(data, k=8)
+        save_model(tmp_path / "m.bin", fitted)
+        loaded = load_model(tmp_path / "m.bin")
+        pairs = np.stack(np.triu_indices(fitted.p), axis=1)
+
+        def outputs(model):
+            asym = credible_intervals(model, pairs)
+            quant = credible_intervals(model, pairs[:400], method="sample_quantile",
+                                       n_samples=150, rng=RngSpec(5))
+            var = asymptotic_variances(model, pairs)
+            stats = sample_entry_stats(model, 40, RngSpec(6), pairs[:400])
+            draw = draw_sample(model, 3, RngSpec(7))
+            factored = posterior_mean(model)
+            return {
+                "asymptotic": (asym.center, asym.lower, asym.upper, asym.asym_sd),
+                "sample_quantile": (quant.center, quant.lower, quant.upper),
+                "factored": (factored.loadings, factored.diag),
+                "dense_entrywise": posterior_mean(model, form="dense_entrywise",
+                                                  indices=pairs),
+                "asymptotic_variances": (var.l0_sq, var.s0_sq),
+                "sample_entry_stats": (stats.mean, stats.sd, *stats.quantiles.values()),
+                "draw_sample": (draw.loadings, draw.noise_sq),
+                "variance_explained": variance_explained(model),
+                "predictive_coverage": predictive_coverage(model, data),
+                "fitted_loglik": fitted_loglik(model, data),
+            }
+
+        def as_bytes(value):
+            parts = value if isinstance(value, tuple) else (value,)
+            return b"".join(np.asarray(part).tobytes() for part in parts)
+
+        got, want = outputs(fitted), outputs(loaded)
+        assert [name for name in got if as_bytes(got[name]) != as_bytes(want[name])] == []
+
     def test_deterministic_bytes(self, model, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         save_model(a, model)
@@ -457,6 +504,24 @@ class TestModelBoundaries:
                      "--output", str(out)])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "NonFinite"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["intervals", "--indices", "0-1"],
+         ["mean", "--form", "dense_entrywise", "--indices", "0-1"]],
+        ids=["intervals", "mean"],
+    )
+    def test_rho_whose_square_overflows(self, model, tmp_path, capsys, argv):
+        path = tmp_path / "m.bin"
+        save_model(path, model)
+        rewrite_header(path, lambda h: {**h, "rho": 1e300})
+        out = tmp_path / "out.csv"
+        code = main([argv[0], "--model", str(path), *argv[1:], "--output", str(out)])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParseError"
+        assert "rho" in record["message"]
         assert not out.exists()
 
 
@@ -1178,6 +1243,14 @@ class TestCliReplay:
             f"replayed with fable {fable.__version__}, OPENBLAS_NUM_THREADS=1)"
         )
 
+    def test_version_is_the_packages(self):
+        # replay names this version, so the package metadata must carry it
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+        versions = [line.split("=", 1)[1].strip() for line in project.splitlines()
+                    if line.split("=", 1)[0].strip() == "version"]
+        assert versions == [f'"{fable.__version__}"']
+
     def test_mismatch_names_both_blas_settings(self, tmp_path, monkeypatch, capsys):
         path = self.recorded_fit(tmp_path, monkeypatch, "1")
         payload = json.loads(path.read_text())
@@ -1313,6 +1386,7 @@ class TestTypedRefusals:
             (["sample", "--n-samples", "2", "--seed", "-1"], "seed"),
             (["sample", "--n-samples", "2", "--seed", "1", "--rho", "-1"], "rho"),
             (["sample", "--n-samples", "2", "--seed", "1", "--rho", "nan"], "rho"),
+            (["sample", "--n-samples", "2", "--seed", "1", "--rho", "1e200"], "rho"),
             (["sample", "--n-samples", "2", "--seed", "1", "--threads", "0"], "--threads"),
             (["intervals", "--indices", "5-3"], "decreasing range"),
             (["intervals", "--indices", ","], "no indices"),

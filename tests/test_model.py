@@ -421,7 +421,7 @@ class TestBMatrix:
             delta0_sq=1.0,
             gamma_n=float(n + 1),
             rho=rho,
-            rho_strategy="manual",
+            rho_strategy="mean_b",
             mu=mu,
             delta_sq=np.ones(p),
             v_sq=np.asarray(v_sq, dtype=float),
@@ -786,10 +786,15 @@ class TestModelValidation:
         m = TestBMatrix.manual_model([[1.0]], [1.0], rho=0.0)
         assert dataclasses.replace(m, rho=0).rho == 0
 
+    def test_rho_with_a_finite_square_is_legal(self):
+        m = TestBMatrix.manual_model([[1.0]], [1.0])
+        assert dataclasses.replace(m, rho=1e154).rho == 1e154
+
     @pytest.mark.parametrize(
         "field, value",
-        [("rho", -1.0), ("rho", np.nan), ("rho", np.inf), ("tau_sq", -1.0),
-         ("gamma0", 0.0), ("delta0_sq", np.nan), ("rho_strategy", "median_b"),
+        [("rho", -1.0), ("rho", np.nan), ("rho", np.inf), ("rho", 1e200),
+         ("rho", np.float64(1.4e154)), ("tau_sq", -1.0), ("gamma0", 0.0),
+         ("delta0_sq", np.nan), ("rho_strategy", "median_b"), ("rho_strategy", "manual"),
          ("v_sq", -np.ones(1))],
     )
     def test_value_refusals_are_invalid_option(self, field, value):

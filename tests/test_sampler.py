@@ -300,7 +300,7 @@ class TestPosteriorMean:
             delta0_sq=1.0,
             gamma_n=2.0,
             rho=1.0,
-            rho_strategy="manual",
+            rho_strategy="mean_b",
             mu=np.ones((2, 1)),
             delta_sq=np.ones(2),
             v_sq=np.ones(2),
@@ -525,6 +525,12 @@ class TestUniformBlocks:
 # pair. The array paths must give the same values bit for bit.
 
 
+def pair_dot(loadings, u, v):
+    """Row u of ``loadings`` dotted with row v: the entry kernel's einsum
+    on one pair."""
+    return float(np.einsum("ek,ek->e", loadings[[u]], loadings[[v]])[0])
+
+
 def reference_check_pairs(indices, p):
     pairs = []
     for pair in indices:
@@ -541,7 +547,7 @@ def reference_dense_mean(model, indices):
     inflation = 1.0 + model.k * model.rho**2 * model.posterior_scale_sq
     out = {}
     for u, v in pairs:
-        val = float(model.mu[u] @ model.mu[v])
+        val = pair_dot(model.mu, u, v)
         if u == v:
             val += float(inflation * noise_mean[u])
         out[(u, v)] = val
@@ -648,26 +654,30 @@ class TestEntrySetOracles:
 
     @entry_sets
     @entry_forms
-    def test_dense_mean_matches_per_pair_matmul(self, mid_model, name, form):
+    def test_dense_mean_matches_per_pair(self, mid_model, name, form):
         want = reference_dense_mean(mid_model, ENTRY_SETS[name])
         got = posterior_mean(mid_model, form="dense_entrywise",
                              indices=entry_input(name, form))
         assert got.tolist() == [want[pair] for pair in ENTRY_SETS[name]]
 
     @pytest.mark.parametrize("k", [1, 3, 10, 17, 50])
-    @pytest.mark.parametrize("order", ["F", "C"], ids=["fitted", "row-major"])
-    def test_dense_mean_matches_per_pair_matmul_at_rank(self, k, order):
-        # a stacked matmul rounds as a per-pair @ does at every width,
-        # where einsum differs on most entries; fit leaves mu column-major,
-        # a loaded artifact has it row-major, and BLAS sums the two apart
+    @pytest.mark.parametrize("order", ["F", "C"], ids=["column-major", "row-major"])
+    def test_dense_mean_matches_per_pair_at_rank(self, k, order):
+        # a model holds mu row-major whatever layout it is built from, so
+        # both give the per-pair entries, bit for bit, at every width
         _, _, y = make_factor_data(max(4 * k, 40), 60, min(k, 5), seed=103)
-        model = fit(center_columns(y), k=k)
-        model = dataclasses.replace(model, mu=np.asarray(model.mu, order=order))
-        assert model.mu.flags[f"{order}_CONTIGUOUS"]
+        fitted = fit(center_columns(y), k=k)
+        mu = np.asarray(fitted.mu, order=order)
+        assert mu.flags[f"{order}_CONTIGUOUS"]
+        model = dataclasses.replace(fitted, mu=mu)
+        assert model.mu.flags.c_contiguous
         pairs = [(u, v) for u in range(60) for v in range(u, 60)]
         want = reference_dense_mean(model, pairs)
         got = posterior_mean(model, form="dense_entrywise", indices=pairs)
         assert got.tolist() == [want[pair] for pair in pairs]
+        assert got.tobytes() == posterior_mean(
+            fitted, form="dense_entrywise", indices=pairs
+        ).tobytes()
 
     @entry_sets
     @entry_forms

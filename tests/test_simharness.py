@@ -227,11 +227,11 @@ def reference_tracked_pairs(config):
 
 
 def reference_truth_entries(truth, pairs):
-    """The true entries as the study computed them before, a dict keyed
-    by pair with one ``@`` per pair."""
+    """The true entries one pair at a time, a dict keyed by pair with the
+    entry kernel's einsum on each pair."""
     out = {}
     for u, v in pairs:
-        val = float(truth.loadings[u] @ truth.loadings[v])
+        val = float(np.einsum("ek,ek->e", truth.loadings[[u]], truth.loadings[[v]])[0])
         if u == v:
             val += float(truth.diag[u])
         out[(u, v)] = val
@@ -256,15 +256,18 @@ class TestTrackedEntriesOracle:
         assert truth_entries(truth, pairs).tolist() == [want[pair] for pair in want_pairs]
 
     def test_entries_of_a_column_major_truth(self):
-        # BLAS sums a row of a column-major matrix in another order
+        # a truth built from column-major loadings holds them row-major,
+        # so its entries are those of the row-major truth, bit for bit
         cfg = SimulationConfig(n=60, p=40, k_true=10, seed=5, tracked=40)
         truth = generate_truth(cfg, truth_rng(5))
-        truth = type(truth)(np.asfortranarray(truth.loadings), truth.diag)
-        assert truth.loadings.flags.f_contiguous
+        fortran = type(truth)(np.asfortranarray(truth.loadings), truth.diag)
+        assert fortran.loadings.flags.c_contiguous
         pairs = _tracked_pairs(cfg)
         want_pairs = [tuple(pair) for pair in pairs.tolist()]
         want = reference_truth_entries(truth, want_pairs)
-        assert truth_entries(truth, pairs).tolist() == [want[pair] for pair in want_pairs]
+        got = truth_entries(fortran, pairs)
+        assert got.tolist() == [want[pair] for pair in want_pairs]
+        assert got.tobytes() == truth_entries(truth, pairs).tobytes()
 
 
 @pytest.fixture(scope="module")
