@@ -22,6 +22,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidAlpha,
     InvalidOption,
+    NonFinite,
     OverlappingIndexSets,
     TooFewSamples,
 )
@@ -165,6 +166,14 @@ def credible_intervals(
         upper = stats.quantiles[1.0 - alpha / 2.0]
     else:
         raise InvalidOption(f"unknown method {method!r}")
+    bad = np.flatnonzero(~(np.isfinite(sd) & np.isfinite(lower) & np.isfinite(upper)))
+    if bad.size:
+        e = bad[0]
+        raise NonFinite(
+            f"interval of entry ({u[e]}, {v[e]}) is not finite at rho={model.rho!r}: "
+            f"sd {float(sd[e])}, bounds {float(lower[e])}, {float(upper[e])} "
+            f"({bad.size} of {len(u)} entries)"
+        )
 
     return IntervalGrid(
         u=u,

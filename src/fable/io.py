@@ -261,14 +261,14 @@ def preprocess(
         variances = arr.var(axis=0, ddof=1)
         order = np.argsort(-variances, kind="stable")
         kept = np.sort(order[:m])
+        arr = np.take(arr, kept, axis=1)  # row-major, as centering writes
     else:
         kept = np.arange(p)
-    # The gather runs even when every column is kept: its copy is laid
-    # out column-major, and the column means summed over that layout are
-    # the ones every artifact so far was made from.
-    arr = arr[:, kept]
-    dm = center_columns(arr) if center else DataMatrix._adopt(arr)
-    return dm, kept
+    if center:
+        return center_columns(arr), kept
+    # an array made here is adopted; the caller's own is copied
+    made = transform != "none" or m < p
+    return (DataMatrix._adopt(arr) if made else DataMatrix(arr)), kept
 
 
 def _model_header(model: FableModel) -> dict:

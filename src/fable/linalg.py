@@ -1,9 +1,10 @@
 """Dense linear algebra used by the rest of the package.
 
 Centering, truncated SVD with a fixed sign convention (exact, through the
-eigendecomposition of the smaller Gram matrix), a matrix-free spectral
-norm, and the Gaussian log-likelihood for a low-rank-plus-diagonal
-covariance evaluated without ever forming the p x p matrix.
+eigenvalues and top eigenvectors of the smaller Gram matrix), a
+matrix-free spectral norm, and the Gaussian log-likelihood for a
+low-rank-plus-diagonal covariance evaluated without ever forming the
+p x p matrix.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # orthogonality by about eps * (s_1 / s_i)^2, which at this ratio is still
 # about 2e-10 (TruncatedSvd rejects 1e-8).
 _GRAM_MIN_RATIO = 1e-6
+
+# How truncated_svd decomposed its input: the Gram matrix's tridiagonal
+# reduction, numpy's eigh of it, or LAPACK's SVD of the input.
+SVD_ROUTES = ("tridiagonal", "eigh", "svd")
+
+# Columns per chunk of center_columns' mean buffer (0.5 MB at n = 500).
+_MEAN_CHUNK = 128
 
 # spectral_norm's cap on ARPACK restarts.
 _LANCZOS_MAX_ITER = 10000
@@ -151,7 +159,8 @@ class TruncatedSvd:
     """Rank-k factors of a matrix plus the singular value spectrum.
 
     ``spectrum`` holds all min(n, p) singular values; ``singvals`` is its
-    first k entries.
+    first k entries. ``route`` names the decomposition that produced
+    them, one of :data:`SVD_ROUTES` (see :func:`truncated_svd`).
     """
 
     u: np.ndarray
@@ -159,8 +168,11 @@ class TruncatedSvd:
     v: np.ndarray
     spectrum: np.ndarray
     k: int
+    route: str
 
     def __post_init__(self) -> None:
+        if self.route not in SVD_ROUTES:
+            raise ValueError(f"route must be one of {SVD_ROUTES}, got {self.route!r}")
         u = _as_float_matrix(self.u, "u")
         v = _as_float_matrix(self.v, "v")
         s = np.asarray(self.singvals, dtype=np.float64)
@@ -247,17 +259,28 @@ MatrixLike = Union[np.ndarray, LinearMap]
 def center_columns(raw: np.ndarray) -> DataMatrix:
     """Subtract column means and return the centered matrix.
 
-    ``raw`` is left as it was: the centered values are one new array,
-    which the returned :class:`DataMatrix` holds without a further copy.
+    ``raw`` is left as it was: the centered values are one new row-major
+    array, which the returned :class:`DataMatrix` holds without a further
+    copy. Each column's mean is summed pairwise down the column, in
+    chunks of columns copied into one column-major buffer, so the same
+    values give the same bits whatever ``raw``'s memory layout.
     Columns that are constant become identically zero; that is allowed
     but flagged with a warning because later noise-variance estimates
     will reject them.
     """
     vals = _as_float_matrix(raw, "data matrix")
-    if vals.shape[0] < 2:
-        raise TooFewRows(f"need at least 2 rows to center, got {vals.shape[0]}")
-    means = vals.mean(axis=0)
-    centered = vals - means
+    n, p = vals.shape
+    if n < 2:
+        raise TooFewRows(f"need at least 2 rows to center, got {n}")
+    sums = np.empty(p)
+    buf = np.empty((n, min(_MEAN_CHUNK, p)), order="F")
+    for lo in range(0, p, _MEAN_CHUNK):
+        hi = min(lo + _MEAN_CHUNK, p)
+        chunk = buf[:, : hi - lo]
+        np.copyto(chunk, vals[:, lo:hi])
+        chunk.sum(axis=0, out=sums[lo:hi])
+    means = sums / n
+    centered = np.subtract(vals, means, order="C")
     dead = np.flatnonzero((centered.max(axis=0) == 0.0) & (centered.min(axis=0) == 0.0))
     if dead.size:
         warnings.warn(
@@ -296,25 +319,46 @@ def _checked_rank(k, shape: tuple[int, int]) -> int:
     return int(k)
 
 
+def _root(evals: np.ndarray) -> np.ndarray:
+    """Singular values from Gram eigenvalues, clipped at zero."""
+    return np.sqrt(np.clip(evals, 0.0, None))
+
+
+def _resolves(evals: np.ndarray, rank: int) -> bool:
+    """Whether the Gram eigenvalues ``evals`` (largest first) resolve the
+    top ``rank`` singular vectors; see ``_GRAM_MIN_RATIO``."""
+    return evals[0] > 0.0 and evals[rank - 1] >= _GRAM_MIN_RATIO * evals[0]
+
+
 def truncated_svd(
     data: DataMatrix | np.ndarray,
     k: int | Callable[[np.ndarray], int],
 ) -> TruncatedSvd:
     """Top-k singular triplets and the whole spectrum, exactly.
 
-    Takes ``eigh`` of the smaller Gram matrix, X X' when n <= p and X' X
-    otherwise. The spectrum is the square root of its eigenvalues clipped
-    at zero, so all min(n, p) singular values are returned; the top-k
-    vectors on the other side come from one product with X. ``k`` is the
-    rank, or a function that picks it from the spectrum.
+    Decomposes the smaller Gram matrix, X X' when n <= p and X' X
+    otherwise. The spectrum is the square root of all its eigenvalues
+    clipped at zero, so all min(n, p) singular values are returned; the
+    top-k vectors on the other side come from one product with X. ``k``
+    is the rank, or a function that picks it from the spectrum.
+
+    Only k eigenvectors are formed (route "tridiagonal"): one tridiagonal
+    reduction of the Gram matrix gives every eigenvalue and, by bisection
+    and inverse iteration, the top k vectors, through the LAPACK numpy
+    ships (:mod:`fable._lapack`). When that library or a routine is
+    missing, or LAPACK reports a failure (a top vector that did not
+    converge, a count other than k), numpy's ``eigh`` of the Gram matrix
+    is taken instead (route "eigh").
 
     Forming the Gram matrix squares the condition number. When
     s_k^2 < 1e-6 * s_1^2 (a k-th singular value heading for the
     sqrt(eps) * s_1 floor the Gram matrix can resolve, a rank below k, or
     the zero matrix) the retained vectors would be unreliable, and the
-    decomposition is redone by LAPACK's SVD. Either way the signs follow
-    :func:`_fix_signs`.
+    decomposition is redone by LAPACK's SVD (route "svd"). Whichever the
+    route, the signs follow :func:`_fix_signs`.
     """
+    from . import _lapack
+
     vals = _values_of(data)
     n, p = vals.shape
 
@@ -324,24 +368,45 @@ def truncated_svd(
     if not callable(k):
         _checked_rank(k, vals.shape)
     rows_side = n <= p
-    evals, evecs = np.linalg.eigh(vals @ vals.T if rows_side else vals.T @ vals)
-    evals, evecs = evals[::-1], evecs[:, ::-1]
-    spectrum = np.sqrt(np.clip(evals, 0.0, None))
-    rank = rank_of(spectrum)
 
-    if evals[0] <= 0.0 or evals[rank - 1] < _GRAM_MIN_RATIO * evals[0]:
+    def gram() -> np.ndarray:
+        return vals @ vals.T if rows_side else vals.T @ vals
+
+    route, top = "tridiagonal", None
+    reduced = _lapack.tridiagonalize(gram())
+    evals = None if reduced is None else reduced.eigenvalues()
+    if evals is not None:
+        spectrum = _root(evals)
+        rank = rank_of(spectrum)
+        if _resolves(evals, rank):
+            top = reduced.top_vectors(rank)
+        else:
+            route = "svd"
+    if route == "tridiagonal" and top is None:
+        route = "eigh"
+        evals, evecs = np.linalg.eigh(gram())
+        evals, evecs = evals[::-1], evecs[:, ::-1]
+        spectrum = _root(evals)
+        rank = rank_of(spectrum)
+        top = evecs[:, :rank]
+        if not _resolves(evals, rank):
+            route = "svd"
+
+    if route == "svd":
         u_full, spectrum, vt_full = np.linalg.svd(vals, full_matrices=False)
         rank = rank_of(spectrum)
         u, v = _fix_signs(u_full[:, :rank], vt_full[:rank].T)
-        return TruncatedSvd(u=u, singvals=spectrum[:rank], v=v, spectrum=spectrum, k=rank)
+        return TruncatedSvd(
+            u=u, singvals=spectrum[:rank], v=v, spectrum=spectrum, k=rank, route=route
+        )
 
-    top, s = evecs[:, :rank], spectrum[:rank]
+    s = spectrum[:rank]
     if rows_side:
         u, v = top, (vals.T @ top) / s
     else:
         u, v = (vals @ top) / s, top
     u, v = _fix_signs(u, v)
-    return TruncatedSvd(u=u, singvals=s, v=v, spectrum=spectrum, k=rank)
+    return TruncatedSvd(u=u, singvals=s, v=v, spectrum=spectrum, k=rank, route=route)
 
 
 def spectral_norm(a: MatrixLike, *, tol: float = 1e-8) -> float:

@@ -291,11 +291,9 @@ def fit(
     if tau_sq is None:
         tau_sq = float(np.mean(l_sq / v_sq) / k)
     denom = n + 1.0 / tau_sq
-    mu = (np.sqrt(n) / denom) * proj.T
+    mu = np.multiply(np.sqrt(n) / denom, proj.T, order="C")
     gamma_n = gamma0 + n
     delta_sq = (gamma0 * delta0_sq + ysq - (n / denom) * projsq) / gamma_n
-    # rho's bits depend on mu's layout; it is computed from this column-major
-    # product, as every artifact's rho was, and the model keeps a row-major copy
     rho = compute_rho(mu, v_sq, strategy=rho_strategy, alpha=coverage_alpha)
     return FableModel(
         n=n,
@@ -344,7 +342,7 @@ def _b_blocks(mu: np.ndarray, v_sq: np.ndarray, block: int):
         raise DegenerateDenominator(
             "inflation undefined where residual variance is zero and loadings are not"
         )
-    nu = mu / np.sqrt(np.where(v_sq > 0.0, v_sq, 1.0))[:, None]
+    nu = np.divide(mu, np.sqrt(np.where(v_sq > 0.0, v_sq, 1.0))[:, None], order="F")
     a = np.einsum("jk,jk->j", nu, nu)
     top = float(a.max(initial=0.0))
     if not math.isfinite(2.0 * top * top):
@@ -372,12 +370,13 @@ def _b_blocks(mu: np.ndarray, v_sq: np.ndarray, block: int):
         yield lo, hi, b
 
 
-def _upper_row_sums(b: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = b[i, i:].sum(): each row's sum over the upper triangle of
-    B. The sum runs over the same slice whatever the block size, so a
-    total of these row sums does not depend on it."""
-    for i in range(b.shape[0]):
-        out[i] = b[i, i:].sum()
+def _upper_total(b: np.ndarray) -> float:
+    """The sum of B's upper triangle, diagonal included, over the row
+    block b = B[lo:hi, lo:]. Its leading square is symmetric, so its
+    upper triangle holds half of that square's sum plus half its trace."""
+    w = b.shape[0]
+    square = b[:, :w]
+    return float(b[:, w:].sum()) + 0.5 * (float(square.sum()) + float(square.trace()))
 
 
 def compute_rho(
@@ -402,10 +401,8 @@ def compute_rho(
     p = mu.shape[0]
 
     if strategy == "mean_b":
-        row_sums = np.empty(p)
-        for lo, hi, b in _b_blocks(mu, v_sq, _BLOCK):
-            _upper_row_sums(b, row_sums[lo:hi])
-        return float(row_sums.sum()) / (p * (p + 1) / 2.0)
+        total = sum(_upper_total(b) for _, _, b in _b_blocks(mu, v_sq, _BLOCK))
+        return total / (p * (p + 1) / 2.0)
 
     if strategy == "sup_b":
         return max(float(b.max()) for _, _, b in _b_blocks(mu, v_sq, _BLOCK))
@@ -439,15 +436,15 @@ def _solve_mean_coverage(mu: np.ndarray, v_sq: np.ndarray, alpha: float) -> floa
     msum = m_sq + v_sq
     spare = np.empty(min(_BLOCK, p) * p)
 
-    def evaluate(rho: float, row_sums: np.ndarray | None = None):
-        """Mean miscoverage and its derivative in rho; with ``row_sums``,
-        also B's upper-triangle row sums and sup B."""
-        miss = weight = 0.0
+    def evaluate(rho: float, first: bool = False):
+        """Mean miscoverage and its derivative in rho; when ``first``,
+        also mean B and sup B."""
+        miss = weight = total = 0.0
         sup = 1.0
         for lo, hi, b in _b_blocks(mu, v_sq, _BLOCK):
-            if row_sums is not None:
+            if first:
                 sup = max(sup, float(b.max()))
-                _upper_row_sums(b, row_sums[lo:hi])
+                total += _upper_total(b)
             # Off the diagonal the asymptotic-to-surrogate sd ratio is
             # exactly rho / b_uv; only entries right of the diagonal count.
             lower = np.tri(hi - lo, dtype=bool)
@@ -471,20 +468,19 @@ def _solve_mean_coverage(mu: np.ndarray, v_sq: np.ndarray, alpha: float) -> floa
         miss += float(erfc(c * ratio).sum())
         # d erfc(x) / dx = -2 / sqrt(pi) exp(-x^2), and d s / d rho = s / rho
         slope = weight / rho + c * float(np.sum(np.exp(-((c * ratio) ** 2)) * dratio))
-        return miss / pairs, -2.0 / math.sqrt(math.pi) * slope / pairs, sup
+        return miss / pairs, -2.0 / math.sqrt(math.pi) * slope / pairs, total / pairs, sup
 
-    row_sums = np.empty(p)
-    miss, _, sup = evaluate(1.0, row_sums)
+    miss, _, mean_b, sup = evaluate(1.0, first=True)
     # No inflation needed (B is identically 1 up to roundoff).
     if miss <= alpha + 1e-12:
         return 1.0
     lo_r, hi_r, top = 1.0, 4.0 * sup, 4.0 * sup
     hi_known = False
-    rho = min(max(float(row_sums.sum()) / pairs, lo_r), top)
+    rho = min(max(mean_b, lo_r), top)
     for _ in range(100):
         if hi_known and hi_r - lo_r <= 1e-14 * hi_r:
             return 0.5 * (lo_r + hi_r)
-        miss, dmiss, _ = evaluate(rho)
+        miss, dmiss, _, _ = evaluate(rho)
         if miss > alpha:
             if rho == top:
                 raise BracketFailure(
@@ -499,14 +495,13 @@ def _solve_mean_coverage(mu: np.ndarray, v_sq: np.ndarray, alpha: float) -> floa
         pdf = math.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
         step = (goal - h) * 2.0 * pdf / -dmiss if pdf > 0.0 and dmiss < 0.0 else math.nan
         new = rho + step
-        if lo_r <= new <= hi_r:
+        if abs(step) <= 1e-9 * rho:
             # h is close to linear, so after a step this short the error
-            # is far below 1e-14 relative
-            if abs(step) <= 1e-9 * rho:
-                return new
-        elif hi_known:
-            new = 0.5 * (lo_r + hi_r)
-        else:
-            new = top  # look at the bracket's upper end before bisecting
+            # is far below 1e-14 relative; a step just past an end the
+            # last evaluation set is roundoff in m, so the end is the root
+            return min(max(new, lo_r), hi_r)
+        if not lo_r <= new <= hi_r:
+            # bisect, once the bracket's upper end has been looked at
+            new = 0.5 * (lo_r + hi_r) if hi_known else top
         rho = new
     raise ConvergenceFailure("mean-coverage solve did not converge in 100 evaluations")

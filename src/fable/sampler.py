@@ -27,6 +27,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidOption,
     InvalidSampleCount,
+    NonFinite,
     TooFewSamples,
 )
 from .linalg import StructuredCovariance, _frozen
@@ -282,7 +283,16 @@ def posterior_mean(
         )
     noise_mean = model.gamma_n * model.delta_sq / (model.gamma_n - 2.0)
     inflation = 1.0 + model.k * model.rho**2 * model.posterior_scale_sq
-    return _entry_values(model.mu, inflation * noise_mean, *_entry_set(indices, model.p))
+    u, v = _entry_set(indices, model.p)
+    means = _entry_values(model.mu, inflation * noise_mean, u, v)
+    bad = np.flatnonzero(~np.isfinite(means))
+    if bad.size:
+        e = bad[0]
+        raise NonFinite(
+            f"posterior mean of entry ({u[e]}, {v[e]}) overflows at rho={model.rho!r} "
+            f"({bad.size} of {means.size} entries)"
+        )
+    return means
 
 
 def sample_entry_stats(

@@ -1,5 +1,6 @@
 """Tests for file formats and the command-line pipeline."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -940,6 +941,42 @@ class TestIndexPairs:
         assert record["error"] == "IndexOutOfRange"
         assert record["message"] == f"index {bad} outside [0, 60)"
         assert not out.exists()
+
+
+class TestNoSilentInfinities:
+    """A legal rho whose square overflows the interval or the entrywise
+    mean arithmetic ends as one NonFinite record with exit 1, and no
+    output is written."""
+
+    @pytest.fixture
+    def huge_rho_model(self, workspace, tmp_path):
+        path = tmp_path / "huge.bin"
+        save_model(path, dataclasses.replace(load_model(workspace["model"]), rho=1.3e154))
+        return path
+
+    @pytest.mark.parametrize("command", ["intervals", "mean"])
+    def test_refused(self, huge_rho_model, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        argv = [command, "--model", str(huge_rho_model), "--indices", "0-2",
+                "--output", str(out)]
+        if command == "mean":
+            argv += ["--form", "dense_entrywise"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "NonFinite"
+        assert "rho=1.3e+154" in record["message"]
+        assert "(0, 0)" in record["message"]
+        assert not out.exists()
+
+    def test_library_calls_refuse(self, huge_rho_model):
+        model = load_model(huge_rho_model)
+        with pytest.raises(NonFinite, match="interval of entry"):
+            credible_intervals(model, [(0, 1), (1, 1)])
+        with pytest.raises(NonFinite, match="posterior mean of entry"):
+            posterior_mean(model, form="dense_entrywise", indices=[(0, 1), (1, 1)])
+        # off the diagonal the same model stays finite
+        assert np.isfinite(credible_intervals(model, [(0, 1)]).upper).all()
 
 
 class TestCliRankSelectionErrors:

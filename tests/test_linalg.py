@@ -1,5 +1,11 @@
 """Oracle and property tests for the linear algebra layer."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +13,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fable._lapack
 import fable.linalg
 from fable.errors import (
     ConvergenceFailure,
@@ -53,6 +60,19 @@ class TestCenterColumns:
     def test_nan_rejected(self):
         with pytest.raises(NonFinite):
             center_columns(np.array([[1.0, np.nan], [2.0, 3.0]]))
+
+    @pytest.mark.parametrize("view", ["C", "F", "strided"])
+    def test_same_bytes_whatever_the_layout(self, view):
+        # each column's mean is a pairwise sum down the column, so copies
+        # of one matrix in any layout center to the same row-major bytes
+        x = np.log2(np.random.default_rng(9).gamma(2.0, 50.0, (60, 600)).round() + 1.0)
+        want = np.asfortranarray(x).sum(axis=0) / 60
+        raw = {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x),
+               "strided": np.repeat(x, 2, axis=1)[:, ::2]}[view]
+        dm = center_columns(raw)
+        assert dm.column_means.tobytes() == want.tobytes()
+        assert dm.values.flags.c_contiguous
+        assert dm.values.tobytes() == np.ascontiguousarray(x - want).tobytes()
 
     def test_constant_column_warns(self):
         x = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
@@ -226,6 +246,7 @@ class TestGramSvd:
         y = with_spectrum(20, 30, [1.0, 0.5, 2e-3], seed=33)
         out = truncated_svd(y, 3)
         assert svd_calls == []
+        assert out.route == "tridiagonal"
         u, s, v = lapack_oracle(y, 3)
         np.testing.assert_allclose(out.u, u, rtol=0, atol=1e-9)
         np.testing.assert_allclose(out.v, v, rtol=0, atol=1e-9)
@@ -236,6 +257,7 @@ class TestGramSvd:
         y = with_spectrum(20, 30, [1.0, 0.5, 1e-4], seed=34)
         out = truncated_svd(y, 3)
         assert svd_calls == [(20, 30)]
+        assert out.route == "svd"
         u, s, v = lapack_oracle(y, 3)
         np.testing.assert_array_equal(out.u, u)
         np.testing.assert_array_equal(out.v, v)
@@ -245,6 +267,7 @@ class TestGramSvd:
         y = with_spectrum(25, 18, [3.0, 2.0], seed=35)
         out = truncated_svd(y, 4)
         assert svd_calls == [(25, 18)]
+        assert out.route == "svd"
         u, s, v = lapack_oracle(y, 4)
         np.testing.assert_array_equal(out.u, u)
         np.testing.assert_array_equal(out.singvals, s[:4])
@@ -253,6 +276,7 @@ class TestGramSvd:
     def test_fallback_zero_matrix(self, svd_calls):
         out = truncated_svd(np.zeros((6, 4)), 2)
         assert svd_calls == [(6, 4)]
+        assert out.route == "svd"
         np.testing.assert_array_equal(out.spectrum, np.zeros(4))
         np.testing.assert_allclose(out.u.T @ out.u, np.eye(2), atol=1e-12)
 
@@ -274,6 +298,167 @@ class TestGramSvd:
         a, b = truncated_svd(y, 5), truncated_svd(y, 5)
         assert a.u.tobytes() == b.u.tobytes()
         assert a.spectrum.tobytes() == b.spectrum.tobytes()
+
+
+def eigh_path(y, k):
+    """truncated_svd as it was before the tridiagonal route: numpy's eigh
+    of the smaller Gram matrix, all of whose vectors it forms."""
+    n, p = y.shape
+    evals, evecs = np.linalg.eigh(y @ y.T if n <= p else y.T @ y)
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    spectrum = np.sqrt(np.clip(evals, 0.0, None))
+    top, s = evecs[:, :k], spectrum[:k]
+    u, v = (top, (y.T @ top) / s) if n <= p else ((y @ top) / s, top)
+    u, v = fable.linalg._fix_signs(u, v)
+    return u, s, v, spectrum
+
+
+@pytest.fixture
+def lapack_reset():
+    """Forget the LAPACK routines found so far, before and after a test
+    that changes how they are found."""
+    fable._lapack._routines.cache_clear()
+    yield fable._lapack
+    fable._lapack._routines.cache_clear()
+
+
+class TestSvdRoute:
+    """TruncatedSvd.route names the decomposition; the eigh route is the
+    one truncated_svd took before the tridiagonal route, byte for byte."""
+
+    def y(self):
+        return with_spectrum(30, 45, [6.0, 4.0, 3.0, 2.5, 1.0], seed=41) + 1e-3 * (
+            np.random.default_rng(42).normal(size=(30, 45))
+        )
+
+    def test_tridiagonal_by_default(self):
+        assert truncated_svd(self.y(), 3).route == "tridiagonal"
+
+    @pytest.mark.parametrize("attr, value", [("_LIBRARY", "libnothing_*.so"),
+                                             ("_SYMBOL", "scipy_{}_nothing_")],
+                             ids=["missing-library", "missing-symbol"])
+    def test_missing_lapack_takes_eigh(self, lapack_reset, monkeypatch, attr, value):
+        monkeypatch.setattr(lapack_reset, attr, value)
+        y = self.y()
+        out = truncated_svd(y, 3)
+        assert out.route == "eigh"
+        u, s, v, spectrum = eigh_path(y, 3)
+        assert out.u.tobytes() == np.ascontiguousarray(u).tobytes()
+        assert out.v.tobytes() == np.ascontiguousarray(v).tobytes()
+        assert out.singvals.tobytes() == s.tobytes()
+        assert out.spectrum.tobytes() == np.ascontiguousarray(spectrum).tobytes()
+
+    @staticmethod
+    def failing(lapack, monkeypatch, name, arg, value):
+        """Make LAPACK routine ``name`` report ``value`` through its
+        by-reference argument number ``arg`` (info or a count)."""
+        routines = dict(lapack._routines())
+        real = routines[name]
+
+        def fails(*args):
+            real(*args)
+            args[arg]._obj.value = value
+
+        routines[name] = fails
+        monkeypatch.setattr(lapack, "_routines", lambda: routines)
+
+    @pytest.mark.parametrize("name, arg, value", [("dstein", 12, 1), ("dstebz", 10, 4),
+                                                  ("dsterf", 3, 1), ("dormtr", 12, -7)],
+                             ids=["unconverged-vector", "count-not-rank",
+                                  "eigenvalues-fail", "back-transform-fails"])
+    def test_lapack_failure_takes_eigh(self, lapack_reset, monkeypatch, name, arg, value):
+        self.failing(lapack_reset, monkeypatch, name, arg, value)
+        y = self.y()
+        out = truncated_svd(y, 3)
+        assert out.route == "eigh"
+        u, _, v, spectrum = eigh_path(y, 3)
+        np.testing.assert_array_equal(out.u, u)
+        np.testing.assert_array_equal(out.v, v)
+        np.testing.assert_array_equal(out.spectrum, spectrum)
+
+    def test_rank_deficient_and_zero_take_svd(self):
+        assert truncated_svd(with_spectrum(25, 18, [3.0, 2.0], seed=35), 4).route == "svd"
+        assert truncated_svd(np.zeros((6, 4)), 2).route == "svd"
+
+    def test_route_is_not_a_setting(self):
+        out = truncated_svd(self.y(), 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.route = "eigh"
+        with pytest.raises(ValueError, match="route"):
+            dataclasses.replace(out, route="qr")
+
+    def test_import_loads_no_lapack(self):
+        # the library is opened on the first decomposition, not on import
+        src = str(Path(fable.__file__).resolve().parents[1])
+        code = "import sys, fable, fable.cli; print('fable._lapack' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.strip() == "False"
+
+
+def assert_matches_eigh(y, k):
+    """The tridiagonal route against numpy's eigh of the same Gram matrix:
+    squared spectrum within 1e-13 s_1^2, orthonormal top vectors, each
+    within 1e-12 of eigh's in 1 - |cos| where its eigenvalue stands
+    apart, and the same top-k span where some do not."""
+    out = truncated_svd(y, k)
+    assert out.route == "tridiagonal"
+    n, p = y.shape
+    rows_side = n <= p
+    evals, evecs = np.linalg.eigh(y @ y.T if rows_side else y.T @ y)
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    scale = evals[0]
+    np.testing.assert_allclose(out.spectrum**2, np.clip(evals, 0, None), rtol=0,
+                               atol=1e-13 * scale)
+    mine = out.u if rows_side else out.v
+    np.testing.assert_allclose(mine.T @ mine, np.eye(k), rtol=0, atol=1e-13)
+    gaps = np.append(-np.diff(evals[: k + 1]), np.inf) / scale
+    for j in range(k):
+        if min(gaps[j], gaps[j - 1] if j else np.inf) > 1e-6:
+            assert 1.0 - abs(mine[:, j] @ evecs[:, j]) < 1e-12, j
+    span = mine @ mine.T - evecs[:, :k] @ evecs[:, :k].T
+    assert np.abs(span).max() < 1e-10
+    return out
+
+
+class TestTridiagonalOracle:
+    def test_near_tied_top_eigenvalues(self):
+        y = with_spectrum(40, 70, [5.0, 5.0 * (1 + 1e-11), 5.0 * (1 - 1e-11), 2.0, 1.0],
+                          seed=51) + 1e-4 * np.random.default_rng(52).normal(size=(40, 70))
+        out = assert_matches_eigh(y, 3)
+        resid = y - (out.u * out.singvals) @ out.v.T
+        np.testing.assert_allclose(np.linalg.norm(resid, 2), out.spectrum[3], rtol=1e-9)
+
+    def test_block_diagonal_gram_splits(self):
+        # rows 0-19 load on columns 0-29 only and rows 20-49 on 30-79, so
+        # the Gram matrix is block diagonal and its tridiagonal splits;
+        # the top vectors alternate between the blocks
+        y = np.zeros((50, 80))
+        y[:20, :30] = with_spectrum(20, 30, [9.0, 5.0, 2.0, 1.0], seed=53)
+        y[20:, 30:] = with_spectrum(30, 50, [7.0, 3.0, 1.5, 0.5], seed=54)
+        reduced = fable._lapack.tridiagonalize(y @ y.T)
+        assert np.any(reduced.e == 0.0)
+        out = assert_matches_eigh(y, 5)
+        np.testing.assert_allclose(out.singvals, [9.0, 7.0, 5.0, 3.0, 2.0], rtol=1e-12)
+        assert np.all(out.u[20:, [0, 2, 4]] == 0.0) and np.all(out.u[:20, [1, 3]] == 0.0)
+
+    @pytest.mark.parametrize("n, p", [(30, 40), (40, 30)], ids=["wide", "tall"])
+    def test_rank_one_below_full(self, n, p):
+        y = np.random.default_rng(55).normal(size=(n, p))
+        assert_matches_eigh(y, min(n, p) - 1)
+
+    def test_tall_data_takes_the_columns_gram(self):
+        y = np.random.default_rng(56).normal(size=(90, 25)) @ np.diag(np.linspace(3, 1, 25))
+        assert_matches_eigh(y, 4)
+
+    @pytest.mark.parametrize("n, p", [(2, 5), (15, 60), (60, 15)])
+    def test_rank_one(self, n, p):
+        assert_matches_eigh(np.random.default_rng(57 + n).normal(size=(n, p)), 1)
+
+    def test_study_cell(self):
+        y = with_spectrum(300, 600, np.linspace(20, 10, 10), seed=58) + (
+            np.random.default_rng(59).normal(size=(300, 600)))
+        assert_matches_eigh(center_columns(y).values, 10)
 
 
 class TestSpectralNorm:

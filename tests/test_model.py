@@ -179,6 +179,16 @@ class TestJic:
         assert sel.k_hat == int(np.argmin(want)) + 1 == fit(dm).k
 
 
+def test_fit_does_not_see_the_input_layout():
+    # row-major and column-major copies of one matrix fit the same model
+    _, _, y = make_factor_data(60, 200, 3, seed=17)
+    a = fit(center_columns(np.ascontiguousarray(y)))
+    b = fit(center_columns(np.asfortranarray(y)))
+    assert a.rho == b.rho and a.k == b.k
+    for name in ("mu", "delta_sq", "v_sq", "l_sq", "u", "spectrum"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
 class TestSelectRank:
     def test_recovers_planted_rank(self):
         hits = 0
@@ -583,17 +593,30 @@ class TestComputeRho:
         assert miss / (m.p * (m.p + 1) / 2) == pytest.approx(alpha, rel=1e-9)
 
     def test_block_size_irrelevant(self):
-        # each row's upper-triangle sum runs over the same slice at any
-        # block size, so the totals are the same float
+        # the block size is a fixed constant, so rho is one float; at
+        # another size B's entries come from matrix products of another
+        # shape and mean B sums other blocks, which moves only roundoff
+        # (measured: 1 ulp for sup B, 1.7e-15 relative for mean B)
         for n, p, k, seed in ((40, 33, 2, 93), (50, 700, 10, 96)):
             _, _, y = make_factor_data(n, p, k, seed=seed)
             m = fit(center_columns(y), k=k)
             for strategy in ("mean_b", "sup_b"):
-                got = {
-                    rho_at_block(block, m.mu, m.v_sq, strategy=strategy)
-                    for block in (1, 7, 32, 512)
-                }
-                assert len(got) == 1, (p, strategy)
+                got = [rho_at_block(block, m.mu, m.v_sq, strategy=strategy)
+                       for block in (1, 7, 32, 512)]
+                assert got[2] == compute_rho(m.mu, m.v_sq, strategy=strategy)
+                np.testing.assert_allclose(got, got[2], rtol=1e-14, atol=0)
+
+    def test_block_totals_match_row_by_row_sums(self):
+        # each block's upper-triangle total from whole-block reductions,
+        # against one sum per row of the triangle
+        import fable.model as model
+
+        _, _, y = make_factor_data(50, 700, 10, seed=96)
+        m = fit(center_columns(y), k=10)
+        rows = np.concatenate([[b[i, i:].sum() for i in range(hi - lo)]
+                               for lo, hi, b in model._b_blocks(m.mu, m.v_sq, model._BLOCK)])
+        want = float(rows.sum()) / (m.p * (m.p + 1) / 2)
+        assert m.rho == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, np.nan])
     def test_solve_refuses_alpha_as_fit_does(self, alpha):
