@@ -51,9 +51,6 @@ _GRAM_MIN_RATIO = 1e-6
 # reduction, numpy's eigh of it, or LAPACK's SVD of the input.
 SVD_ROUTES = ("tridiagonal", "eigh", "svd")
 
-# Columns per chunk of center_columns' mean buffer (0.5 MB at n = 500).
-_MEAN_CHUNK = 128
-
 # spectral_norm's cap on ARPACK restarts.
 _LANCZOS_MAX_ITER = 10000
 
@@ -261,26 +258,18 @@ def center_columns(raw: np.ndarray) -> DataMatrix:
 
     ``raw`` is left as it was: the centered values are one new row-major
     array, which the returned :class:`DataMatrix` holds without a further
-    copy. Each column's mean is summed pairwise down the column, in
-    chunks of columns copied into one column-major buffer, so the same
-    values give the same bits whatever ``raw``'s memory layout.
+    copy. The means are taken from a row-major view of the values (a
+    copy only when ``raw`` is in another layout), so the same values give
+    the same bits whatever ``raw``'s memory layout.
     Columns that are constant become identically zero; that is allowed
     but flagged with a warning because later noise-variance estimates
     will reject them.
     """
-    vals = _as_float_matrix(raw, "data matrix")
-    n, p = vals.shape
-    if n < 2:
-        raise TooFewRows(f"need at least 2 rows to center, got {n}")
-    sums = np.empty(p)
-    buf = np.empty((n, min(_MEAN_CHUNK, p)), order="F")
-    for lo in range(0, p, _MEAN_CHUNK):
-        hi = min(lo + _MEAN_CHUNK, p)
-        chunk = buf[:, : hi - lo]
-        np.copyto(chunk, vals[:, lo:hi])
-        chunk.sum(axis=0, out=sums[lo:hi])
-    means = sums / n
-    centered = np.subtract(vals, means, order="C")
+    vals = np.ascontiguousarray(_as_float_matrix(raw, "data matrix"))
+    if vals.shape[0] < 2:
+        raise TooFewRows(f"need at least 2 rows to center, got {vals.shape[0]}")
+    means = vals.mean(axis=0)
+    centered = vals - means
     dead = np.flatnonzero((centered.max(axis=0) == 0.0) & (centered.min(axis=0) == 0.0))
     if dead.size:
         warnings.warn(

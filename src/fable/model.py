@@ -342,7 +342,7 @@ def _b_blocks(mu: np.ndarray, v_sq: np.ndarray, block: int):
         raise DegenerateDenominator(
             "inflation undefined where residual variance is zero and loadings are not"
         )
-    nu = np.divide(mu, np.sqrt(np.where(v_sq > 0.0, v_sq, 1.0))[:, None], order="F")
+    nu = np.divide(mu, np.sqrt(np.where(v_sq > 0.0, v_sq, 1.0))[:, None], order="C")
     a = np.einsum("jk,jk->j", nu, nu)
     top = float(a.max(initial=0.0))
     if not math.isfinite(2.0 * top * top):

@@ -5,8 +5,7 @@ Public constructors (``DataMatrix(...)``, ``center_columns``,
 array that fable has just made is adopted without a further copy. The
 peak bounds are multiples of the n x p float64 array's size, measured
 with tracemalloc, which sees every numpy data buffer: centering makes
-one array (and a column-major buffer of 128 columns for the means),
-generating data two (the noise draws and the loading product), the log2
+one array, generating data two (the noise draws and the loading product), the log2
 transform two (the transformed values and the centered ones), centering
 without a transform or filter one, and the binary reader one. The
 sample-quantile reservoir is partitioned in place. An entry set is two
@@ -49,13 +48,13 @@ def counts():
 
 
 class TestPeakMemory:
-    # measured: 1.09, 2.03, 2.10 and 1.00; before arrays were adopted and
+    # measured: 1.03, 2.03, 2.03 and 1.00; before arrays were adopted and
     # the checks went to reductions, the same calls peaked at 3, 5, 4 and 3
     def test_center_columns_makes_one_array(self, counts):
         assert peak_ratio(center_columns, counts) < 1.25
 
     def test_preprocess_keeping_every_column_makes_one_array(self, counts):
-        # measured 1.10; 2.03 when every kept column was gathered
+        # measured 1.03; 2.03 when every kept column was gathered
         assert peak_ratio(preprocess, counts) < 1.25
 
     def test_generate_data_holds_two_arrays(self):
