@@ -119,8 +119,8 @@ class DataMatrix:
         scale = _abs_max(vals)
         if not math.isfinite(scale):
             raise NonFinite("data matrix contains NaN or infinite entries")
-        if vals.shape[0] < 2:
-            raise TooFewRows(f"need at least 2 rows, got {vals.shape[0]}")
+        if vals.shape[0] < 1:  # one row is a valid held-out set; centering needs two
+            raise TooFewRows("data matrix has no rows")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if self.centered:
@@ -227,9 +227,6 @@ class StructuredCovariance:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.loadings @ (self.loadings.T @ x) + self.diag * x
-
-    def dense(self) -> np.ndarray:
-        return self.loadings @ self.loadings.T + np.diag(self.diag)
 
 
 @dataclass(frozen=True)
@@ -445,8 +442,6 @@ def gaussian_loglik(data: DataMatrix | np.ndarray, cov: StructuredCovariance) ->
     O(n p k + k^3) and the p x p covariance is never formed. ``data``
     rows are treated as independent draws; pass centered values.
     """
-    import scipy.linalg
-
     vals = _values_of(data)
     n, p = vals.shape
     if p != cov.p:
@@ -459,7 +454,7 @@ def gaussian_loglik(data: DataMatrix | np.ndarray, cov: StructuredCovariance) ->
         gd = g / delta[:, None]
         cap = np.eye(cov.k) + g.T @ gd
         chol = np.linalg.cholesky(cap)
-        w = scipy.linalg.solve_triangular(chol, (vals @ gd).T, lower=True)
+        w = np.linalg.solve(chol, (vals @ gd).T)
         quad = quad_diag - (w * w).sum(axis=0)
         logdet += 2.0 * float(np.log(np.diag(chol)).sum())
     else:

@@ -93,12 +93,6 @@ class CovarianceSample:
     loadings: np.ndarray
     noise_sq: np.ndarray
 
-    def entry(self, u: int, v: int) -> float:
-        return float(_entry_values(self.loadings, self.noise_sq, np.intp([u]), np.intp([v]))[0])
-
-    def dense(self) -> np.ndarray:
-        return self.loadings @ self.loadings.T + np.diag(self.noise_sq)
-
 
 @dataclass(frozen=True)
 class EntryStats:

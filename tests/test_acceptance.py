@@ -52,6 +52,7 @@ from fable.simharness import (
 )
 
 from test_model import factor_estimate
+from test_sampler import sample_entries
 
 HERE = Path(__file__).resolve().parent
 
@@ -169,10 +170,9 @@ def test_05_draw_normality():
     pairs = [(int(cols[2 * i]), int(cols[2 * i + 1])) for i in range(20)]
     grid = credible_intervals(model, pairs, alpha=0.05, method="asymptotic")
 
-    vals = np.empty((n_draws, len(pairs)))
-    for i, sample in enumerate(draw_samples(model, n_draws, RngSpec(11))):
-        for j, (u, v) in enumerate(pairs):
-            vals[i, j] = sample.entry(u, v)
+    us, vs = zip(*pairs)
+    vals = np.array([sample_entries(sample, us, vs)
+                     for sample in draw_samples(model, n_draws, RngSpec(11))])
 
     crit = float(special.kolmogi(0.01)) / np.sqrt(n_draws)
     ks = [float(stats.kstest((vals[:, j] - grid.center[j]) / grid.asym_sd[j],

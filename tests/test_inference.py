@@ -27,6 +27,7 @@ from fable.inference import (
 from fable.linalg import DataMatrix, center_columns, gaussian_loglik
 from fable.model import FableModel, fit
 from fable.sampler import RngSpec, posterior_mean
+from test_linalg import dense
 from test_model import compute_b_matrix, make_factor_data
 from test_sampler import (
     ENTRY_SETS,
@@ -213,7 +214,7 @@ class TestDiagnostics:
         _, _, y = make_factor_data(30, 6, 2, seed=404)
         dm = center_columns(y)
         m = fit(dm, k=2)
-        cov = posterior_mean(m).dense()
+        cov = dense(posterior_mean(m))
         want = scipy.stats.multivariate_normal(
             mean=np.zeros(6), cov=cov
         ).logpdf(dm.values).sum()

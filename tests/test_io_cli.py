@@ -1,8 +1,10 @@
 """Tests for file formats and the command-line pipeline."""
 
+import argparse
 import dataclasses
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -969,6 +971,19 @@ class TestNoSilentInfinities:
         assert "(0, 0)" in record["message"]
         assert not out.exists()
 
+    def test_alpha_below_the_quantile_resolution(self, workspace, tmp_path, capsys):
+        # 1 - 1e-17 / 2 rounds to 1, where the normal quantile is inf
+        out = tmp_path / "iv.csv"
+        capsys.readouterr()
+        assert main(["intervals", "--model", str(workspace["model"]), "--indices", "0-2",
+                     "--alpha", "1e-17", "--output", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "NonFinite"
+        assert "bounds -inf, inf" in record["message"]
+        assert not out.exists()
+
     def test_library_calls_refuse(self, huge_rho_model):
         model = load_model(huge_rho_model)
         with pytest.raises(NonFinite, match="interval of entry"):
@@ -1064,6 +1079,22 @@ class TestCliOos:
         want = oos_loglik(train_dm, test_block, targets, extras, k=3)
         assert report["oos_loglik"] == want
         assert report["targets"] == 30 and report["extras"] == 30
+
+    def test_one_row_test_set(self, workspace, tmp_path, capsys):
+        # held-out rows are independent draws, so the two one-row scores
+        # sum to the two-row one; only the train rows are centered
+        def score(rows):
+            path = tmp_path / f"test{len(rows)}-{rows[0]}.mat"
+            save_matrix(path, workspace["test_values"][rows])
+            code = main(["oos", "--input", str(workspace["train"]), "--test", str(path),
+                         "--targets", "0-29", "--extras", "30-59", "--k", "3"])
+            assert code == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["n_test"] == len(rows)
+            return report["oos_loglik"]
+
+        both = score([0, 1])
+        assert score([0]) + score([1]) == pytest.approx(both, rel=1e-12)
 
     @pytest.mark.parametrize("flag, indices", [("--targets", "0-60"), ("--extras", "30-99")])
     def test_index_outside_the_kept_columns(self, workspace, capsys, flag, indices):
@@ -1369,45 +1400,75 @@ def scipy_modules_after(statements: str) -> list[str]:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def startup_table() -> dict[str, set[str]]:
+    """README's "Start-up" table: each row's command, and the scipy
+    modules the row names."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Start-up\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            command, loaded = line.strip("|").split("|")[:2]
+            rows[command.strip().strip("`")] = set(re.findall(r"`(scipy\.\w+)`", loaded))
+    return rows
+
+
+# the rest of each row's argv: the files and small sizes it runs on
+STARTUP_ARGS = {
+    "fit": ["--input", "{train}", "--output", "{tmp}/m.bin"],
+    "fit --rho-strategy sup_b": ["--input", "{train}", "--output", "{tmp}/m.bin"],
+    "fit --rho-strategy solve_mean_coverage": ["--input", "{train}", "--output", "{tmp}/m.bin"],
+    "mean --form factored": ["--model", "{model}", "--output-loadings", "{tmp}/g.mat",
+                             "--output-noise", "{tmp}/d.mat"],
+    "mean --form dense_entrywise": ["--model", "{model}", "--indices", "0-3",
+                                    "--output", "{tmp}/mean.csv"],
+    "intervals --method asymptotic": ["--model", "{model}", "--indices", "0-3",
+                                      "--output", "{tmp}/iv.csv"],
+    "intervals --method sample_quantile": ["--model", "{model}", "--indices", "0-3",
+                                           "--n-samples", "100", "--seed", "3",
+                                           "--output", "{tmp}/iv.csv"],
+    "sample": ["--model", "{model}", "--n-samples", "2", "--seed", "3",
+               "--output", "{tmp}/s.bin"],
+    "bench": ["--p-grid", "40", "--n", "50", "--k", "2", "--n-samples", "20",
+              "--repeats", "1"],
+    "diagnose": ["--model", "{model}", "--input", "{train}", "--output", "{tmp}/d.json"],
+    "oos": ["--input", "{train}", "--test", "{test}", "--targets", "0-9",
+            "--extras", "10-19", "--k", "2", "--output", "{tmp}/o.json"],
+    "simulate": ["--n", "60", "--p", "30", "--k", "2", "--replicates", "1",
+                 "--seed", "4", "--tracked", "5"],
+    "simulate --interval-method sample_quantile": [
+        "--n", "60", "--p", "30", "--k", "2", "--replicates", "1", "--seed", "4",
+        "--tracked", "5", "--n-samples", "100"],
+}
+
+
 class TestStartupImports:
-    # importing scipy costs each process about 0.4 s; only the commands
-    # that compute with it may load it (see fable._special)
+    # importing a scipy submodule costs each process 0.16-0.25 s; only
+    # the commands that compute with it may load it (see fable._special)
     def test_cli_import_stays_light(self):
         assert scipy_modules_after("import fable") == []
         assert scipy_modules_after("import fable.cli") == []
 
-    def run_main(self, argv):
-        return scipy_modules_after(
-            f"from fable.cli import main\nassert main({[str(a) for a in argv]!r}) == 0"
-        )
+    def test_table_lists_every_command(self):
+        assert set(startup_table()) == set(STARTUP_ARGS)
+        commands = {row.split()[0] for row in STARTUP_ARGS}
+        subs = next(a for a in fable.cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        assert commands == set(subs.choices) - {"replay"}
 
-    def test_fit_mean_and_asymptotic_intervals_load_no_scipy(self, workspace, tmp_path):
-        model = tmp_path / "m.bin"
-        assert self.run_main(["fit", "--input", workspace["train"], "--output", model]) == []
-        assert self.run_main(["mean", "--model", model, "--form", "factored",
-                              "--output-loadings", tmp_path / "g.mat",
-                              "--output-noise", tmp_path / "d.mat"]) == []
-        assert self.run_main(["intervals", "--model", model, "--indices", "0-3",
-                              "--method", "asymptotic",
-                              "--output", tmp_path / "iv.csv"]) == []
-
-    def test_solve_mean_coverage_loads_no_optimizer(self, workspace, tmp_path):
-        loaded = self.run_main(["fit", "--input", workspace["train"],
-                                "--rho-strategy", "solve_mean_coverage",
-                                "--output", tmp_path / "m.bin"])
-        assert "scipy.special" in loaded
-        assert not any(m.startswith("scipy.optimize") for m in loaded)
-
-    def test_sampling_commands_load_scipy_special(self, workspace, tmp_path):
-        sample = self.run_main(["sample", "--model", workspace["model"],
-                                "--n-samples", "2", "--seed", "3",
-                                "--output", tmp_path / "s.bin"])
-        intervals = self.run_main(["intervals", "--model", workspace["model"],
-                                   "--indices", "0-3", "--method", "sample_quantile",
-                                   "--n-samples", "100", "--seed", "3",
-                                   "--output", tmp_path / "iv.csv"])
-        assert "scipy.special" in sample
-        assert "scipy.special" in intervals
+    @pytest.mark.parametrize("row", sorted(STARTUP_ARGS))
+    def test_loads_what_the_table_says(self, row, workspace, tmp_path):
+        names = {"train": workspace["train"], "test": workspace["test"],
+                 "model": workspace["model"], "tmp": tmp_path}
+        argv = row.split() + [arg.format(**names) for arg in STARTUP_ARGS[row]]
+        loaded = scipy_modules_after(f"from fable.cli import main\nassert main({argv!r}) == 0")
+        want = startup_table()[row]
+        if not want:
+            assert loaded == []
+        # the public subpackages, not scipy's private helpers and version
+        public = {".".join(m.split(".")[:2]) for m in loaded
+                  if m.count(".") and not m.split(".")[1].startswith("_")}
+        assert public - {"scipy.version"} == want
 
 
 class TestTypedRefusals:

@@ -35,6 +35,12 @@ from fable.linalg import (
 )
 
 
+def dense(cov):
+    """The p x p matrix of a StructuredCovariance: the oracle that its
+    matrix-free paths are checked against."""
+    return cov.loadings @ cov.loadings.T + np.diag(cov.diag)
+
+
 class TestCenterColumns:
     def test_two_by_two(self):
         dm = center_columns(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -505,7 +511,7 @@ class TestSpectralNorm:
         cov = StructuredCovariance(g, d)
         lm = LinearMap(shape=(15, 15), matvec=cov.matvec)
         np.testing.assert_allclose(
-            spectral_norm(lm), spectral_norm(cov.dense()), rtol=1e-7
+            spectral_norm(lm), spectral_norm(dense(cov)), rtol=1e-7
         )
 
     def test_iteration_cap(self, monkeypatch):
@@ -548,7 +554,7 @@ class TestStructuredCovariance:
             rng.normal(size=(8, 2)), rng.uniform(0.1, 1.0, size=8)
         )
         x = rng.normal(size=8)
-        np.testing.assert_allclose(cov.matvec(x), cov.dense() @ x, rtol=1e-12)
+        np.testing.assert_allclose(cov.matvec(x), dense(cov) @ x, rtol=1e-12)
 
     def test_positive_diag_enforced(self):
         with pytest.raises(NonPositiveDiag):
@@ -561,7 +567,7 @@ class TestStructuredCovariance:
         lm = covariance_difference(a, b)
         np.testing.assert_allclose(
             spectral_norm(lm),
-            np.linalg.norm(a.dense() - b.dense(), 2),
+            np.linalg.norm(dense(a) - dense(b), 2),
             rtol=1e-7,
         )
 
@@ -585,7 +591,7 @@ class TestGaussianLoglik:
         cov = StructuredCovariance(g, d)
         y = rng.normal(size=(4, 3))
         want = scipy.stats.multivariate_normal(
-            mean=np.zeros(3), cov=cov.dense()
+            mean=np.zeros(3), cov=dense(cov)
         ).logpdf(y).sum()
         assert gaussian_loglik(y, cov) == pytest.approx(want, rel=1e-10)
 
@@ -597,7 +603,7 @@ class TestGaussianLoglik:
             cov = StructuredCovariance(g, d)
             y = rng.normal(size=(n, p))
             want = scipy.stats.multivariate_normal(
-                mean=np.zeros(p), cov=cov.dense()
+                mean=np.zeros(p), cov=dense(cov)
             ).logpdf(y).sum()
             assert gaussian_loglik(y, cov) == pytest.approx(want, rel=1e-10)
 
@@ -610,6 +616,20 @@ class TestGaussianLoglik:
         a = gaussian_loglik(y, StructuredCovariance(g, d))
         b = gaussian_loglik(y, StructuredCovariance(g @ q, d))
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("n, p, k", [(1, 4, 1), (20, 60, 3), (100, 400, 10), (8, 30, 12)])
+    def test_matches_scipy_triangular_solve(self, n, p, k):
+        # the capacitance solve as scipy's solve_triangular did it
+        rng = np.random.default_rng(54 + k)
+        cov = StructuredCovariance(rng.normal(0.0, 0.6, (p, k)), rng.uniform(0.2, 3.0, p))
+        y = rng.normal(size=(n, p)) * 2.0
+        gd = cov.loadings / cov.diag[:, None]
+        chol = np.linalg.cholesky(np.eye(k) + cov.loadings.T @ gd)
+        w = scipy.linalg.solve_triangular(chol, (y @ gd).T, lower=True)
+        quad = ((y * y) / cov.diag).sum() - (w * w).sum()
+        logdet = np.log(cov.diag).sum() + 2.0 * np.log(np.diag(chol)).sum()
+        want = -0.5 * (n * p * np.log(2.0 * np.pi) + n * logdet + quad)
+        assert gaussian_loglik(y, cov) == pytest.approx(want, rel=1e-12)
 
     def test_dimension_mismatch(self):
         cov = StructuredCovariance(np.zeros((3, 1)), np.ones(3))

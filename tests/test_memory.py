@@ -156,6 +156,7 @@ class TestCopyPolicy:
         with pytest.raises(NonFinite):
             DataMatrix._adopt(np.array([[1.0, np.inf], [0.0, 1.0]]))
         with pytest.raises(TooFewRows):
-            DataMatrix._adopt(np.zeros((1, 3)))
+            DataMatrix._adopt(np.zeros((0, 3)))
+        assert DataMatrix._adopt(np.zeros((1, 3))).n == 1  # a held-out row
         with pytest.raises(ValueError, match="claimed centered"):
             DataMatrix._adopt(np.array([[1.0, 0.0], [1.0, 0.0]]), np.zeros(2))

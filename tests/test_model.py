@@ -20,7 +20,7 @@ from fable.errors import (
     ZeroResidual,
     ZeroResidualVariance,
 )
-from fable.linalg import center_columns, truncated_svd
+from fable.linalg import DataMatrix, center_columns, truncated_svd
 from fable.model import (
     RHO_STRATEGIES,
     FableModel,
@@ -240,6 +240,13 @@ class TestSelectRank:
             dm = center_columns(np.full((5, 4), 3.0))
         with pytest.raises(AllZeroSpectrum):
             fit(dm)
+
+    @pytest.mark.parametrize("k, error", [(None, AllZeroSpectrum), (1, ZeroResidualVariance)])
+    def test_fit_refuses_one_centered_row(self, k, error):
+        # a one-row matrix is held as data, but centered it is all zero
+        dm = DataMatrix(np.zeros((1, 4)), centered=True, column_means=np.arange(4.0))
+        with pytest.raises(error):
+            fit(dm, k=k)
 
     def test_fit_without_rank_refuses_one_column(self):
         dm = center_columns(np.random.default_rng(17).normal(size=(8, 1)))

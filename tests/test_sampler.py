@@ -23,6 +23,7 @@ from fable.sampler import (
     _check_count,
     _draw_rows,
     _entry_set,
+    _entry_values,
     _iter_draws,
     CovarianceSample,
     EntryStats,
@@ -33,6 +34,18 @@ from fable.sampler import (
     sample_entry_stats,
 )
 from test_model import make_factor_data
+
+
+def sample_dense(sample):
+    """The p x p covariance of one posterior draw."""
+    return sample.loadings @ sample.loadings.T + np.diag(sample.noise_sq)
+
+
+def sample_entries(sample, u, v):
+    """Covariance entries (u[e], v[e]) of one posterior draw, from the
+    entry kernel."""
+    return _entry_values(sample.loadings, sample.noise_sq,
+                         np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp))
 
 
 @pytest.fixture(scope="module")
@@ -106,14 +119,14 @@ class TestDrawSample:
 
     def test_entry_and_dense_agree(self, mid_model):
         s = draw_sample(mid_model, 3, RngSpec(7))
-        d = s.dense()
-        assert s.entry(2, 5) == pytest.approx(d[2, 5], rel=1e-12)
-        assert s.entry(4, 4) == pytest.approx(d[4, 4], rel=1e-12)
+        d = sample_dense(s)
+        np.testing.assert_allclose(sample_entries(s, [2, 4], [5, 4]), d[[2, 4], [5, 4]],
+                                   rtol=1e-12)
 
     def test_draws_positive_definite(self, mid_model):
         for t in range(1, 6):
             s = draw_sample(mid_model, t, RngSpec(23))
-            assert np.linalg.eigvalsh(s.dense()).min() > 0
+            assert np.linalg.eigvalsh(sample_dense(s)).min() > 0
 
 
 class TestDrawSamples:
@@ -407,12 +420,10 @@ class TestSampleEntryStats:
     def test_matches_manual_streaming(self, small_model):
         pairs = [(0, 1), (2, 2)]
         stats = sample_entry_stats(small_model, 500, RngSpec(61), pairs)
-        vals = {pair: [] for pair in pairs}
-        for s in draw_samples(small_model, 500, RngSpec(61)):
-            for pair in pairs:
-                vals[pair].append(s.entry(*pair))
-        for e, pair in enumerate(pairs):
-            arr = np.array(vals[pair])
+        us, vs = zip(*pairs)
+        vals = np.array([sample_entries(s, us, vs)
+                         for s in draw_samples(small_model, 500, RngSpec(61))])
+        for e, arr in enumerate(vals.T):
             assert stats.mean[e] == pytest.approx(arr.mean(), rel=1e-10)
             assert stats.sd[e] == pytest.approx(arr.std(ddof=1), rel=1e-10)
             assert stats.quantiles[0.5][e] == pytest.approx(

@@ -9,6 +9,7 @@ from fable.errors import DimensionMismatch, InvalidAlpha, InvalidOption, TooFewS
 from fable.inference import _MIN_QUANTILE_SAMPLES
 from fable.linalg import StructuredCovariance
 from fable.sampler import _entry_values
+from test_linalg import dense
 from test_sampler import counting_pool
 from fable.simharness import (
     _TRACKED,
@@ -165,10 +166,10 @@ class TestGenerateData:
         m = 100_000
         big = generate_data(truth, m, np.random.default_rng(2)).values
         sample_cov = np.cov(big, rowvar=False)
-        dense = truth.dense()
-        d = np.diag(dense)
-        se = np.sqrt((np.outer(d, d) + dense**2) / m)
-        bad = np.abs(sample_cov - dense) > 3 * se
+        cov = dense(truth)
+        d = np.diag(cov)
+        se = np.sqrt((np.outer(d, d) + cov**2) / m)
+        bad = np.abs(sample_cov - cov) > 3 * se
         # a 25-entry grid can brush a 3-SE band; allow one excursion
         assert bad.sum() <= 1
 
@@ -199,16 +200,16 @@ class TestRelSpectralError:
         truth = generate_truth(cfg, truth_rng(21))
         other = generate_truth(cfg, truth_rng(22))
         got = rel_spectral_error(truth, other, tol=1e-12)
-        diff = truth.dense() - other.dense()
+        diff = dense(truth) - dense(other)
         want = np.abs(np.linalg.eigvalsh(diff)).max()
-        want /= np.abs(np.linalg.eigvalsh(truth.dense())).max()
+        want /= np.abs(np.linalg.eigvalsh(dense(truth))).max()
         npt.assert_allclose(got, want, rtol=1e-8)
 
     def test_precomputed_norm_agrees(self):
         cfg = SimulationConfig(n=30, p=35, k_true=3, tracked=10, seed=23)
         truth = generate_truth(cfg, truth_rng(23))
         other = generate_truth(cfg, truth_rng(24))
-        norm = np.abs(np.linalg.eigvalsh(truth.dense())).max()
+        norm = np.abs(np.linalg.eigvalsh(dense(truth))).max()
         free = rel_spectral_error(truth, other)
         pinned = rel_spectral_error(truth, other, truth_norm=norm)
         npt.assert_allclose(free, pinned, rtol=1e-5)
