@@ -21,7 +21,7 @@ from .linalg import (
     truncated_svd,
 )
 
-__version__ = "0.5.1"
+__version__ = "0.5.2"
 
 __all__ = [
     "FableError",

@@ -109,8 +109,9 @@ def _quantile_table(a: float) -> tuple[np.ndarray, ...]:
     q = (x - a) - newton_step(x)
     x = a + q
     # h x' and h^2 x'' for the node spacing h = 1 / _STEPS, so s is in [0, 1]
-    slope = np.where(upper, -tail, tail) / np.exp(_log_pdf(a, q)) / _STEPS
-    bend = slope * (1.0 / _STEPS - slope * ((a - 1.0) / x - 1.0))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # see coarse
+        slope = np.where(upper, -tail, tail) / np.exp(_log_pdf(a, q)) / _STEPS
+        bend = slope * (1.0 / _STEPS - slope * ((a - 1.0) / x - 1.0))
     off = np.abs(q) > _WINDOW * a
     # interval i runs from node i to node i + 1, within one tail
     lo = np.flatnonzero(np.arange(q.size - 1) != w.size - 1)
@@ -123,8 +124,10 @@ def _quantile_table(a: float) -> tuple[np.ndarray, ...]:
         10.0 * f - 6.0 * d0 - 4.0 * d1 - 0.5 * (3.0 * e0 - e1),
         -15.0 * f + 8.0 * d0 + 7.0 * d1 + 0.5 * (3.0 * e0 - 2.0 * e1),
         6.0 * f - 3.0 * d0 - 3.0 * d1 - 0.5 * (e0 - e1),
-        off[lo] | off[hi],
     )
+    # past a shape of about 1e30 _log_pdf cancels and exp overflows, so an
+    # interval whose quintic is not finite stays scipy's as well
+    coef += (off[lo] | off[hi] | ~np.isfinite(coef).all(axis=0),)
     for c in coef:
         c.setflags(write=False)
     return coef

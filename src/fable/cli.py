@@ -43,6 +43,7 @@ from .inference import (
 )
 from .io import (
     RunManifest,
+    _transformed,
     _write_json,
     _write_table,
     file_sha256,
@@ -335,23 +336,18 @@ def _cmd_oos(args) -> int:
     )
     checksum = file_sha256(args.input)
     # the test rows get the train-chosen transform and columns; target
-    # indices refer to post-filter positions, so slice test the same way
-    test_all, _ = preprocess(
-        test_loaded.values,
-        transform=args.transform,
-        filter_top_variance_fraction=1.0,
-        center=False,
-    )
+    # indices refer to post-filter positions
+    test_all = _transformed(test_loaded.values, args.transform)
     targets = parse_indices(args.targets, train_dm.p)
     extras = parse_indices(args.extras, train_dm.p) if args.extras else []
-    test_block = DataMatrix._adopt(test_all.values[:, kept][:, targets])
-    value = oos_loglik(train_dm, test_block, targets, extras, **_fit_options(args))
+    test_rows = test_all[:, kept[targets]]
+    value = oos_loglik(train_dm, test_rows, targets, extras, **_fit_options(args))
     result = {
         "oos_loglik": value,
         "targets": len(targets),
         "extras": len(extras),
         "n_train": train_dm.n,
-        "n_test": test_block.n,
+        "n_test": test_rows.shape[0],
     }
     _write_json(args.output, result)
     _save_manifest(

@@ -24,9 +24,10 @@ from .errors import (
     InvalidOption,
     NonFinite,
     OverlappingIndexSets,
+    TooFewRows,
     TooFewSamples,
 )
-from .linalg import DataMatrix, StructuredCovariance, _frozen, gaussian_loglik
+from .linalg import DataMatrix, StructuredCovariance, _as_float_matrix, _frozen, gaussian_loglik
 from .model import FableModel, fit
 from .sampler import RngSpec, _entry_set, posterior_mean, sample_entry_stats
 
@@ -83,7 +84,7 @@ class IntervalGrid:
                 raise DimensionMismatch(f"{name} must have shape ({m},)")
             object.__setattr__(self, name, arr)
         if np.any(self.lower > self.upper):
-            raise ValueError("interval lower bounds exceed upper bounds")
+            raise InvalidOption("interval lower bounds exceed upper bounds")
 
     @property
     def width(self) -> np.ndarray:
@@ -205,8 +206,8 @@ def predictive_coverage(
     """Fraction of observations inside their marginal (1 - alpha) band.
 
     Entry (i, j) counts as covered when |y_ij| < z_{1-alpha/2} times the
-    fitted marginal sd sqrt(|mu_j|^2 + delta_j^2). Rows are assumed
-    centered; a well-calibrated model scores close to 1 - alpha.
+    fitted marginal sd sqrt(|mu_j|^2 + delta_j^2), y_ij being centered, as
+    a DataMatrix is; a well-calibrated model scores close to 1 - alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
@@ -237,7 +238,7 @@ def _check_disjoint_indices(
 
 def oos_loglik(
     train: DataMatrix,
-    test: DataMatrix,
+    test: np.ndarray,
     target_indices: Sequence[int],
     extra_indices: Sequence[int] = (),
     **fit_options,
@@ -247,23 +248,21 @@ def oos_loglik(
     Fits on the train rows of the target columns plus any extra columns
     (extras sharpen the factor estimate but are not scored), extracts
     the target block of the factored posterior mean, and evaluates the
-    test rows under it. Test columns are centered with the train means;
-    the test matrix must have exactly the target columns, in order.
+    test rows under it. ``test`` holds the raw held-out rows (one is
+    enough) of exactly the target columns, in order; they are centered
+    with the train means.
     """
-    if not train.centered:
-        raise ValueError("train data must be centered")
     targets, extras = _check_disjoint_indices(target_indices, extra_indices, train.p)
-    if test.p != len(targets):
+    test = _as_float_matrix(test, "test rows")
+    if test.shape[0] < 1:
+        raise TooFewRows("test has no rows")
+    if test.shape[1] != len(targets):
         raise DimensionMismatch(
-            f"test has {test.p} columns but {len(targets)} targets were named"
+            f"test has {test.shape[1]} columns but {len(targets)} targets were named"
         )
     cols = targets + extras
     sub = DataMatrix._adopt(train.values[:, cols], train.column_means[cols])
     model = fit(sub, **fit_options)
     t = len(targets)
     block = StructuredCovariance(model.mu[:t], model.delta_sq[:t])
-    if test.centered:
-        test_vals = test.values
-    else:
-        test_vals = test.values - train.column_means[targets]
-    return gaussian_loglik(test_vals, block)
+    return gaussian_loglik(test - train.column_means[targets], block)

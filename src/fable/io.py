@@ -183,7 +183,8 @@ def _load_binary(fh, path: str) -> LoadedMatrix:
     except ValueError as exc:
         # a zero-size array with a dimension past numpy's limit
         raise ShapeError(f"{path}: unsupported shape {(n, p)} ({exc})") from exc
-    if fh.readinto(memoryview(values).cast("B")) != expected:
+    # nothing to read into an empty array, which memoryview cannot cast
+    if expected and fh.readinto(memoryview(values).cast("B")) != expected:
         raise ShapeError(f"{path}: the body changed while it was read")
     return LoadedMatrix(values.astype(np.float64, copy=False))
 
@@ -224,36 +225,41 @@ def save_matrix(path: str | Path, values: np.ndarray) -> None:
         fh.write(arr.tobytes(order="C"))
 
 
-def preprocess(
-    values: np.ndarray,
-    *,
-    transform: str = "none",
-    filter_top_variance_fraction: float = 1.0,
-    center: bool = True,
-) -> tuple[DataMatrix, np.ndarray]:
-    """Transform counts, keep the most variable columns, and center.
-
-    Returns the processed matrix plus the original indices of the kept
-    columns (ascending, so relative column order is preserved). The top
-    ceil(fraction * p) columns by post-transform sample variance are
-    kept; ties go to the lower original index.
-    """
+def _transformed(values: np.ndarray, transform: str) -> np.ndarray:
+    """``values`` as a finite 2-d float64 array under ``transform``: a new
+    array for "log2_plus_one", the caller's own (as float64) for "none"."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"matrix must be 2-d, got shape {arr.shape}")
     if not math.isfinite(_abs_max(arr)):
         raise NonFinite("input matrix contains non-finite values")
-    f = float(filter_top_variance_fraction)
-    if not 0.0 < f <= 1.0:
-        raise InvalidOption(f"filter fraction must lie in (0, 1], got {f}")
     if transform == "log2_plus_one":
-        if arr.min() < 0:
+        if arr.min(initial=0.0) < 0:
             raise NegativeCount("log2(1 + x) transform needs nonnegative counts")
         arr = arr + 1.0
         np.log2(arr, out=arr)
     elif transform != "none":
         raise InvalidOption(f"unknown transform {transform!r}")
+    return arr
 
+
+def preprocess(
+    values: np.ndarray,
+    *,
+    transform: str = "none",
+    filter_top_variance_fraction: float = 1.0,
+) -> tuple[DataMatrix, np.ndarray]:
+    """Transform counts, keep the most variable columns, and center.
+
+    Returns the centered matrix plus the original indices of the kept
+    columns (ascending, so relative column order is preserved). The top
+    ceil(fraction * p) columns by post-transform sample variance are
+    kept; ties go to the lower original index.
+    """
+    f = float(filter_top_variance_fraction)
+    if not 0.0 < f <= 1.0:
+        raise InvalidOption(f"filter fraction must lie in (0, 1], got {f}")
+    arr = _transformed(values, transform)
     p = arr.shape[1]
     # round before ceil so 0.1 * 5300 keeps 530 columns, not 531
     m = max(1, math.ceil(round(f * p, 9)))
@@ -264,11 +270,7 @@ def preprocess(
         arr = np.take(arr, kept, axis=1)  # row-major, as centering writes
     else:
         kept = np.arange(p)
-    if center:
-        return center_columns(arr), kept
-    # an array made here is adopted; the caller's own is copied
-    made = transform != "none" or m < p
-    return (DataMatrix._adopt(arr) if made else DataMatrix(arr)), kept
+    return center_columns(arr), kept
 
 
 def _model_header(model: FableModel) -> dict:

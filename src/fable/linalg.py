@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    InvalidOption,
     NonFinite,
     NonPositiveDiag,
     RankOutOfRange,
@@ -82,65 +83,55 @@ def _frozen(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """An n x p data matrix, rows are observations.
-
-    ``centered`` records whether column means have already been removed;
-    when it is set, ``column_means`` holds the means that were subtracted
-    so downstream artifacts can report them.
+    """An n x p matrix of centered data, rows are observations, with the
+    column means that were subtracted from it: build one with
+    :func:`center_columns`. It has 2 rows or more and 1 column or more,
+    is finite, and its column means are zero to 1e-8 of max(1, max |x|).
 
     ``values`` is read-only. The constructor copies the array it is
     given, so later writes to the caller's array do not reach it. An
-    array that fable has just made itself (centered, transformed or
-    sliced) is adopted as it is, without a copy, by ``_adopt``.
+    array that fable has just centered is adopted as it is, without a
+    copy, by ``_adopt``.
     """
 
     values: np.ndarray
-    centered: bool = False
-    column_means: np.ndarray | None = None
+    column_means: np.ndarray
 
     def __post_init__(self) -> None:
         self._store(np.array(self.values, dtype=np.float64))
 
     @classmethod
-    def _adopt(cls, values: np.ndarray, column_means: np.ndarray | None = None) -> DataMatrix:
+    def _adopt(cls, values: np.ndarray, column_means: np.ndarray) -> DataMatrix:
         """Wrap a float64 array that the caller has just made and holds no
-        other reference to, without copying it; centered when
-        ``column_means`` is given. The checks are the constructor's."""
+        other reference to, without copying it; the checks are the constructor's."""
         dm = object.__new__(cls)
-        object.__setattr__(dm, "centered", column_means is not None)
         object.__setattr__(dm, "column_means", column_means)
         dm._store(values)
         return dm
 
     def _store(self, vals: np.ndarray) -> None:
-        """Check ``vals`` and keep it, made read-only, as the values."""
+        """Check ``vals`` and the means, and keep both, made read-only."""
         if vals.ndim != 2:
             raise DimensionMismatch(f"data matrix must be 2-d, got ndim={vals.ndim}")
+        n, p = vals.shape
+        if n < 2:
+            raise TooFewRows(f"centered data needs at least 2 rows, got {n}")
+        if p < 1:
+            raise DimensionMismatch("data matrix has no columns")
         scale = _abs_max(vals)
         if not math.isfinite(scale):
             raise NonFinite("data matrix contains NaN or infinite entries")
-        if vals.shape[0] < 1:  # one row is a valid held-out set; centering needs two
-            raise TooFewRows("data matrix has no rows")
+        means = np.asarray(self.column_means, dtype=np.float64)
+        if means.shape != (p,):
+            raise DimensionMismatch(f"column_means shape {means.shape} does not match p={p}")
+        if not np.isfinite(means).all():
+            raise NonFinite("column_means contains NaN or infinite entries")
+        resid = float(np.abs(vals.mean(axis=0)).max())
+        if resid > 1e-8 * max(1.0, scale):
+            raise InvalidOption(f"values are not centered: max |column mean| = {resid:.3e}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if self.centered:
-            if self.column_means is None:
-                raise DimensionMismatch("centered data must carry column_means")
-            means = np.asarray(self.column_means, dtype=np.float64)
-            if means.shape != (vals.shape[1],):
-                raise DimensionMismatch(
-                    f"column_means shape {means.shape} does not match p={vals.shape[1]}"
-                )
-            if not np.isfinite(means).all():
-                raise NonFinite("column_means contains NaN or infinite entries")
-            resid = np.abs(vals.mean(axis=0)).max(initial=0.0)
-            if resid > 1e-8 * max(1.0, scale):
-                raise ValueError(
-                    f"claimed centered but max |column mean| = {resid:.3e}"
-                )
-            object.__setattr__(self, "column_means", _frozen(means))
-        elif self.column_means is not None:
-            raise DimensionMismatch("column_means only makes sense with centered=True")
+        object.__setattr__(self, "column_means", _frozen(means))
 
     @property
     def n(self) -> int:
@@ -169,7 +160,7 @@ class TruncatedSvd:
 
     def __post_init__(self) -> None:
         if self.route not in SVD_ROUTES:
-            raise ValueError(f"route must be one of {SVD_ROUTES}, got {self.route!r}")
+            raise InvalidOption(f"route must be one of {SVD_ROUTES}, got {self.route!r}")
         u = _as_float_matrix(self.u, "u")
         v = _as_float_matrix(self.v, "v")
         s = np.asarray(self.singvals, dtype=np.float64)
@@ -180,11 +171,11 @@ class TruncatedSvd:
         if spec.ndim != 1 or spec.shape[0] < k:
             raise DimensionMismatch("spectrum must hold at least k values")
         if np.any(s < 0) or np.any(np.diff(spec) > 1e-12 * max(1.0, spec[0])):
-            raise ValueError("singular values must be nonnegative and non-increasing")
+            raise InvalidOption("singular values must be nonnegative and non-increasing")
         for mat, nm in ((u, "u"), (v, "v")):
             gram = mat.T @ mat
             if np.abs(gram - np.eye(k)).max() > 1e-8:
-                raise ValueError(f"columns of {nm} are not orthonormal")
+                raise InvalidOption(f"columns of {nm} are not orthonormal")
         object.__setattr__(self, "u", _frozen(u))
         object.__setattr__(self, "v", _frozen(v))
         object.__setattr__(self, "singvals", _frozen(s))
@@ -353,15 +344,23 @@ def truncated_svd(
 
     if not callable(k):
         _checked_rank(k, vals.shape)
+    elif not min(n, p):  # before LAPACK, which prints its complaint to stdout
+        raise RankOutOfRange(f"no rank in [1, 0] for shape {vals.shape}")
     rows_side = n <= p
 
     def gram() -> np.ndarray:
         return vals @ vals.T if rows_side else vals.T @ vals
 
     route, top = "tridiagonal", None
-    reduced = _lapack.tridiagonalize(gram())
+    # bisection and inverse iteration lose the top vectors once the Gram
+    # entries fall below about 2^-505, so they work at unit scale: an exact
+    # power of two puts the largest entry, on the diagonal, in [0.5, 1)
+    scaled = gram()
+    exponent = int(np.frexp(scaled.diagonal().max())[1])
+    reduced = _lapack.tridiagonalize(np.ldexp(scaled, -exponent, out=scaled))
     evals = None if reduced is None else reduced.eigenvalues()
     if evals is not None:
+        evals = np.ldexp(evals, exponent)
         spectrum = _root(evals)
         rank = rank_of(spectrum)
         if _resolves(evals, rank):

@@ -256,8 +256,6 @@ def fit(
         raise InvalidSpectrumFraction(f"S0 must be in (0, 1], got {S0}")
     if not 0.0 < coverage_alpha < 1.0:
         raise InvalidAlpha(f"coverage_alpha must be in (0, 1), got {coverage_alpha}")
-    if not data.centered:
-        raise ValueError("fit requires centered data; see center_columns")
     # "not 0 < x < inf" refuses NaN as well
     if not 0.0 < gamma0 < math.inf:
         raise InvalidOption(f"gamma0 must be positive and finite, got {gamma0}")

@@ -32,7 +32,6 @@ from scipy import special, stats
 
 from fable.inference import credible_intervals, oos_loglik
 from fable.linalg import (
-    DataMatrix,
     LinearMap,
     center_columns,
     spectral_norm,
@@ -258,7 +257,7 @@ def test_08_held_out_likelihood_gain():
         y_test = (rng.standard_normal((n_test, k)) @ lam.T
                   + rng.standard_normal((n_test, p_all)) * np.sqrt(sig))
         train = center_columns(y_train)
-        test = DataMatrix(y_test[:, :n_targets])
+        test = y_test[:, :n_targets]
         targets = list(range(n_targets))
         base = oos_loglik(train, test, targets, [], k=k)
         lifted = oos_loglik(train, test, targets, list(range(n_targets, p_all)), k=k)

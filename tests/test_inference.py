@@ -12,7 +12,9 @@ from fable.errors import (
     EmptyTarget,
     IndexOutOfRange,
     InvalidAlpha,
+    NonFinite,
     OverlappingIndexSets,
+    TooFewRows,
     TooFewSamples,
 )
 from fable.inference import (
@@ -243,14 +245,14 @@ class TestDiagnostics:
 
     def test_predictive_coverage_standard_normal(self):
         rng = np.random.default_rng(407)
-        data = DataMatrix(rng.normal(size=(200, 500)))
+        data = center_columns(rng.normal(size=(200, 500)))
         ident = manual_model(np.zeros((500, 1)), np.ones(500), delta_sq=np.ones(500))
         cov = predictive_coverage(ident, data)
         assert cov == pytest.approx(0.95, abs=0.01)
 
     def test_predictive_coverage_level_moves_with_alpha(self):
         rng = np.random.default_rng(408)
-        data = DataMatrix(rng.normal(size=(100, 200)))
+        data = center_columns(rng.normal(size=(100, 200)))
         ident = manual_model(np.zeros((200, 1)), np.ones(200), delta_sq=np.ones(200))
         assert predictive_coverage(ident, data, alpha=0.5) == pytest.approx(
             0.5, abs=0.02
@@ -274,7 +276,7 @@ def shared_factor_split(seed, n_train=150, n_test=40, p_target=60, p_extra=200, 
     y = rng.normal(size=(n_train + n_test, k)) @ lam.T
     y += rng.normal(size=(n_train + n_test, p_all)) * np.sqrt(sig)
     train = center_columns(y[:n_train])
-    test = DataMatrix(y[n_train:, :p_target])
+    test = y[n_train:, :p_target]
     return train, test, list(range(p_target)), list(range(p_target, p_all))
 
 
@@ -282,16 +284,12 @@ class TestOosLoglik:
     def test_no_extras_reduces_to_target_fit(self):
         train, test, targets, _ = shared_factor_split(901)
         got = oos_loglik(train, test, targets, k=3)
-        sub = DataMatrix(
-            train.values[:, targets],
-            centered=True,
-            column_means=train.column_means[targets],
-        )
+        sub = DataMatrix(train.values[:, targets], train.column_means[targets])
         m = fit(sub, k=3)
         from fable.linalg import StructuredCovariance
 
         want = gaussian_loglik(
-            test.values - train.column_means[targets],
+            test - train.column_means[targets],
             StructuredCovariance(m.mu, m.delta_sq),
         )
         assert got == want
@@ -330,3 +328,20 @@ class TestOosLoglik:
         train, test, targets, _ = shared_factor_split(906)
         with pytest.raises(IndexOutOfRange):
             oos_loglik(train, test, targets, [train.p])
+
+    def test_test_rows_checked(self):
+        train, test, targets, _ = shared_factor_split(907)
+        with pytest.raises(TooFewRows):
+            oos_loglik(train, test[:0], targets, k=2)
+        bad = test.copy()
+        bad[3, 5] = np.nan
+        with pytest.raises(NonFinite):
+            oos_loglik(train, bad, targets, k=2)
+        with pytest.raises(DimensionMismatch):
+            oos_loglik(train, test[0], targets, k=2)
+
+    def test_one_row_is_a_test_set(self):
+        # held-out rows are independent draws: one-row scores add up
+        train, test, targets, _ = shared_factor_split(908)
+        one = [oos_loglik(train, test[i : i + 1], targets, k=2) for i in range(2)]
+        assert sum(one) == pytest.approx(oos_loglik(train, test[:2], targets, k=2), rel=1e-12)

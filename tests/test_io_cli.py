@@ -21,6 +21,7 @@ import fable.sampler
 import fable.simharness
 from fable.cli import main, parse_indices, _parse_p_grid
 from fable.errors import (
+    DimensionMismatch,
     IndexOutOfRange,
     InvalidOption,
     MagicMismatch,
@@ -28,6 +29,7 @@ from fable.errors import (
     NonFinite,
     ParseError,
     ShapeError,
+    TooFewRows,
 )
 from fable.inference import (
     asymptotic_variances,
@@ -53,7 +55,7 @@ from fable.io import (
     save_samples,
     write_intervals,
 )
-from fable.linalg import DataMatrix, center_columns
+from fable.linalg import center_columns
 from fable.model import fit
 from fable.sampler import (
     RngSpec, draw_sample, draw_samples, posterior_mean, sample_entry_stats
@@ -256,6 +258,12 @@ class TestLoadMatrixBinary:
         save_matrix(b, loaded.values)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("shape", [(0, 4), (5, 0), (0, 0)])
+    def test_zero_dimension_reads_empty(self, tmp_path, shape):
+        path = tmp_path / "empty.mat"
+        save_matrix(path, np.zeros(shape))
+        assert load_matrix(path).values.shape == shape
+
     def test_auto_sniffs_binary(self, tmp_path):
         path = tmp_path / "x.dat"
         save_matrix(path, np.eye(2))
@@ -277,14 +285,20 @@ class TestLoadMatrixBinary:
             load_matrix(path)
 
 
+def assert_centered(dm, values):
+    """``dm`` holds ``values`` centered, with their column means."""
+    means = values.mean(axis=0)
+    npt.assert_array_equal(dm.column_means, means)
+    npt.assert_array_equal(dm.values, values - means)
+
+
 class TestPreprocess:
     def test_log2_plus_one(self):
         dm, kept = preprocess(
             np.array([[0.0, 1.0, 3.0], [1.0, 3.0, 7.0]]),
             transform="log2_plus_one",
-            center=False,
         )
-        npt.assert_array_equal(dm.values, [[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]])
+        assert_centered(dm, np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]]))
         npt.assert_array_equal(kept, [0, 1, 2])
 
     def test_negative_count_rejected(self):
@@ -294,16 +308,15 @@ class TestPreprocess:
 
     def test_fraction_one_keeps_everything_in_order(self):
         values = np.random.default_rng(1).standard_normal((10, 6))
-        dm, kept = preprocess(values, center=False)
+        dm, kept = preprocess(values)
         npt.assert_array_equal(kept, np.arange(6))
-        npt.assert_array_equal(dm.values, values)
+        assert_centered(dm, values)
 
     def test_top_fraction_count_and_dominance(self):
         # ceil(0.1 * 5300) must be exactly 530 despite float fuzz
         rng = np.random.default_rng(2)
         values = rng.standard_normal((40, 5300)) * rng.uniform(0.1, 3.0, 5300)
-        dm, kept = preprocess(values, filter_top_variance_fraction=0.1,
-                              center=False)
+        dm, kept = preprocess(values, filter_top_variance_fraction=0.1)
         assert len(kept) == 530
         assert dm.p == 530
         variances = values.var(axis=0, ddof=1)
@@ -312,33 +325,36 @@ class TestPreprocess:
 
     def test_ceil_rounds_up(self):
         values = np.random.default_rng(3).standard_normal((8, 10))
-        _, kept = preprocess(values, filter_top_variance_fraction=0.34,
-                             center=False)
+        _, kept = preprocess(values, filter_top_variance_fraction=0.34)
         assert len(kept) == 4  # ceil(3.4)
 
     def test_variance_ties_keep_lower_index(self):
         base = np.array([[1.0], [-1.0], [1.0], [-1.0]])
         values = np.hstack([base, base, base])
-        _, kept = preprocess(values, filter_top_variance_fraction=0.5,
-                             center=False)
+        _, kept = preprocess(values, filter_top_variance_fraction=0.5)
         npt.assert_array_equal(kept, [0, 1])
 
     def test_kept_map_points_at_originals(self):
         rng = np.random.default_rng(4)
         values = rng.standard_normal((30, 5))
         values[:, 3] *= 10.0  # dominant variance
-        dm, kept = preprocess(values, filter_top_variance_fraction=0.2,
-                              center=False)
+        dm, kept = preprocess(values, filter_top_variance_fraction=0.2)
         npt.assert_array_equal(kept, [3])
-        npt.assert_array_equal(dm.values[:, 0], values[:, 3])
+        assert_centered(dm, values[:, [3]])
 
-    def test_centering_flag(self):
+    def test_output_is_centered(self):
         values = np.random.default_rng(5).standard_normal((12, 4)) + 7.0
-        centered, _ = preprocess(values)
-        assert centered.centered
-        npt.assert_allclose(centered.values.mean(axis=0), 0.0, atol=1e-12)
-        uncentered, _ = preprocess(values, center=False)
-        assert not uncentered.centered
+        dm, _ = preprocess(values)
+        assert_centered(dm, values)
+        npt.assert_allclose(dm.values.mean(axis=0), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("transform", ["none", "log2_plus_one"])
+    @pytest.mark.parametrize("shape, error", [((0, 4), TooFewRows),
+                                              ((5, 0), DimensionMismatch)],
+                             ids=["no-rows", "no-columns"])
+    def test_empty_matrix_refused_typed(self, shape, error, transform):
+        with pytest.raises(error):
+            preprocess(np.zeros(shape), transform=transform)
 
     def test_non_finite_rejected(self):
         values = np.ones((3, 3))
@@ -860,6 +876,16 @@ class TestCliSample:
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidOption"
         assert not out.exists()
 
+    def test_huge_prior_shape_samples_finite_values(self, workspace, tmp_path):
+        # gamma0 = 1e300 puts the noise draws' inverse-Gamma shape near 5e299
+        model, out = tmp_path / "m.bin", tmp_path / "s.txt"
+        assert main(["fit", "--input", str(workspace["train"]), "--k", "3",
+                     "--gamma0", "1e300", "--output", str(model)]) == 0
+        assert main(["sample", "--model", str(model), "--n-samples", "3", "--seed", "1",
+                     "--sample-format", "text", "--output", str(out)]) == 0
+        for draw in load_samples(out):
+            assert np.isfinite(draw.loadings).all() and np.isfinite(draw.noise_sq).all()
+
 
 class TestCliMean:
     def test_factored_outputs(self, workspace, tmp_path):
@@ -994,6 +1020,20 @@ class TestNoSilentInfinities:
         assert np.isfinite(credible_intervals(model, [(0, 1)]).upper).all()
 
 
+class TestCliTinyData:
+    def test_fit_at_two_to_the_minus_260(self, tmp_path, capsys):
+        # the Gram entries fall near 2^-520, where LAPACK's bisection and
+        # inverse iteration lost the top vectors before they were rescaled
+        _, _, y = make_factor_data(60, 40, 3, seed=62)
+        path = tmp_path / "tiny.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n"
+                                for row in np.ldexp(y, -260).tolist()))
+        assert main(["fit", "--input", str(path), "--k", "3",
+                     "--output", str(tmp_path / "m.bin")]) == 0
+        unit = fit(center_columns(y), k=3)
+        assert load_model(tmp_path / "m.bin").mu.tobytes() == np.ldexp(unit.mu, -260).tobytes()
+
+
 class TestCliRankSelectionErrors:
     """Rank selection's refusals end as exit 1 with a JSON error record."""
 
@@ -1065,6 +1105,34 @@ class TestCliDiagnose:
         assert np.isfinite(report["fitted_loglik"])
 
 
+class TestCliEmptyMatrix:
+    """A FABLEMAT1 file with no rows or no columns, wherever a command
+    reads a matrix, ends in one typed record and writes nothing."""
+
+    @pytest.mark.parametrize("shape, error", [((0, 60), "TooFewRows"),
+                                              ((100, 0), "DimensionMismatch")],
+                             ids=["no-rows", "no-columns"])
+    @pytest.mark.parametrize("command", ["fit", "diagnose", "oos-train", "oos-test"])
+    def test_one_typed_record(self, workspace, tmp_path, capfd, command, shape, error):
+        empty = str(tmp_path / "empty.mat")
+        save_matrix(empty, np.zeros(shape))
+        train, test = str(workspace["train"]), str(workspace["test"])
+        oos = ["oos", "--targets", "0", "--k", "1", "--output", str(tmp_path / "r.json")]
+        argv = {
+            "fit": ["fit", "--input", empty, "--output", str(tmp_path / "m.bin")],
+            "diagnose": ["diagnose", "--model", str(workspace["model"]), "--input", empty,
+                         "--output", str(tmp_path / "r.json")],
+            "oos-train": [*oos, "--input", empty, "--test", test],
+            "oos-test": [*oos, "--input", train, "--test", empty],
+        }[command]
+        capfd.readouterr()
+        assert main(argv) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == error
+        assert not any(tmp_path.glob("[mr].*"))
+
+
 class TestCliOos:
     def test_matches_library_protocol(self, workspace, capsys):
         code = main(["oos", "--input", str(workspace["train"]),
@@ -1075,8 +1143,8 @@ class TestCliOos:
         train_dm, kept = preprocess(workspace["train_values"])
         targets = list(range(30))
         extras = list(range(30, 60))
-        test_block = DataMatrix(workspace["test_values"][:, kept][:, targets])
-        want = oos_loglik(train_dm, test_block, targets, extras, k=3)
+        test_rows = workspace["test_values"][:, kept][:, targets]
+        want = oos_loglik(train_dm, test_rows, targets, extras, k=3)
         assert report["oos_loglik"] == want
         assert report["targets"] == 30 and report["extras"] == 30
 

@@ -18,6 +18,7 @@ import fable.linalg
 from fable.errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    InvalidOption,
     NonFinite,
     NonPositiveDiag,
     RankOutOfRange,
@@ -46,7 +47,6 @@ class TestCenterColumns:
         dm = center_columns(np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_allclose(dm.values, [[-1.0, -1.0], [1.0, 1.0]])
         np.testing.assert_allclose(dm.column_means, [2.0, 3.0])
-        assert dm.centered
 
     def test_column_sums_vanish(self):
         rng = np.random.default_rng(7)
@@ -88,22 +88,42 @@ class TestCenterColumns:
 
 
 class TestDataMatrix:
-    def test_centered_requires_means(self):
-        with pytest.raises(DimensionMismatch):
-            DataMatrix(np.zeros((3, 2)), centered=True)
+    """A DataMatrix is centered data: the rules of fittable data are its
+    constructor's, each refusal a FableError."""
 
-    def test_centered_claim_checked(self):
-        with pytest.raises(ValueError, match="claimed centered"):
-            DataMatrix(
-                np.array([[1.0, 0.0], [1.0, 0.0]]),
-                centered=True,
-                column_means=np.zeros(2),
-            )
+    @pytest.mark.parametrize("values, means, error", [
+        (np.zeros((1, 4)), np.arange(4.0), TooFewRows),  # centering needs two rows
+        (np.zeros((0, 4)), np.zeros(4), TooFewRows),
+        (np.zeros((5, 0)), np.zeros(0), DimensionMismatch),
+        (np.zeros(4), np.zeros(4), DimensionMismatch),
+        (np.array([[1.0, np.inf], [-1.0, 0.0]]), np.zeros(2), NonFinite),
+        (np.zeros((3, 2)), np.zeros(3), DimensionMismatch),
+        (np.zeros((3, 2)), np.array([0.0, np.nan]), NonFinite),
+        (np.array([[1.0, 0.0], [1.0, 0.0]]), np.zeros(2), InvalidOption),
+    ], ids=["one-row", "no-rows", "no-columns", "1-d", "infinite", "means-shape",
+            "nan-mean", "not-centered"])
+    def test_refusals_are_typed(self, values, means, error):
+        for build in (DataMatrix, DataMatrix._adopt):
+            with pytest.raises(error):
+                build(values.copy(), means)
 
-    def test_values_read_only(self):
-        dm = DataMatrix(np.zeros((2, 2)))
+    def test_not_centered_is_still_a_value_error(self):
+        with pytest.raises(ValueError, match="not centered"):
+            DataMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]), np.zeros(2))
+
+    def test_centering_is_judged_at_the_values_scale(self):
+        # column means within 1e-8 of max(1, max |x|) count as zero
+        big = np.array([[1e12, 1.0], [-1e12 + 1e3, -1.0]])
+        assert DataMatrix(big, np.zeros(2)).n == 2
+        with pytest.raises(InvalidOption):
+            DataMatrix(np.array([[1e-7, 1.0], [1e-7, -1.0]]), np.zeros(2))
+
+    def test_values_and_means_read_only(self):
+        dm = DataMatrix(np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(ValueError):
             dm.values[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            dm.column_means[0] = 1.0
 
 
 class TestTruncatedSvd:
@@ -298,6 +318,16 @@ class TestGramSvd:
         with pytest.raises(RankOutOfRange):
             truncated_svd(np.ones((4, 3)), lambda spectrum: 0)
         assert svd_calls == []
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_matrix_refused_before_lapack(self, capfd, shape):
+        # LAPACK's dsytrd prints its complaint about an empty Gram matrix
+        # to stdout, where the CLI writes its reports
+        with pytest.raises(RankOutOfRange):
+            truncated_svd(np.zeros(shape), lambda spectrum: 1)
+        with pytest.raises(RankOutOfRange):
+            truncated_svd(np.zeros(shape), 1)
+        assert capfd.readouterr().out == ""
 
     def test_deterministic_bytes(self):
         y = np.random.default_rng(37).normal(size=(30, 60))

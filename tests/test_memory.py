@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from fable.cli import _index_pairs
-from fable.errors import NonFinite, TooFewRows
+from fable.errors import InvalidOption, NonFinite, TooFewRows
 from fable.inference import credible_intervals
 from fable.io import load_matrix, preprocess, save_matrix
 from fable.linalg import DataMatrix, center_columns
@@ -105,31 +105,32 @@ class TestEntrySetMemory:
         assert peak_ratio(credible_intervals, model, entries, size=self.MB) < 100
 
 
+def caller_array(kind, seed):
+    """The caller's 6 x 8 array for ``kind``: counts, centered for the
+    DataMatrix constructor."""
+    x = np.random.default_rng(seed).gamma(2.0, 5.0, (6, 8))
+    return x - x.mean(axis=0) if kind == "DataMatrix" else x
+
+
 def made(kind, x):
     """The DataMatrix that ``kind`` builds from the caller's array x."""
     if kind == "DataMatrix":
-        return DataMatrix(x)
-    if kind == "DataMatrix_centered":
-        return DataMatrix(x - x.mean(axis=0), centered=True, column_means=x.mean(axis=0))
+        return DataMatrix(x, np.zeros(x.shape[1]))
     if kind == "center_columns":
         return center_columns(x)
-    transform, fraction, center = kind
-    return preprocess(x, transform=transform, filter_top_variance_fraction=fraction,
-                      center=center)[0]
+    transform, fraction = kind
+    return preprocess(x, transform=transform, filter_top_variance_fraction=fraction)[0]
 
 
-KINDS = ["DataMatrix", "DataMatrix_centered", "center_columns"] + [
-    (transform, fraction, center)
-    for transform in ("none", "log2_plus_one")
-    for fraction in (1.0, 0.5)
-    for center in (True, False)
+KINDS = ["DataMatrix", "center_columns"] + [
+    (transform, fraction) for transform in ("none", "log2_plus_one") for fraction in (1.0, 0.5)
 ]
 
 
 class TestCopyPolicy:
     @pytest.mark.parametrize("kind", KINDS, ids=str)
     def test_caller_array_is_copied_and_left_alone(self, kind):
-        x = np.random.default_rng(3).gamma(2.0, 5.0, (6, 8))
+        x = caller_array(kind, 3)
         before = x.copy()
         dm = made(kind, x)
         np.testing.assert_array_equal(x, before)
@@ -141,7 +142,7 @@ class TestCopyPolicy:
 
     @pytest.mark.parametrize("kind", KINDS, ids=str)
     def test_values_are_read_only(self, kind):
-        dm = made(kind, np.random.default_rng(4).gamma(2.0, 5.0, (6, 8)))
+        dm = made(kind, caller_array(kind, 4))
         with pytest.raises(ValueError, match="read-only"):
             dm.values[0, 0] = 1.0
 
@@ -154,9 +155,10 @@ class TestCopyPolicy:
 
     def test_adopted_arrays_keep_the_checks(self):
         with pytest.raises(NonFinite):
-            DataMatrix._adopt(np.array([[1.0, np.inf], [0.0, 1.0]]))
+            DataMatrix._adopt(np.array([[1.0, np.inf], [-1.0, 0.0]]), np.zeros(2))
         with pytest.raises(TooFewRows):
-            DataMatrix._adopt(np.zeros((0, 3)))
-        assert DataMatrix._adopt(np.zeros((1, 3))).n == 1  # a held-out row
-        with pytest.raises(ValueError, match="claimed centered"):
+            DataMatrix._adopt(np.zeros((0, 3)), np.zeros(3))
+        with pytest.raises(TooFewRows):
+            DataMatrix._adopt(np.zeros((1, 3)), np.zeros(3))
+        with pytest.raises(InvalidOption, match="not centered"):
             DataMatrix._adopt(np.array([[1.0, 0.0], [1.0, 0.0]]), np.zeros(2))

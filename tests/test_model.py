@@ -241,13 +241,6 @@ class TestSelectRank:
         with pytest.raises(AllZeroSpectrum):
             fit(dm)
 
-    @pytest.mark.parametrize("k, error", [(None, AllZeroSpectrum), (1, ZeroResidualVariance)])
-    def test_fit_refuses_one_centered_row(self, k, error):
-        # a one-row matrix is held as data, but centered it is all zero
-        dm = DataMatrix(np.zeros((1, 4)), centered=True, column_means=np.arange(4.0))
-        with pytest.raises(error):
-            fit(dm, k=k)
-
     def test_fit_without_rank_refuses_one_column(self):
         dm = center_columns(np.random.default_rng(17).normal(size=(8, 1)))
         with pytest.raises(ZeroResidual, match="no scorable ranks"):
@@ -366,21 +359,17 @@ class TestFit:
         assert a.rho == b.rho
 
     def test_requires_centered(self):
-        from fable.linalg import DataMatrix
+        with pytest.raises(InvalidOption, match="not centered"):
+            fit(DataMatrix(np.ones((5, 3)) + np.eye(5, 3), np.ones(3)), k=1)
 
-        with pytest.raises(ValueError, match="centered"):
-            fit(DataMatrix(np.ones((5, 3)) + np.eye(5, 3)), k=1)
-
-    def test_refuses_data_not_flagged_centered(self):
-        # the refusal follows the DataMatrix flag, not the column means:
-        # zero-mean values passed with centered=False are still refused
-        from fable.io import preprocess
-
+    def test_fits_any_centered_data_matrix(self):
+        # the type is the guarantee: centered values with their means fit
+        # as center_columns' output of the same values does
         _, _, y = make_factor_data(20, 6, 1, seed=57)
-        dm, _ = preprocess(y - y.mean(axis=0), center=False)
-        assert not dm.centered
-        with pytest.raises(ValueError, match="center"):
-            fit(dm, k=1)
+        dm = center_columns(y)
+        a = fit(DataMatrix(dm.values, dm.column_means), k=1)
+        b = fit(dm, k=1)
+        assert a.mu.tobytes() == b.mu.tobytes() and a.rho == b.rho
 
     def test_rank_out_of_range(self):
         _, _, y = make_factor_data(10, 5, 1, seed=56)
@@ -847,3 +836,28 @@ class TestModelValidation:
         arr.flat[0] = bad
         with pytest.raises(NonFinite, match=name):
             FableModel(**{**m.__dict__, name: arr})
+
+
+class TestScaleEquivariance:
+    """Scale the data by 2^e and delta0_sq by 4^e: mu scales by 2^e, the
+    variances by 4^e, and tau_sq and rho stay put. The tridiagonal route
+    works at unit scale, so this holds bit for bit across the double
+    range; only the spectrum at e = -500 moves, by at most 1e-15 of s_1,
+    because there the Gram products fall below 2^-1022 and lose bits."""
+
+    @pytest.mark.parametrize("shape", [(60, 40), (40, 60)], ids=["cols-side", "rows-side"])
+    @pytest.mark.parametrize("e", [-500, -400, -260, 0, 200])
+    def test_fit_scales_exactly(self, e, shape):
+        _, _, y = make_factor_data(*shape, 3, seed=61)
+        unit = fit(center_columns(y), k=3)
+        scaled = fit(center_columns(np.ldexp(y, e)), k=3, delta0_sq=4.0**e)
+        assert scaled.mu.tobytes() == np.ldexp(unit.mu, e).tobytes()
+        for name in ("delta_sq", "v_sq", "l_sq"):
+            want = np.ldexp(getattr(unit, name), 2 * e)
+            assert getattr(scaled, name).tobytes() == want.tobytes(), name
+        assert (scaled.k, scaled.tau_sq, scaled.rho) == (unit.k, unit.tau_sq, unit.rho)
+        spectrum = np.ldexp(unit.spectrum, e)
+        np.testing.assert_allclose(scaled.spectrum, spectrum, rtol=0,
+                                   atol=1e-15 * spectrum[0])
+        if e > -500:
+            assert scaled.spectrum.tobytes() == spectrum.tobytes()

@@ -135,7 +135,6 @@ class TestGenerateData:
         truth = generate_truth(cfg, truth_rng(0))
         dm = generate_data(truth, 40, np.random.default_rng(1))
         assert dm.values.shape == (40, 30)
-        assert dm.centered
         npt.assert_allclose(dm.values.mean(axis=0), 0.0, atol=1e-12)
 
     def test_scores_variant_matches_and_exposes_factors(self):

@@ -160,6 +160,19 @@ def test_gammaincinv_tail_rows_are_scipys(a):
     assert got[coarse].tobytes() == ref[coarse].tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [1e50, 1e100, 5e299])
+def test_gammaincinv_huge_shapes_are_finite(a):
+    # past about a = 1e30 the density at some table nodes overflows, and
+    # those intervals stay scipy's. Here sqrt(a) is below ulp(a), so every
+    # quantile the table could give rounds as scipy's does.
+    y = np.random.default_rng(5).random(20000)
+    got = gammaincinv(a, y)
+    assert _special._quantile_table(a)[-1].any()
+    assert np.isfinite(got).all()
+    assert got.tobytes() == scipy.special.gammaincinv(a, y).tobytes()
+
+
 def test_gammaincinv_rows_are_independent():
     # a row's value does not depend on the others, nor on the layout
     y = gate_rows(250.5, seed=11)
