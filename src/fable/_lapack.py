@@ -11,8 +11,9 @@ numpy's wheels bundle OpenBLAS, LAPACK included, as
 ``numpy.libs/libscipy_openblas64_*.so``: 64-bit integers, symbols named
 ``scipy_<routine>_64_``. Going through it keeps scipy out of a fit. The
 library is opened on first use, not on import. When it or a routine is
-missing, or LAPACK reports a failure, these functions return None and
-the caller takes ``eigh``.
+missing (:func:`available` is False), the caller takes ``eigh``; when
+LAPACK reports a failure, these functions return None and the caller
+takes the SVD.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ def _routines() -> dict | None:
             fn.restype = None
         return found
     return None
+
+
+def available() -> bool:
+    """Whether numpy ships the library with all five routines."""
+    return _routines() is not None
 
 
 def _int(value: int):
@@ -151,10 +157,9 @@ class Tridiagonal:
 
 def tridiagonalize(a: np.ndarray) -> Tridiagonal | None:
     """Reduce the symmetric float64 matrix ``a`` in place (it then holds
-    the reflectors); None when the library or a routine is missing."""
+    the reflectors); None when ``dsytrd`` reports a failure. Needs
+    :func:`available`."""
     lapack = _routines()
-    if lapack is None:
-        return None
     if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("tridiagonalize needs a square float64 matrix")
     if not a.flags.c_contiguous or not a.flags.writeable:

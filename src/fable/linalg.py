@@ -146,13 +146,13 @@ class DataMatrix:
 class TruncatedSvd:
     """Rank-k factors of a matrix plus the singular value spectrum.
 
-    ``spectrum`` holds all min(n, p) singular values; ``singvals`` is its
-    first k entries. ``route`` names the decomposition that produced
-    them, one of :data:`SVD_ROUTES` (see :func:`truncated_svd`).
+    ``spectrum`` holds all min(n, p) singular values; ``singvals`` is a
+    read-only view of its first k entries. ``route`` names the
+    decomposition that produced them, one of :data:`SVD_ROUTES` (see
+    :func:`truncated_svd`).
     """
 
     u: np.ndarray
-    singvals: np.ndarray
     v: np.ndarray
     spectrum: np.ndarray
     k: int
@@ -163,14 +163,13 @@ class TruncatedSvd:
             raise InvalidOption(f"route must be one of {SVD_ROUTES}, got {self.route!r}")
         u = _as_float_matrix(self.u, "u")
         v = _as_float_matrix(self.v, "v")
-        s = np.asarray(self.singvals, dtype=np.float64)
         spec = np.asarray(self.spectrum, dtype=np.float64)
         k = int(self.k)
-        if u.shape[1] != k or v.shape[1] != k or s.shape != (k,):
+        if u.shape[1] != k or v.shape[1] != k:
             raise DimensionMismatch("factor widths must all equal k")
         if spec.ndim != 1 or spec.shape[0] < k:
             raise DimensionMismatch("spectrum must hold at least k values")
-        if np.any(s < 0) or np.any(np.diff(spec) > 1e-12 * max(1.0, spec[0])):
+        if np.any(spec < 0) or np.any(np.diff(spec) > 1e-12 * max(1.0, spec[0])):
             raise InvalidOption("singular values must be nonnegative and non-increasing")
         for mat, nm in ((u, "u"), (v, "v")):
             gram = mat.T @ mat
@@ -178,9 +177,12 @@ class TruncatedSvd:
                 raise InvalidOption(f"columns of {nm} are not orthonormal")
         object.__setattr__(self, "u", _frozen(u))
         object.__setattr__(self, "v", _frozen(v))
-        object.__setattr__(self, "singvals", _frozen(s))
         object.__setattr__(self, "spectrum", _frozen(spec))
         object.__setattr__(self, "k", k)
+
+    @property
+    def singvals(self) -> np.ndarray:
+        return self.spectrum[: self.k]
 
 
 @dataclass(frozen=True)
@@ -273,14 +275,8 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Convention: the largest-magnitude entry of each right vector is
     # made positive (first index wins ties) so factors are reproducible
     # across LAPACK builds.
-    u = u.copy()
-    v = v.copy()
-    for j in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0:
-            v[:, j] = -v[:, j]
-            u[:, j] = -u[:, j]
-    return u, v
+    signs = np.where(v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])] < 0, -1.0, 1.0)
+    return u * signs, v * signs
 
 
 def _values_of(data: DataMatrix | np.ndarray) -> np.ndarray:
@@ -296,17 +292,6 @@ def _checked_rank(k, shape: tuple[int, int]) -> int:
     return int(k)
 
 
-def _root(evals: np.ndarray) -> np.ndarray:
-    """Singular values from Gram eigenvalues, clipped at zero."""
-    return np.sqrt(np.clip(evals, 0.0, None))
-
-
-def _resolves(evals: np.ndarray, rank: int) -> bool:
-    """Whether the Gram eigenvalues ``evals`` (largest first) resolve the
-    top ``rank`` singular vectors; see ``_GRAM_MIN_RATIO``."""
-    return evals[0] > 0.0 and evals[rank - 1] >= _GRAM_MIN_RATIO * evals[0]
-
-
 def truncated_svd(
     data: DataMatrix | np.ndarray,
     k: int | Callable[[np.ndarray], int],
@@ -314,25 +299,24 @@ def truncated_svd(
     """Top-k singular triplets and the whole spectrum, exactly.
 
     Decomposes the smaller Gram matrix, X X' when n <= p and X' X
-    otherwise. The spectrum is the square root of all its eigenvalues
-    clipped at zero, so all min(n, p) singular values are returned; the
-    top-k vectors on the other side come from one product with X. ``k``
-    is the rank, or a function that picks it from the spectrum.
+    otherwise, formed once and scaled by the power of two that puts its
+    largest entry in [0.5, 1). The spectrum is the square root of all
+    its eigenvalues, scaled back and clipped at zero; the top-k vectors
+    on the other side come from one product with X. ``k`` is the rank,
+    or a function that picks it from the spectrum.
 
-    Only k eigenvectors are formed (route "tridiagonal"): one tridiagonal
-    reduction of the Gram matrix gives every eigenvalue and, by bisection
-    and inverse iteration, the top k vectors, through the LAPACK numpy
-    ships (:mod:`fable._lapack`). When that library or a routine is
-    missing, or LAPACK reports a failure (a top vector that did not
-    converge, a count other than k), numpy's ``eigh`` of the Gram matrix
-    is taken instead (route "eigh").
+    With the LAPACK numpy ships (:mod:`fable._lapack`), one tridiagonal
+    reduction gives every eigenvalue and, by bisection and inverse
+    iteration, only the top k vectors (route "tridiagonal"); without it,
+    numpy's ``eigh`` of the same matrix does (route "eigh").
 
     Forming the Gram matrix squares the condition number. When
     s_k^2 < 1e-6 * s_1^2 (a k-th singular value heading for the
     sqrt(eps) * s_1 floor the Gram matrix can resolve, a rank below k, or
-    the zero matrix) the retained vectors would be unreliable, and the
-    decomposition is redone by LAPACK's SVD (route "svd"). Whichever the
-    route, the signs follow :func:`_fix_signs`.
+    the zero matrix) the retained vectors would be unreliable, and, as
+    when LAPACK reports a failure, the decomposition is redone by
+    LAPACK's SVD (route "svd"). The signs follow :func:`_fix_signs`.
+    Data whose squares sum past the double range raise :class:`NonFinite`.
     """
     from . import _lapack
 
@@ -348,50 +332,43 @@ def truncated_svd(
         raise RankOutOfRange(f"no rank in [1, 0] for shape {vals.shape}")
     rows_side = n <= p
 
-    def gram() -> np.ndarray:
-        return vals @ vals.T if rows_side else vals.T @ vals
-
-    route, top = "tridiagonal", None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused here
+        gram = vals @ vals.T if rows_side else vals.T @ vals
+        # the trace bounds every Gram entry and eigenvalue, and every
+        # column sum of squares that fit forms
+        if not math.isfinite(gram.trace()):
+            raise NonFinite(f"data at max |x| = {_abs_max(vals):.3e} square past the double range")
     # bisection and inverse iteration lose the top vectors once the Gram
-    # entries fall below about 2^-505, so they work at unit scale: an exact
-    # power of two puts the largest entry, on the diagonal, in [0.5, 1)
-    scaled = gram()
-    exponent = int(np.frexp(scaled.diagonal().max())[1])
-    reduced = _lapack.tridiagonalize(np.ldexp(scaled, -exponent, out=scaled))
-    evals = None if reduced is None else reduced.eigenvalues()
+    # entries fall below about 2^-505, so both routes work at unit scale
+    exponent = int(np.frexp(gram.diagonal().max())[1])
+    np.ldexp(gram, -exponent, out=gram)
+    if _lapack.available():
+        route, reduced = "tridiagonal", _lapack.tridiagonalize(gram)
+        evals = None if reduced is None else reduced.eigenvalues()
+    else:
+        route, (evals, evecs) = "eigh", np.linalg.eigh(gram)
+        evals, evecs = evals[::-1], evecs[:, ::-1]
+    top = None
     if evals is not None:
         evals = np.ldexp(evals, exponent)
-        spectrum = _root(evals)
+        spectrum = np.sqrt(np.clip(evals, 0.0, None))
         rank = rank_of(spectrum)
-        if _resolves(evals, rank):
-            top = reduced.top_vectors(rank)
-        else:
-            route = "svd"
-    if route == "tridiagonal" and top is None:
-        route = "eigh"
-        evals, evecs = np.linalg.eigh(gram())
-        evals, evecs = evals[::-1], evecs[:, ::-1]
-        spectrum = _root(evals)
-        rank = rank_of(spectrum)
-        top = evecs[:, :rank]
-        if not _resolves(evals, rank):
-            route = "svd"
+        if evals[0] > 0.0 and evals[rank - 1] >= _GRAM_MIN_RATIO * evals[0]:
+            top = evecs[:, :rank] if route == "eigh" else reduced.top_vectors(rank)
 
-    if route == "svd":
+    if top is None:
         u_full, spectrum, vt_full = np.linalg.svd(vals, full_matrices=False)
         rank = rank_of(spectrum)
         u, v = _fix_signs(u_full[:, :rank], vt_full[:rank].T)
-        return TruncatedSvd(
-            u=u, singvals=spectrum[:rank], v=v, spectrum=spectrum, k=rank, route=route
-        )
+        return TruncatedSvd(u=u, v=v, spectrum=spectrum, k=rank, route="svd")
 
     s = spectrum[:rank]
     if rows_side:
-        u, v = top, (vals.T @ top) / s
+        u, v = top, (top.T @ vals).T / s
     else:
         u, v = (vals @ top) / s, top
     u, v = _fix_signs(u, v)
-    return TruncatedSvd(u=u, singvals=s, v=v, spectrum=spectrum, k=rank, route=route)
+    return TruncatedSvd(u=u, v=v, spectrum=spectrum, k=rank, route=route)
 
 
 def spectral_norm(a: MatrixLike, *, tol: float = 1e-8) -> float:
@@ -409,10 +386,16 @@ def spectral_norm(a: MatrixLike, *, tol: float = 1e-8) -> float:
     exponent = 0
     if not isinstance(a, LinearMap):
         arr = _as_float_matrix(a, "operand")
-        # an exact power-of-two rescaling keeps A.T A clear of underflow
-        exponent = int(np.frexp(np.abs(arr).max(initial=0.0))[1])
-        arr = np.ldexp(arr, -exponent)
-        a = LinearMap(shape=arr.shape, matvec=arr.__matmul__, rmatvec=arr.T.__matmul__)
+        # an exact power-of-two rescaling keeps A.T A clear of underflow and
+        # overflow: 2^-e A x is A (2^-e x), not a scaled copy of A, with the
+        # part of e past +/-900 moved to the product to keep x in range too
+        exponent = int(np.frexp(_abs_max(arr))[1])
+        inner = max(-900, min(900, exponent))
+        a = LinearMap(
+            shape=arr.shape,
+            matvec=lambda x: np.ldexp(arr @ np.ldexp(x, -inner), inner - exponent),
+            rmatvec=lambda y: np.ldexp(arr.T @ np.ldexp(y, -inner), inner - exponent),
+        )
     n = a.shape[1]
     if n <= 1:  # ARPACK needs n >= 2; A is then its one column (or none)
         return float(np.ldexp(np.linalg.norm(a.matvec(np.ones(n))), exponent))

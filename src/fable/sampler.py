@@ -301,7 +301,8 @@ def sample_entry_stats(
     """Mean, sd, and quantiles of the entries ``indices`` (a list of
     (u, v) pairs or an (m, 2) array) over draws, as (m,) arrays.
 
-    Mean and sd are streamed over every draw. Quantiles use the full
+    Mean and sd are streamed over every draw; a mean or sd past the
+    double range is refused as :class:`NonFinite`. Quantiles use the full
     draw sequence when n_samples <= 10,000 and an Algorithm-R subsample
     of that size otherwise (results then carry exact=False).
     Reservoir decisions consume a dedicated substream, so outputs stay
@@ -325,12 +326,18 @@ def sample_entry_stats(
     res_rng = np.random.default_rng(
         np.random.SeedSequence((rng.seed, _RESERVOIR_TAG))
     )
-    s1, s2 = np.zeros(len(u)), np.zeros(len(u))
+    s1, d1, d2 = np.zeros(len(u)), np.zeros(len(u)), np.zeros(len(u))
     draws = _iter_draws(model, range(1, n_samples + 1), rng, threads, rows)
     for seen, sample in enumerate(draws):
         vals = _entry_values(sample.loadings, sample.noise_sq, u_loc, v_loc)
         s1 += vals
-        s2 += vals * vals
+        # deviations from the first draw, at the power of two of its values,
+        # so their squares stay in range whatever the entries' scale
+        if not seen:
+            shift, scale = vals, -np.frexp(vals)[1]
+        dev = np.ldexp(vals - shift, scale)
+        d1 += dev
+        d2 += dev * dev
         if seen < cap:
             buf[seen] = vals
         else:
@@ -338,9 +345,13 @@ def sample_entry_stats(
             if slot < cap:
                 buf[slot] = vals
 
-    mean = s1 / n_samples
-    var = (s2 - n_samples * mean * mean) / (n_samples - 1)
-    sd = np.sqrt(np.maximum(var, 0.0))
+    mean, var = s1 / n_samples, (d2 - d1 * d1 / n_samples) / (n_samples - 1)
+    with np.errstate(over="ignore"):
+        sd = np.ldexp(np.sqrt(np.maximum(var, 0.0)), -scale)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(sd)))
+    if bad.size:
+        e = bad[0]
+        raise NonFinite(f"entry ({u[e]}, {v[e]}) has mean {mean[e]} and sd {sd[e]} over the draws")
     qlevels = list(quantiles)
     # buf is not read again, so the quantiles may partition it in place
     qvals = np.quantile(buf, qlevels, axis=0, overwrite_input=True) if qlevels else []

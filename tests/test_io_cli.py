@@ -1034,6 +1034,24 @@ class TestCliTinyData:
         assert load_model(tmp_path / "m.bin").mu.tobytes() == np.ldexp(unit.mu, -260).tobytes()
 
 
+class TestCliHugeData:
+    def test_fit_at_two_to_the_515_is_one_refusal(self, tmp_path, capsys):
+        # the values are finite, but their squares sum past the double range
+        _, _, y = make_factor_data(60, 40, 3, seed=62)
+        path = tmp_path / "huge.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n"
+                                for row in np.ldexp(y, 515).tolist()))
+        capsys.readouterr()
+        assert main(["fit", "--input", str(path), "--k", "3",
+                     "--output", str(tmp_path / "m.bin")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "NonFinite" and "max |x|" in record["message"]
+        assert "warnings" not in record
+        assert not (tmp_path / "m.bin").exists()
+
+
 class TestCliRankSelectionErrors:
     """Rank selection's refusals end as exit 1 with a JSON error record."""
 

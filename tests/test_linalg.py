@@ -399,18 +399,39 @@ class TestSvdRoute:
         monkeypatch.setattr(lapack, "_routines", lambda: routines)
 
     @pytest.mark.parametrize("name, arg, value", [("dstein", 12, 1), ("dstebz", 10, 4),
-                                                  ("dsterf", 3, 1), ("dormtr", 12, -7)],
+                                                  ("dsterf", 3, 1), ("dormtr", 12, -7),
+                                                  ("dsytrd", 9, -2)],
                              ids=["unconverged-vector", "count-not-rank",
-                                  "eigenvalues-fail", "back-transform-fails"])
-    def test_lapack_failure_takes_eigh(self, lapack_reset, monkeypatch, name, arg, value):
+                                  "eigenvalues-fail", "back-transform-fails",
+                                  "reduction-fails"])
+    def test_lapack_failure_takes_svd(self, lapack_reset, monkeypatch, svd_calls,
+                                      name, arg, value):
         self.failing(lapack_reset, monkeypatch, name, arg, value)
         y = self.y()
         out = truncated_svd(y, 3)
-        assert out.route == "eigh"
-        u, _, v, spectrum = eigh_path(y, 3)
-        np.testing.assert_array_equal(out.u, u)
-        np.testing.assert_array_equal(out.v, v)
-        np.testing.assert_array_equal(out.spectrum, spectrum)
+        assert out.route == "svd"
+        assert svd_calls == [y.shape]
+        u, s, vt = np.linalg.svd(y, full_matrices=False)
+        u, v = fable.linalg._fix_signs(u[:, :3], vt[:3].T)
+        assert out.u.tobytes() == np.ascontiguousarray(u).tobytes()
+        assert out.v.tobytes() == np.ascontiguousarray(v).tobytes()
+        assert out.spectrum.tobytes() == s.tobytes()
+
+    @pytest.mark.parametrize("shape", [(30, 45), (45, 30)], ids=["rows-side", "cols-side"])
+    def test_eigh_route_decomposes_one_unit_scale_gram(self, lapack_reset, monkeypatch,
+                                                       shape):
+        monkeypatch.setattr(lapack_reset, "_LIBRARY", "libnothing_*.so")
+        seen = []
+        real = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            seen.append(float(a.diagonal().max()))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        y = self.y() if shape == (30, 45) else self.y().T
+        assert truncated_svd(np.ldexp(y, 300), 3).route == "eigh"
+        assert len(seen) == 1 and 0.5 <= seen[0] < 1.0
 
     def test_rank_deficient_and_zero_take_svd(self):
         assert truncated_svd(with_spectrum(25, 18, [3.0, 2.0], seed=35), 4).route == "svd"

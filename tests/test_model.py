@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+import fable._lapack
 from fable.errors import (
     AllZeroSpectrum,
     DegenerateDenominator,
@@ -840,15 +841,26 @@ class TestModelValidation:
 
 class TestScaleEquivariance:
     """Scale the data by 2^e and delta0_sq by 4^e: mu scales by 2^e, the
-    variances by 4^e, and tau_sq and rho stay put. The tridiagonal route
-    works at unit scale, so this holds bit for bit across the double
-    range; only the spectrum at e = -500 moves, by at most 1e-15 of s_1,
-    because there the Gram products fall below 2^-1022 and lose bits."""
+    variances by 4^e, and tau_sq and rho stay put. Both Gram routes work
+    at unit scale, so this holds bit for bit across the double range;
+    only the spectrum at e = -500 moves, by at most 1e-15 of s_1, because
+    there the Gram products fall below 2^-1022 and lose bits. Data whose
+    squares sum past the double range are refused as NonFinite."""
+
+    @pytest.fixture(params=["tridiagonal", "eigh"])
+    def route(self, request, monkeypatch):
+        """The Gram route to take; eigh by hiding numpy's LAPACK."""
+        fable._lapack._routines.cache_clear()
+        if request.param == "eigh":
+            monkeypatch.setattr(fable._lapack, "_LIBRARY", "libnothing_*.so")
+        yield request.param
+        fable._lapack._routines.cache_clear()
 
     @pytest.mark.parametrize("shape", [(60, 40), (40, 60)], ids=["cols-side", "rows-side"])
-    @pytest.mark.parametrize("e", [-500, -400, -260, 0, 200])
-    def test_fit_scales_exactly(self, e, shape):
+    @pytest.mark.parametrize("e", [-500, -400, -260, 0, 200, 505])
+    def test_fit_scales_exactly(self, route, e, shape):
         _, _, y = make_factor_data(*shape, 3, seed=61)
+        assert truncated_svd(center_columns(y), 3).route == route
         unit = fit(center_columns(y), k=3)
         scaled = fit(center_columns(np.ldexp(y, e)), k=3, delta0_sq=4.0**e)
         assert scaled.mu.tobytes() == np.ldexp(unit.mu, e).tobytes()
@@ -861,3 +873,22 @@ class TestScaleEquivariance:
                                    atol=1e-15 * spectrum[0])
         if e > -500:
             assert scaled.spectrum.tobytes() == spectrum.tobytes()
+
+    @pytest.mark.parametrize("e, shape", [(515, (60, 40)), (515, (40, 60)), (508, (60, 40))],
+                             ids=["515-cols-side", "515-rows-side", "508"])
+    def test_huge_data_refused(self, route, e, shape):
+        _, _, y = make_factor_data(*shape, 3, seed=61)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="max \\|x\\|"):
+                fit(center_columns(np.ldexp(y, e)), k=3)
+
+    def test_one_huge_column_refused(self, route):
+        # its row sums are finite, but its square sum and the top
+        # eigenvalue are not
+        y = np.random.default_rng(62).normal(size=(50, 80))
+        y[:, 7] = np.where(np.arange(50) % 2, 1.2e154, -1.2e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="max \\|x\\|"):
+                fit(center_columns(y), k=3)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -333,7 +334,8 @@ def gathered_entry_stats(model, n_samples, seed, pairs, *, rho=None,
                          quantiles=(0.025, 0.5, 0.975), reservoir=10_000):
     """Oracle for sample_entry_stats: every row of each draw from
     draw_sample, the pairs' rows gathered afterwards, then the same
-    streaming sums and Algorithm-R reservoir substream."""
+    streaming sums (the second moments shifted and scaled by the first
+    draw) and Algorithm-R reservoir substream."""
     if rho is not None:
         model = dataclasses.replace(model, rho=rho)
     u = np.array([a for a, _ in pairs])
@@ -342,12 +344,16 @@ def gathered_entry_stats(model, n_samples, seed, pairs, *, rho=None,
     cap = min(n_samples, reservoir)
     buf = np.empty((cap, len(pairs)))
     res_rng = np.random.default_rng(np.random.SeedSequence((seed, _RESERVOIR_TAG)))
-    s1, s2 = np.zeros(len(pairs)), np.zeros(len(pairs))
+    s1, d1, d2 = np.zeros(len(pairs)), np.zeros(len(pairs)), np.zeros(len(pairs))
     for seen, t in enumerate(range(1, n_samples + 1)):
         d = draw_sample(model, t, RngSpec(seed))
         vals = np.einsum("ek,ek->e", d.loadings[u], d.loadings[v]) + diag * d.noise_sq[u]
         s1 += vals
-        s2 += vals * vals
+        if not seen:
+            shift, scale = vals, -np.frexp(vals)[1]
+        dev = np.ldexp(vals - shift, scale)
+        d1 += dev
+        d2 += dev * dev
         if seen < cap:
             buf[seen] = vals
         else:
@@ -355,7 +361,8 @@ def gathered_entry_stats(model, n_samples, seed, pairs, *, rho=None,
             if slot < cap:
                 buf[slot] = vals
     mean = s1 / n_samples
-    sd = np.sqrt(np.maximum((s2 - n_samples * mean * mean) / (n_samples - 1), 0.0))
+    sd = np.ldexp(np.sqrt(np.maximum((d2 - d1 * d1 / n_samples) / (n_samples - 1), 0.0)),
+                  -scale)
     q = np.quantile(buf, list(quantiles), axis=0)
     return EntryStats(
         mean=mean,
@@ -430,6 +437,32 @@ class TestSampleEntryStats:
                 np.quantile(arr, 0.5), rel=1e-10
             )
             assert stats.exact
+
+    @pytest.mark.parametrize("delta0_sq", [1.0, 1e200])
+    def test_sd_matches_two_pass_at_any_scale(self, delta0_sq):
+        # at 1e200 the entries near 1e198 square past the double range
+        _, _, y = make_factor_data(40, 6, 2, seed=104)
+        model = fit(center_columns(y), k=2, delta0_sq=delta0_sq)
+        pairs = [(0, 0), (0, 1), (3, 5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = sample_entry_stats(model, 50, RngSpec(1), pairs)
+        us, vs = zip(*pairs)
+        vals = np.array([sample_entries(s, us, vs)
+                         for s in draw_samples(model, 50, RngSpec(1))])
+        assert stats.mean.tobytes() == (vals.sum(axis=0) / 50).tobytes()
+        assert (stats.mean[0] > 1e190) == (delta0_sq > 1)
+        # numpy's two-pass sd, on the draws scaled by a power of two so
+        # that their squares stay finite
+        e = int(np.frexp(np.abs(vals).max())[1])
+        want = np.ldexp(np.ldexp(vals, -e).std(axis=0, ddof=1), e)
+        np.testing.assert_allclose(stats.sd, want, rtol=1e-12)
+
+    def test_mean_past_the_double_range_refused(self, small_model):
+        # each draw of entry (0, 0) is finite, but their sum is not
+        model = dataclasses.replace(small_model, delta_sq=small_model.delta_sq * 1e308)
+        with pytest.raises(NonFinite, match="mean inf"), np.errstate(over="ignore"):
+            sample_entry_stats(model, 20, RngSpec(1), [(0, 0)])
 
     def test_reservoir_flagged(self, small_model, monkeypatch):
         monkeypatch.setattr(fable.sampler, "_RESERVOIR", 200)
@@ -579,8 +612,7 @@ def reference_sample_entry_stats(model, n_samples, rng, indices, *, rho=None,
     cap = min(n_samples, reservoir)
     buf = np.empty((cap, len(pairs)))
     res_rng = np.random.default_rng(np.random.SeedSequence((rng.seed, _RESERVOIR_TAG)))
-    s1 = np.zeros(len(pairs))
-    s2 = np.zeros(len(pairs))
+    s1, d1, d2 = np.zeros(len(pairs)), np.zeros(len(pairs)), np.zeros(len(pairs))
     seen = 0
     for sample in _iter_draws(model, range(1, n_samples + 1), rng, threads, rows):
         vals = (
@@ -588,7 +620,11 @@ def reference_sample_entry_stats(model, n_samples, rng, indices, *, rho=None,
             + diag_mask * sample.noise_sq[u_loc]
         )
         s1 += vals
-        s2 += vals * vals
+        if not seen:
+            shift, scale = vals, -np.frexp(vals)[1]
+        dev = np.ldexp(vals - shift, scale)
+        d1 += dev
+        d2 += dev * dev
         if seen < cap:
             buf[seen] = vals
         else:
@@ -597,8 +633,8 @@ def reference_sample_entry_stats(model, n_samples, rng, indices, *, rho=None,
                 buf[slot] = vals
         seen += 1
     mean = s1 / n_samples
-    var = (s2 - n_samples * mean * mean) / (n_samples - 1)
-    sd = np.sqrt(np.maximum(var, 0.0))
+    var = (d2 - d1 * d1 / n_samples) / (n_samples - 1)
+    sd = np.ldexp(np.sqrt(np.maximum(var, 0.0)), -scale)
     qlevels = list(quantiles)
     qvals = np.quantile(buf, qlevels, axis=0, overwrite_input=True)
     return {
