@@ -11,9 +11,9 @@ numpy's wheels bundle OpenBLAS, LAPACK included, as
 ``numpy.libs/libscipy_openblas64_*.so``: 64-bit integers, symbols named
 ``scipy_<routine>_64_``. Going through it keeps scipy out of a fit. The
 library is opened on first use, not on import. When it or a routine is
-missing (:func:`available` is False), the caller takes ``eigh``; when
-LAPACK reports a failure, these functions return None and the caller
-takes the SVD.
+missing (:func:`available` is False), the caller takes numpy's ``eigh``;
+a failure LAPACK reports raises :class:`~fable.errors.ConvergenceFailure`,
+and the caller then takes the SVD.
 """
 
 from __future__ import annotations
@@ -22,8 +22,11 @@ import ctypes
 import functools
 import glob
 import os
+from typing import Callable
 
 import numpy as np
+
+from .errors import ConvergenceFailure
 
 _LIBRARY = "libscipy_openblas64_*.so"
 _SYMBOL = "scipy_{}_64_"
@@ -92,34 +95,44 @@ def _workspace(call) -> np.ndarray:
     return np.empty(max(1, int(size[0])))
 
 
-class Tridiagonal:
-    """The reduction Q' A Q = T of one symmetric n x n matrix A: ``d`` and
-    ``e`` are T's diagonal and off-diagonal, and Q is kept as the
-    Householder reflectors ``dsytrd`` left in A's buffer."""
+def _check(routine: str, info: ctypes.c_int64, found: int = 0, wanted: int = 0) -> None:
+    """Refuse a nonzero ``info`` from ``routine``, or a count other than wanted."""
+    if info.value or found != wanted:
+        raise ConvergenceFailure(f"LAPACK {routine} failed: info={info.value}, {found} of {wanted}")
 
-    def __init__(self, routines: dict, reflectors: np.ndarray, tau: np.ndarray,
-                 d: np.ndarray, e: np.ndarray) -> None:
-        self._lapack, self._reflectors, self._tau = routines, reflectors, tau
-        self.d, self.e = d, e
 
-    @property
-    def n(self) -> int:
-        return self.d.shape[0]
+def eigh(a: np.ndarray) -> tuple[np.ndarray, Callable[[int], np.ndarray]]:
+    """Every eigenvalue of the symmetric float64 matrix ``a``, largest
+    first, and a function that gives the eigenvectors of the m largest
+    as an n x m array, largest first. ``a`` is reduced in place to the
+    Householder reflectors of Q in Q' A Q = T, T tridiagonal. A failure
+    LAPACK reports, here or in that function, raises
+    :class:`ConvergenceFailure`. Needs :func:`available`."""
+    lapack = _routines()
+    if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("eigh needs a square float64 matrix")
+    if not a.flags.c_contiguous or not a.flags.writeable:
+        raise ValueError("eigh needs a writable C-contiguous matrix")
+    n = a.shape[0]
+    d, e, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1))
+    info = ctypes.c_int64(0)
 
-    def eigenvalues(self) -> np.ndarray | None:
-        """Every eigenvalue, largest first."""
-        d, e, info = self.d.copy(), self.e.copy(), ctypes.c_int64(0)
-        self._lapack["dsterf"](_int(self.n), d, e, ctypes.byref(info))
-        return d[::-1] if info.value == 0 else None
+    # A symmetric row-major buffer is its own column-major transpose, so it
+    # goes to LAPACK as it is; d and e are then T's diagonal and off-diagonal
+    def dsytrd(work, lwork, info_ref):
+        lapack["dsytrd"](b"L", _int(n), a, _int(n), d, e, tau, work, lwork, info_ref, 1)
 
-    def top_vectors(self, m: int) -> np.ndarray | None:
-        """The eigenvectors of the m largest eigenvalues as an n x m array,
-        largest first; None when bisection finds a count other than m or
-        inverse iteration leaves a vector unconverged."""
-        n, lapack, d, e = self.n, self._lapack, self.d, self.e
+    work = _workspace(dsytrd)
+    dsytrd(work, _int(work.shape[0]), ctypes.byref(info))
+    _check("dsytrd", info)
+    evals = d.copy()
+    lapack["dsterf"](_int(n), evals, e.copy(), ctypes.byref(info))
+    _check("dsterf", info)
+
+    def top_vectors(m: int) -> np.ndarray:
         if not 1 <= m <= n:
             raise ValueError(f"need 1 <= m <= {n} eigenvectors, got {m}")
-        found, nsplit, info = ctypes.c_int64(0), ctypes.c_int64(0), ctypes.c_int64(0)
+        found, nsplit = ctypes.c_int64(0), ctypes.c_int64(0)
         w = np.empty(n)
         iblock, isplit = np.empty(n, np.int64), np.empty(n, np.int64)
         # RANGE "I" over the m largest (1-based ascending indices), ORDER "B"
@@ -130,49 +143,25 @@ class Tridiagonal:
             ctypes.byref(nsplit), w, iblock, isplit, np.empty(4 * n),
             np.empty(3 * n, np.int64), ctypes.byref(info), 1, 1,
         )
-        if info.value != 0 or found.value != m:
-            return None
+        _check("dstebz", info, found.value, m)
         # Fortran's n x m column-major Z is this (m, n) row-major array
         z = np.empty((m, n))
         lapack["dstein"](
             _int(n), d, e, _int(m), w, iblock, isplit, z, _int(n), np.empty(5 * n),
             np.empty(n, np.int64), np.empty(m, np.int64), ctypes.byref(info),
         )
-        if info.value != 0:
-            return None
+        _check("dstein", info)
 
         def dormtr(work, lwork, info_ref):
             lapack["dormtr"](
-                b"L", b"L", b"N", _int(n), _int(m), self._reflectors, _int(n), self._tau, z,
-                _int(n), work, lwork, info_ref, 1, 1, 1,
+                b"L", b"L", b"N", _int(n), _int(m), a, _int(n), tau, z, _int(n), work,
+                lwork, info_ref, 1, 1, 1,
             )
 
         work = _workspace(dormtr)
         dormtr(work, _int(work.shape[0]), ctypes.byref(info))
-        if info.value != 0:
-            return None
+        _check("dormtr", info)
         # dstebz orders by split block; sort to largest first
         return z[np.argsort(-w[:m], kind="stable")].T
 
-
-def tridiagonalize(a: np.ndarray) -> Tridiagonal | None:
-    """Reduce the symmetric float64 matrix ``a`` in place (it then holds
-    the reflectors); None when ``dsytrd`` reports a failure. Needs
-    :func:`available`."""
-    lapack = _routines()
-    if a.dtype != np.float64 or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("tridiagonalize needs a square float64 matrix")
-    if not a.flags.c_contiguous or not a.flags.writeable:
-        raise ValueError("tridiagonalize needs a writable C-contiguous matrix")
-    n = a.shape[0]
-    d, e, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1))
-    info = ctypes.c_int64(0)
-
-    # A symmetric row-major buffer is its own column-major transpose, so it
-    # goes to LAPACK as it is
-    def dsytrd(work, lwork, info_ref):
-        lapack["dsytrd"](b"L", _int(n), a, _int(n), d, e, tau, work, lwork, info_ref, 1)
-
-    work = _workspace(dsytrd)
-    dsytrd(work, _int(work.shape[0]), ctypes.byref(info))
-    return Tridiagonal(lapack, a, tau, d, e) if info.value == 0 else None
+    return evals[::-1], top_vectors

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .linalg import DataMatrix, StructuredCovariance, _as_float_matrix, _frozen, gaussian_loglik
 from .model import FableModel, fit
-from .sampler import RngSpec, _entry_set, posterior_mean, sample_entry_stats
+from .sampler import RngSpec, _entry_set, _entry_values, posterior_mean, sample_entry_stats
 
 __all__ = [
     "AsymptoticVariances",
@@ -92,15 +92,17 @@ class IntervalGrid:
 
 
 def _variance_terms(model: FableModel, u_idx, v_idx):
+    """The entries' centres mu_u . mu_v + delta_u^2 1(u=v), and l0^2 and S0^2."""
     m_sq = np.einsum("jk,jk->j", model.mu, model.mu)
-    dots = np.einsum("ek,ek->e", model.mu[u_idx], model.mu[v_idx])
+    center = _entry_values(model.mu, model.delta_sq, u_idx, v_idx)
     vu, vv = model.v_sq[u_idx], model.v_sq[v_idx]
     mu2, mv2 = m_sq[u_idx], m_sq[v_idx]
     diag = u_idx == v_idx
     cross = vv * mu2 + vu * mv2
     l0 = np.where(diag, 2.0 * vu * vu + 4.0 * model.rho**2 * vu * mu2, model.rho**2 * cross)
-    s0 = np.where(diag, 2.0 * (mu2 + vu) ** 2, cross + mu2 * mv2 + dots * dots)
-    return dots, l0, s0
+    # off the diagonal the centre is mu_u . mu_v
+    s0 = np.where(diag, 2.0 * (mu2 + vu) ** 2, cross + mu2 * mv2 + center * center)
+    return center, l0, s0
 
 
 def asymptotic_variances(
@@ -140,8 +142,7 @@ def credible_intervals(
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
     u, v = _entry_set(indices, model.p)
-    dots, l0, _ = _variance_terms(model, u, v)
-    center = dots + np.where(u == v, model.delta_sq[u], 0.0)
+    center, l0, _ = _variance_terms(model, u, v)
     sd = np.sqrt(l0 / model.n)
 
     if method == "asymptotic":

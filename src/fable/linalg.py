@@ -314,9 +314,9 @@ def truncated_svd(
     s_k^2 < 1e-6 * s_1^2 (a k-th singular value heading for the
     sqrt(eps) * s_1 floor the Gram matrix can resolve, a rank below k, or
     the zero matrix) the retained vectors would be unreliable, and, as
-    when LAPACK reports a failure, the decomposition is redone by
-    LAPACK's SVD (route "svd"). The signs follow :func:`_fix_signs`.
-    Data whose squares sum past the double range raise :class:`NonFinite`.
+    when either Gram route fails, LAPACK's SVD redoes it (route "svd"),
+    a failed SVD raising :class:`ConvergenceFailure`. The signs follow
+    :func:`_fix_signs`. Data whose Gram trace overflows raise :class:`NonFinite`.
     """
     from . import _lapack
 
@@ -342,31 +342,34 @@ def truncated_svd(
     # entries fall below about 2^-505, so both routes work at unit scale
     exponent = int(np.frexp(gram.diagonal().max())[1])
     np.ldexp(gram, -exponent, out=gram)
-    if _lapack.available():
-        route, reduced = "tridiagonal", _lapack.tridiagonalize(gram)
-        evals = None if reduced is None else reduced.eigenvalues()
-    else:
-        route, (evals, evecs) = "eigh", np.linalg.eigh(gram)
-        evals, evecs = evals[::-1], evecs[:, ::-1]
-    top = None
-    if evals is not None:
+    top, ranking = None, False
+    try:
+        if _lapack.available():
+            route, (evals, top_vectors) = "tridiagonal", _lapack.eigh(gram)
+        else:
+            route, (evals, evecs) = "eigh", np.linalg.eigh(gram)
+            evals, top_vectors = evals[::-1], lambda m: evecs[:, ::-1][:, :m]
         evals = np.ldexp(evals, exponent)
         spectrum = np.sqrt(np.clip(evals, 0.0, None))
-        rank = rank_of(spectrum)
+        ranking = True  # until the rank function returns: its errors are its caller's
+        rank, ranking = rank_of(spectrum), False
         if evals[0] > 0.0 and evals[rank - 1] >= _GRAM_MIN_RATIO * evals[0]:
-            top = evecs[:, :rank] if route == "eigh" else reduced.top_vectors(rank)
+            top = top_vectors(rank)
+    except (ConvergenceFailure, np.linalg.LinAlgError):
+        if ranking:
+            raise
 
     if top is None:
-        u_full, spectrum, vt_full = np.linalg.svd(vals, full_matrices=False)
-        rank = rank_of(spectrum)
-        u, v = _fix_signs(u_full[:, :rank], vt_full[:rank].T)
-        return TruncatedSvd(u=u, v=v, spectrum=spectrum, k=rank, route="svd")
-
-    s = spectrum[:rank]
-    if rows_side:
-        u, v = top, (top.T @ vals).T / s
+        try:
+            u_full, spectrum, vt_full = np.linalg.svd(vals, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"SVD of the {n} x {p} data failed ({exc})") from exc
+        route, rank = "svd", rank_of(spectrum)
+        u, v = u_full[:, :rank], vt_full[:rank].T
+    elif rows_side:
+        u, v = top, (top.T @ vals).T / spectrum[:rank]
     else:
-        u, v = (vals @ top) / s, top
+        u, v = (vals @ top) / spectrum[:rank], top
     u, v = _fix_signs(u, v)
     return TruncatedSvd(u=u, v=v, spectrum=spectrum, k=rank, route=route)
 
@@ -422,7 +425,8 @@ def gaussian_loglik(data: DataMatrix | np.ndarray, cov: StructuredCovariance) ->
 
     Uses the matrix inversion and determinant lemmas so the cost is
     O(n p k + k^3) and the p x p covariance is never formed. ``data``
-    rows are treated as independent draws; pass centered values.
+    rows are treated as independent draws; pass centered values. A
+    result past the double range, or NaN, raises :class:`NonFinite`.
     """
     vals = _values_of(data)
     n, p = vals.shape
@@ -441,7 +445,10 @@ def gaussian_loglik(data: DataMatrix | np.ndarray, cov: StructuredCovariance) ->
         logdet += 2.0 * float(np.log(np.diag(chol)).sum())
     else:
         quad = quad_diag
-    return float(-0.5 * (n * p * _LOG_2PI + n * logdet + quad.sum()))
+    loglik = float(-0.5 * (n * p * _LOG_2PI + n * logdet + quad.sum()))
+    if not math.isfinite(loglik):
+        raise NonFinite(f"log-likelihood of {n} x {p} data is {loglik}")
+    return loglik
 
 
 def covariance_difference(a: StructuredCovariance, b: StructuredCovariance) -> LinearMap:

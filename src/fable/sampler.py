@@ -129,13 +129,16 @@ def _draw_rows(
 
     Only the rows' uniforms go through the inverse CDFs. Every step is
     elementwise, so the result equals the same rows of the full draw bit
-    for bit.
+    for bit. A draw past the double range raises :class:`NonFinite`.
     """
     block = rng.uniform_block(t, model.p, model.k, rows)
     gamma_draw = gammaincinv(model.gamma_n / 2.0, block[:, 0])
     noise_sq = (model.gamma_n * model.delta_sq[rows] / 2.0) / gamma_draw
     scale = model.rho * np.sqrt(noise_sq * model.posterior_scale_sq)
     loadings = model.mu[rows] + scale[:, None] * ndtri(block[:, 1:])
+    if not (np.isfinite(noise_sq).all() and np.isfinite(loadings).all()):
+        j = np.flatnonzero(~(np.isfinite(noise_sq) & np.isfinite(loadings).all(axis=1)))[0]
+        raise NonFinite(f"draw {t} is not finite at row {np.arange(model.p)[rows][j]}")
     return CovarianceSample(index=t, loadings=loadings, noise_sq=noise_sq)
 
 
@@ -301,10 +304,10 @@ def sample_entry_stats(
     """Mean, sd, and quantiles of the entries ``indices`` (a list of
     (u, v) pairs or an (m, 2) array) over draws, as (m,) arrays.
 
-    Mean and sd are streamed over every draw; a mean or sd past the
-    double range is refused as :class:`NonFinite`. Quantiles use the full
-    draw sequence when n_samples <= 10,000 and an Algorithm-R subsample
-    of that size otherwise (results then carry exact=False).
+    Mean and sd are streamed over every draw; a draw, mean or sd past
+    the double range is refused as :class:`NonFinite`. Quantiles use the
+    full draw sequence when n_samples <= 10,000 and an Algorithm-R
+    subsample of that size otherwise (results then carry exact=False).
     Reservoir decisions consume a dedicated substream, so outputs stay
     independent of the thread count. Each draw runs the inverse CDFs on
     the distinct rows of ``indices`` only; the values equal those of
@@ -328,25 +331,27 @@ def sample_entry_stats(
     )
     s1, d1, d2 = np.zeros(len(u)), np.zeros(len(u)), np.zeros(len(u))
     draws = _iter_draws(model, range(1, n_samples + 1), rng, threads, rows)
-    for seen, sample in enumerate(draws):
-        vals = _entry_values(sample.loadings, sample.noise_sq, u_loc, v_loc)
-        s1 += vals
-        # deviations from the first draw, at the power of two of its values,
-        # so their squares stay in range whatever the entries' scale
-        if not seen:
-            shift, scale = vals, -np.frexp(vals)[1]
-        dev = np.ldexp(vals - shift, scale)
-        d1 += dev
-        d2 += dev * dev
-        if seen < cap:
-            buf[seen] = vals
-        else:
-            slot = int(res_rng.integers(0, seen + 1))
-            if slot < cap:
-                buf[slot] = vals
+    with np.errstate(over="ignore", invalid="ignore"):  # refused or mended below
+        for seen, sample in enumerate(draws):
+            vals = _entry_values(sample.loadings, sample.noise_sq, u_loc, v_loc)
+            s1 += vals
+            # deviations from the first draw, at the power of two of its values,
+            # so their squares stay in range whatever the entries' scale
+            if not seen:
+                shift, scale = vals, -np.frexp(vals)[1]
+            dev = np.ldexp(vals - shift, scale)
+            d1 += dev
+            d2 += dev * dev
+            if seen < cap:
+                buf[seen] = vals
+            else:
+                slot = int(res_rng.integers(0, seen + 1))
+                if slot < cap:
+                    buf[slot] = vals
 
-    mean, var = s1 / n_samples, (d2 - d1 * d1 / n_samples) / (n_samples - 1)
-    with np.errstate(over="ignore"):
+        mean, var = s1 / n_samples, (d2 - d1 * d1 / n_samples) / (n_samples - 1)
+        # where only the sum overflows, the mean comes from the deviations
+        mean = np.where(np.isfinite(s1), mean, shift + np.ldexp(d1 / n_samples, -scale))
         sd = np.ldexp(np.sqrt(np.maximum(var, 0.0)), -scale)
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(sd)))
     if bad.size:

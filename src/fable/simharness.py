@@ -254,7 +254,7 @@ def _run_replicate(config, truth, truth_norm, pairs, truth_vals, replicate):
         covered = (grid.lower < truth_vals) & (truth_vals < grid.upper)
         record.coverage = float(np.mean(covered))
         record.mean_width = float(np.mean(grid.width))
-    except (FableError, np.linalg.LinAlgError) as exc:
+    except FableError as exc:
         record.error = f"{type(exc).__name__}: {exc}"
     return record
 

@@ -62,6 +62,7 @@ from fable.sampler import (
 )
 from fable.simharness import runtime_benchmark
 
+from test_linalg import decompositions_fail, lapack_reset  # noqa: F401 (fixtures)
 from test_model import make_factor_data
 
 
@@ -1010,6 +1011,33 @@ class TestNoSilentInfinities:
         assert "bounds -inf, inf" in record["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sample", "diagnose", "oos"])
+    def test_non_finite_results_refused(self, workspace, tmp_path, capsys, command):
+        # a noise draw past the double range, a log-likelihood at a
+        # subnormal noise level, and one held-out value near 1e200
+        model = load_model(workspace["model"])
+        path, out = tmp_path / "model.bin", tmp_path / "out"
+        scale = {"sample": 1e307, "diagnose": 1e-318, "oos": 1.0}[command]
+        save_model(path, dataclasses.replace(model, delta_sq=model.delta_sq * scale))
+        test = workspace["test_values"].copy()
+        test[0, 0] = 1e200
+        save_matrix(tmp_path / "test.mat", test)
+        argv = {
+            "sample": ["sample", "--model", str(path), "--n-samples", "3", "--seed", "1"],
+            "diagnose": ["diagnose", "--model", str(path), "--input", str(workspace["train"])],
+            "oos": ["oos", "--input", str(workspace["train"]), "--test",
+                    str(tmp_path / "test.mat"), "--targets", "0-29", "--extras", "30-59",
+                    "--k", "3"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--output", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        lines = err.strip().splitlines()
+        assert stdout == "" and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "NonFinite"
+        assert re.match("draw 1 is not finite at row 0|log-likelihood of", record["message"])
+
     def test_library_calls_refuse(self, huge_rho_model):
         model = load_model(huge_rho_model)
         with pytest.raises(NonFinite, match="interval of entry"):
@@ -1049,6 +1077,22 @@ class TestCliHugeData:
         record = json.loads(err)
         assert record["error"] == "NonFinite" and "max |x|" in record["message"]
         assert "warnings" not in record
+        assert not (tmp_path / "m.bin").exists()
+
+
+class TestCliDecompositionFailure:
+    def test_fit_is_one_typed_record(self, tmp_path, capsys, decompositions_fail):
+        _, _, y = make_factor_data(60, 40, 3, seed=62)
+        path = tmp_path / "y.csv"
+        save_matrix(path, y)
+        capsys.readouterr()
+        assert main(["fit", "--input", str(path), "--k", "3",
+                     "--output", str(tmp_path / "m.bin")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "ConvergenceFailure"
+        assert record["message"].startswith("SVD of the 60 x 40 data failed")
         assert not (tmp_path / "m.bin").exists()
 
 

@@ -358,6 +358,29 @@ def lapack_reset():
     fable._lapack._routines.cache_clear()
 
 
+def injected_failure(*args, **kwargs):
+    raise np.linalg.LinAlgError("injected failure")
+
+
+@pytest.fixture
+def decompositions_fail(lapack_reset, monkeypatch):
+    """Every decomposition truncated_svd can take fails: numpy ships no
+    LAPACK library of its own, and numpy's eigh and svd raise."""
+    monkeypatch.setattr(lapack_reset, "_LIBRARY", "libnothing_*.so")
+    monkeypatch.setattr(np.linalg, "eigh", injected_failure)
+    monkeypatch.setattr(np.linalg, "svd", injected_failure)
+
+
+def assert_is_lapack_svd(out, y, k):
+    """``out`` is route "svd": np.linalg.svd of y plus _fix_signs, bit for bit."""
+    assert out.route == "svd"
+    u, s, vt = np.linalg.svd(y, full_matrices=False)
+    u, v = fable.linalg._fix_signs(u[:, :k], vt[:k].T)
+    assert out.u.tobytes() == np.ascontiguousarray(u).tobytes()
+    assert out.v.tobytes() == np.ascontiguousarray(v).tobytes()
+    assert out.spectrum.tobytes() == s.tobytes()
+
+
 class TestSvdRoute:
     """TruncatedSvd.route names the decomposition; the eigh route is the
     one truncated_svd took before the tridiagonal route, byte for byte."""
@@ -409,13 +432,35 @@ class TestSvdRoute:
         self.failing(lapack_reset, monkeypatch, name, arg, value)
         y = self.y()
         out = truncated_svd(y, 3)
-        assert out.route == "svd"
         assert svd_calls == [y.shape]
-        u, s, vt = np.linalg.svd(y, full_matrices=False)
-        u, v = fable.linalg._fix_signs(u[:, :3], vt[:3].T)
-        assert out.u.tobytes() == np.ascontiguousarray(u).tobytes()
-        assert out.v.tobytes() == np.ascontiguousarray(v).tobytes()
-        assert out.spectrum.tobytes() == s.tobytes()
+        assert_is_lapack_svd(out, y, 3)
+
+    def test_eigh_failure_takes_svd(self, lapack_reset, monkeypatch, svd_calls):
+        monkeypatch.setattr(lapack_reset, "_LIBRARY", "libnothing_*.so")
+        monkeypatch.setattr(np.linalg, "eigh", injected_failure)
+        y = self.y()
+        out = truncated_svd(y, 3)
+        assert svd_calls == [y.shape]
+        assert_is_lapack_svd(out, y, 3)
+
+    @pytest.mark.parametrize("zero", [True, False], ids=["zero-matrix", "after-eigh-fails"])
+    def test_svd_failure_is_typed(self, decompositions_fail, zero):
+        y = np.zeros((6, 4)) if zero else self.y()
+        with pytest.raises(ConvergenceFailure, match=f"SVD of the {y.shape[0]} x {y.shape[1]}"):
+            truncated_svd(y, 2)
+
+    @pytest.mark.parametrize("hidden", [False, True], ids=["tridiagonal", "eigh"])
+    def test_rank_function_error_is_not_a_route(self, lapack_reset, monkeypatch, svd_calls,
+                                                hidden):
+        if hidden:
+            monkeypatch.setattr(lapack_reset, "_LIBRARY", "libnothing_*.so")
+
+        def pick(spectrum):
+            raise ConvergenceFailure("the rank function's own")
+
+        with pytest.raises(ConvergenceFailure, match="rank function's own"):
+            truncated_svd(self.y(), pick)
+        assert svd_calls == []
 
     @pytest.mark.parametrize("shape", [(30, 45), (45, 30)], ids=["rows-side", "cols-side"])
     def test_eigh_route_decomposes_one_unit_scale_gram(self, lapack_reset, monkeypatch,
@@ -486,16 +531,24 @@ class TestTridiagonalOracle:
         resid = y - (out.u * out.singvals) @ out.v.T
         np.testing.assert_allclose(np.linalg.norm(resid, 2), out.spectrum[3], rtol=1e-9)
 
-    def test_block_diagonal_gram_splits(self):
+    def test_block_diagonal_gram_splits(self, lapack_reset, monkeypatch):
         # rows 0-19 load on columns 0-29 only and rows 20-49 on 30-79, so
         # the Gram matrix is block diagonal and its tridiagonal splits;
         # the top vectors alternate between the blocks
         y = np.zeros((50, 80))
         y[:20, :30] = with_spectrum(20, 30, [9.0, 5.0, 2.0, 1.0], seed=53)
         y[20:, 30:] = with_spectrum(30, 50, [7.0, 3.0, 1.5, 0.5], seed=54)
-        reduced = fable._lapack.tridiagonalize(y @ y.T)
-        assert np.any(reduced.e == 0.0)
+        routines, off_diagonals = dict(lapack_reset._routines()), []
+        real = routines["dsterf"]
+
+        def dsterf(n, d, e, info):
+            off_diagonals.append(e.copy())
+            real(n, d, e, info)
+
+        routines["dsterf"] = dsterf
+        monkeypatch.setattr(lapack_reset, "_routines", lambda: routines)
         out = assert_matches_eigh(y, 5)
+        assert len(off_diagonals) == 1 and np.any(off_diagonals[0] == 0.0)
         np.testing.assert_allclose(out.singvals, [9.0, 7.0, 5.0, 3.0, 2.0], rtol=1e-12)
         assert np.all(out.u[20:, [0, 2, 4]] == 0.0) and np.all(out.u[:20, [1, 3]] == 0.0)
 

@@ -78,6 +78,21 @@ class TestDrawSample:
         b = draw_sample(small_model, 2, RngSpec(9))
         assert not np.array_equal(a.loadings, b.loadings)
 
+    def test_non_finite_draw_refused(self, small_model):
+        # gamma_n * delta_sq / 2 overflows in row 2 alone
+        delta_sq = small_model.delta_sq.copy()
+        delta_sq[2] = 1e308
+        model = dataclasses.replace(small_model, delta_sq=delta_sq)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFinite, match="draw 4 is not finite at row 2"):
+                draw_sample(model, 4, RngSpec(9))
+            with pytest.raises(NonFinite, match="draw 1 is not finite at row 2"):
+                sample_entry_stats(model, 5, RngSpec(9), [(2, 2)])
+            # a draw of the other rows alone is as it was
+            a = sample_entry_stats(model, 5, RngSpec(9), [(0, 1)])
+        b = sample_entry_stats(small_model, 5, RngSpec(9), [(0, 1)])
+        assert a.mean.tobytes() == b.mean.tobytes() and a.sd.tobytes() == b.sd.tobytes()
+
     def test_noise_mean_matches_inverse_gamma(self, small_model):
         n_draws = 20_000
         rng = RngSpec(11)
@@ -458,11 +473,29 @@ class TestSampleEntryStats:
         want = np.ldexp(np.ldexp(vals, -e).std(axis=0, ddof=1), e)
         np.testing.assert_allclose(stats.sd, want, rtol=1e-12)
 
-    def test_mean_past_the_double_range_refused(self, small_model):
+    def test_mean_whose_sum_overflows_is_finite(self, small_model):
         # each draw of entry (0, 0) is finite, but their sum is not
         model = dataclasses.replace(small_model, delta_sq=small_model.delta_sq * 1e308)
-        with pytest.raises(NonFinite, match="mean inf"), np.errstate(over="ignore"):
-            sample_entry_stats(model, 20, RngSpec(1), [(0, 0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = sample_entry_stats(model, 20, RngSpec(1), [(0, 0)])
+            vals = np.array([sample_entries(_draw_rows(model, t, RngSpec(1), np.array([0])),
+                                            [0], [0]) for t in range(1, 21)])
+        with np.errstate(over="ignore"):
+            assert np.isinf(vals.sum()) and stats.mean[0] > 1e307
+        # numpy's two-pass mean, on the draws scaled by a power of two
+        e = int(np.frexp(np.abs(vals).max())[1])
+        want = np.ldexp(np.ldexp(vals, -e).mean(axis=0), e)
+        np.testing.assert_allclose(stats.mean, want, rtol=1e-12)
+
+    def test_mean_past_the_double_range_refused(self, small_model):
+        # the draws' loadings are finite, but entry (0, 0) of each is not
+        model = dataclasses.replace(small_model, delta_sq=small_model.delta_sq * 1e308,
+                                    rho=1e154)
+        with pytest.raises(NonFinite, match=r"entry \(0, 0\) has mean"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sample_entry_stats(model, 20, RngSpec(1), [(0, 0)])
 
     def test_reservoir_flagged(self, small_model, monkeypatch):
         monkeypatch.setattr(fable.sampler, "_RESERVOIR", 200)

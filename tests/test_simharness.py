@@ -9,7 +9,7 @@ from fable.errors import DimensionMismatch, InvalidAlpha, InvalidOption, TooFewS
 from fable.inference import _MIN_QUANTILE_SAMPLES
 from fable.linalg import StructuredCovariance
 from fable.sampler import _entry_values
-from test_linalg import dense
+from test_linalg import decompositions_fail, dense, lapack_reset  # noqa: F401 (fixtures)
 from test_sampler import counting_pool
 from fable.simharness import (
     _TRACKED,
@@ -354,6 +354,13 @@ class TestRunStudy:
         assert all(r.error is not None for r in res.records)
         assert all(np.isnan(r.rel_error) for r in res.records)
         assert np.isnan(s.mean_rel_error)
+
+    def test_decomposition_failure_is_a_typed_record(self, decompositions_fail):
+        cfg = SimulationConfig(n=60, p=40, k_true=2, replicates=2, seed=1, tracked=10)
+        res = run_study([cfg])
+        assert res.summaries[0].failures == 2
+        assert all(r.error.startswith("ConvergenceFailure: SVD of the 60 x 40")
+                   for r in res.records)
 
     def test_sample_quantile_intervals(self):
         cfg = SimulationConfig(n=150, p=200, k_true=4, replicates=2, seed=7,

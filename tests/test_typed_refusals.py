@@ -22,7 +22,7 @@ TYPED = {
 # (module, function, exception): unreachable from any public call
 INTERNAL = {
     ("_lapack.py", "top_vectors", "ValueError"),
-    ("_lapack.py", "tridiagonalize", "ValueError"),
+    ("_lapack.py", "eigh", "ValueError"),
 }
 
 
