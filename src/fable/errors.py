@@ -18,7 +18,9 @@ class InvalidOption(FableError, ValueError):
 
 
 class NonFinite(FableError):
-    """Input array contains NaN or infinity."""
+    """An input or a result holds NaN or infinity: data or model arrays,
+    or a draw, log-likelihood, entry statistic, interval or posterior mean
+    past the double range."""
 
 
 class TooFewRows(FableError):
@@ -38,7 +40,9 @@ class NonPositiveDiag(FableError):
 
 
 class ConvergenceFailure(FableError):
-    """Iterative routine hit its iteration cap before meeting tolerance."""
+    """A numerical routine failed: an iteration cap was hit before the
+    tolerance was met, a LAPACK routine returned an error, or the SVD
+    did not converge."""
 
 
 class AllZeroSpectrum(FableError):

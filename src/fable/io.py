@@ -12,10 +12,11 @@ import math
 import os
 import struct
 import sys
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from contextlib import suppress
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -344,14 +345,19 @@ def load_model(path: str | Path) -> FableModel:
 
 
 def _write_table(path: str | Path, rows: Iterable[Sequence]) -> None:
-    """Write ``rows`` as CSV lines; a header is just the first row. A
-    float cell (numpy float64 too) is its ``repr``, which reads back
+    """Write ``rows`` as CSV lines; a header is just the first row."""
+    with open(path, "w") as fh:
+        _write_rows(fh, rows)
+
+
+def _write_rows(fh: IO[str], rows: Iterable[Sequence]) -> None:
+    """Write ``rows`` to the text file ``fh`` as CSV lines. A float cell
+    (numpy float64 too) is its ``repr``, which reads back
     bit-identically; any other cell is its ``str``."""
     float_repr = float.__repr__
-    with open(path, "w") as fh:
-        for row in rows:
-            cells = [float_repr(x) if isinstance(x, float) else str(x) for x in row]
-            fh.write(",".join(cells) + "\n")
+    for row in rows:
+        cells = [float_repr(x) if isinstance(x, float) else str(x) for x in row]
+        fh.write(",".join(cells) + "\n")
 
 
 def _write_json(path: str | Path | None, payload: dict) -> None:
@@ -375,34 +381,37 @@ def save_samples(
     loading matrix row-major, then the p noise variances. The binary
     variant packs those as u64 triples plus little-endian float64; the
     text variant is one CSV block per record (header line "t,k,p", p
-    loading rows, one noise row).
+    loading rows, one noise row). A stream refused part-way (a draw
+    that is not finite, say) removes the file before the error
+    propagates.
     """
-    count = 0
-    if format == "binary":
-        with open(path, "wb") as fh:
-            fh.write(SAMPLE_MAGIC)
-            for sample in samples:
-                lam = np.ascontiguousarray(sample.loadings, dtype="<f8")
-                noise = np.ascontiguousarray(sample.noise_sq, dtype="<f8")
-                p, k = lam.shape
-                fh.write(struct.pack("<QQQ", sample.index, k, p))
-                fh.write(lam.tobytes(order="C"))
-                fh.write(noise.tobytes(order="C"))
-                count += 1
-    elif format == "text":
-
-        def rows():
-            nonlocal count
+    if format not in ("binary", "text"):
+        raise InvalidOption(f"unknown sample format {format!r}")
+    binary, count = format == "binary", 0
+    fh = open(path, "wb" if binary else "w")  # an error here removes nothing
+    try:
+        with fh:
+            if binary:
+                fh.write(SAMPLE_MAGIC)
             for sample in samples:
                 p, k = sample.loadings.shape
-                yield sample.index, k, p
-                yield from sample.loadings.tolist()
-                yield sample.noise_sq.tolist()
+                if binary:
+                    fh.write(struct.pack("<QQQ", sample.index, k, p))
+                    fh.write(np.ascontiguousarray(sample.loadings, dtype="<f8").tobytes())
+                    fh.write(np.ascontiguousarray(sample.noise_sq, dtype="<f8").tobytes())
+                else:
+                    _write_rows(fh, chain(
+                        [(sample.index, k, p)], sample.loadings.tolist(),
+                        [sample.noise_sq.tolist()],
+                    ))
                 count += 1
-
-        _write_table(path, rows())
-    else:
-        raise InvalidOption(f"unknown sample format {format!r}")
+    except BaseException:
+        # a stream refused part-way leaves no partial file; only a regular
+        # file is removed, never a device, a pipe or a symbolic link
+        if os.path.isfile(path) and not os.path.islink(path):
+            with suppress(OSError):
+                os.remove(path)
+        raise
     return count
 
 
@@ -546,21 +555,13 @@ def load_manifest(path: str | Path) -> RunManifest:
             raise ParseError(f"{path}: manifest is not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: manifest is not a JSON object")
-    try:
-        manifest = RunManifest(
-            command=payload["command"],
-            config=payload["config"],
-            software_version=payload["software_version"],
-            seed=payload.get("seed"),
-            input_sha256=payload.get("input_sha256"),
-            resolved=payload.get("resolved", {}),
-            outputs=payload.get("outputs", {}),
-            measured=payload.get("measured", {}),
-            created_unix=payload.get("created_unix", 0.0),
-            openblas_num_threads=payload.get("openblas_num_threads"),
-        )
-    except KeyError as exc:
-        raise ParseError(f"{path}: manifest missing field {exc}") from exc
+    known = {}  # unknown keys are ignored
+    for f in fields(RunManifest):
+        if f.name in payload:
+            known[f.name] = payload[f.name]
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ParseError(f"{path}: manifest missing field {f.name!r}")
+    manifest = RunManifest(**known)
 
     def require(ok: bool, name: str, what: str) -> None:
         if not ok:

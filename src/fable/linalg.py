@@ -189,8 +189,8 @@ class TruncatedSvd:
 class StructuredCovariance:
     """Covariance of the form loadings @ loadings.T + diag(diag).
 
-    Stored in factored form; ``dense`` exists for small-p diagnostics and
-    tests, everything at scale should go through ``matvec``.
+    Stored in factored form only; products with it go through ``matvec``,
+    which never forms the p x p matrix.
     """
 
     loadings: np.ndarray

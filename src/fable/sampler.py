@@ -48,10 +48,8 @@ __all__ = [
 _UNIFORM_LO = 2.0**-53
 _UNIFORM_HI = 1.0 - 2.0**-53
 
-# Draws kept for the quantiles of sample_entry_stats, and the tag mixed
-# into the seed for its reservoir slots; the tag is far larger than any
-# plausible draw index, so the streams never collide.
-_RESERVOIR, _RESERVOIR_TAG = 10_000, int.from_bytes(b"reservoir", "big")
+# Draws kept for the quantiles of sample_entry_stats: the first ones.
+_RESERVOIR = 10_000
 
 
 @dataclass(frozen=True)
@@ -100,8 +98,8 @@ class EntryStats:
 
     ``mean`` and ``sd`` are (m,) arrays in entry order, and ``quantiles``
     maps each level to an (m,) array. ``exact`` is False when quantiles
-    came from a reservoir subsample rather than the full draw sequence
-    (mean and sd always use every draw).
+    came from the first 10,000 draws rather than every draw (mean and sd
+    always use every draw).
     """
 
     mean: np.ndarray
@@ -177,23 +175,6 @@ def _in_order(fn: Callable, items: Iterable, threads: int) -> Iterator:
                 future.cancel()
 
 
-def _iter_draws(
-    model: FableModel,
-    indices: Sequence[int],
-    rng: RngSpec,
-    threads: int,
-    rows: np.ndarray | None = None,
-) -> Iterator[CovarianceSample]:
-    """Draws ``indices`` in order; only ``rows`` of each when given."""
-
-    def draw(t: int) -> CovarianceSample:
-        if rows is None:  # full draws stay visible to wrappers of draw_sample
-            return draw_sample(model, t, rng)
-        return _draw_rows(model, t, rng, rows)
-
-    return _in_order(draw, indices, threads)
-
-
 def draw_samples(
     model: FableModel,
     n_samples: int,
@@ -215,7 +196,8 @@ def draw_samples(
             f"draw indices must lie in [0, 2**64), got {start} to {start + n_samples - 1}"
         )
     indices = range(start, start + n_samples)
-    return _iter_draws(model, indices, rng, threads)
+    # draw_sample is looked up per call, so wrappers of it see every draw
+    return _in_order(lambda t: draw_sample(model, t, rng), indices, threads)
 
 
 def _entry_set(
@@ -305,13 +287,12 @@ def sample_entry_stats(
     (u, v) pairs or an (m, 2) array) over draws, as (m,) arrays.
 
     Mean and sd are streamed over every draw; a draw, mean or sd past
-    the double range is refused as :class:`NonFinite`. Quantiles use the
-    full draw sequence when n_samples <= 10,000 and an Algorithm-R
-    subsample of that size otherwise (results then carry exact=False).
-    Reservoir decisions consume a dedicated substream, so outputs stay
-    independent of the thread count. Each draw runs the inverse CDFs on
-    the distinct rows of ``indices`` only; the values equal those of
-    :func:`draw_sample`.
+    the double range is refused as :class:`NonFinite`. Quantiles use
+    every draw when n_samples <= 10,000 and the first 10,000 otherwise
+    (results then carry exact=False): the draws are independent, so any
+    fixed 10,000 of them are a simple random sample. Each draw runs the
+    inverse CDFs on the distinct rows of ``indices`` only; the values
+    equal those of :func:`draw_sample`.
     """
     n_samples = _check_count(n_samples)
     if n_samples < 2:
@@ -326,11 +307,8 @@ def sample_entry_stats(
 
     cap = min(n_samples, _RESERVOIR)
     buf = np.empty((cap, len(u)))
-    res_rng = np.random.default_rng(
-        np.random.SeedSequence((rng.seed, _RESERVOIR_TAG))
-    )
     s1, d1, d2 = np.zeros(len(u)), np.zeros(len(u)), np.zeros(len(u))
-    draws = _iter_draws(model, range(1, n_samples + 1), rng, threads, rows)
+    draws = _in_order(lambda t: _draw_rows(model, t, rng, rows), range(1, n_samples + 1), threads)
     with np.errstate(over="ignore", invalid="ignore"):  # refused or mended below
         for seen, sample in enumerate(draws):
             vals = _entry_values(sample.loadings, sample.noise_sq, u_loc, v_loc)
@@ -344,10 +322,6 @@ def sample_entry_stats(
             d2 += dev * dev
             if seen < cap:
                 buf[seen] = vals
-            else:
-                slot = int(res_rng.integers(0, seen + 1))
-                if slot < cap:
-                    buf[slot] = vals
 
         mean, var = s1 / n_samples, (d2 - d1 * d1 / n_samples) / (n_samples - 1)
         # where only the sum overflows, the mean comes from the deviations

@@ -585,6 +585,21 @@ class TestSampleStreams:
         with pytest.raises(MagicMismatch):
             list(load_samples(path, format="binary"))
 
+    @pytest.mark.parametrize("format", ["binary", "text"])
+    def test_refusals_leave_no_partial_file(self, draws, tmp_path, format):
+        def refused():
+            yield from draws[:2]
+            raise NonFinite("draw 3 is not finite at row 0")
+
+        path = tmp_path / "s"
+        with pytest.raises(NonFinite):
+            save_samples(path, refused(), format=format)
+        assert not path.exists()
+        # an output that cannot be opened is reported, and nothing removed
+        with pytest.raises(IsADirectoryError):
+            save_samples(tmp_path, draws, format=format)
+        assert tmp_path.is_dir()
+
 
 class TestIntervalTable:
     def test_written_values_parse_back_exactly(self, tmp_path):
@@ -1011,19 +1026,22 @@ class TestNoSilentInfinities:
         assert "bounds -inf, inf" in record["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["sample", "diagnose", "oos"])
+    @pytest.mark.parametrize("command", ["sample", "sample-text", "diagnose", "oos"])
     def test_non_finite_results_refused(self, workspace, tmp_path, capsys, command):
         # a noise draw past the double range, a log-likelihood at a
-        # subnormal noise level, and one held-out value near 1e200
+        # subnormal noise level, and one held-out value near 1e200; a
+        # sample stream refused part-way removes the file it opened
         model = load_model(workspace["model"])
         path, out = tmp_path / "model.bin", tmp_path / "out"
-        scale = {"sample": 1e307, "diagnose": 1e-318, "oos": 1.0}[command]
+        scale = {"diagnose": 1e-318, "oos": 1.0}.get(command, 1e307)
         save_model(path, dataclasses.replace(model, delta_sq=model.delta_sq * scale))
         test = workspace["test_values"].copy()
         test[0, 0] = 1e200
         save_matrix(tmp_path / "test.mat", test)
         argv = {
             "sample": ["sample", "--model", str(path), "--n-samples", "3", "--seed", "1"],
+            "sample-text": ["sample", "--model", str(path), "--n-samples", "3", "--seed", "1",
+                            "--sample-format", "text"],
             "diagnose": ["diagnose", "--model", str(path), "--input", str(workspace["train"])],
             "oos": ["oos", "--input", str(workspace["train"]), "--test",
                     str(tmp_path / "test.mat"), "--targets", "0-29", "--extras", "30-59",
@@ -1037,6 +1055,7 @@ class TestNoSilentInfinities:
         record = json.loads(lines[0])
         assert record["error"] == "NonFinite"
         assert re.match("draw 1 is not finite at row 0|log-likelihood of", record["message"])
+        assert not out.exists()
 
     def test_library_calls_refuse(self, huge_rho_model):
         model = load_model(huge_rho_model)
@@ -1750,10 +1769,34 @@ class TestBenchmarkContract:
         proc = self.run("perfbench/selftest.py")
         assert proc.returncode == 0, proc.stderr[-4000:]
 
-    def test_tracer_records_cli_main(self, tmp_path):
+    def trace(self, tmp_path, *command):
+        """The spans and counts of one traced fable command."""
         spans = tmp_path / "spans.json"
         proc = self.run("perfbench/tracing.py", "--spans", str(spans), "--pass", "0",
-                        "--", "--version")
+                        "--", *command)
         assert proc.returncode == 0, proc.stderr[-4000:]
-        names = {span["name"] for span in json.loads(spans.read_text())["spans"]}
+        return json.loads(spans.read_text())
+
+    def test_tracer_records_cli_main(self, tmp_path):
+        names = {span["name"] for span in self.trace(tmp_path, "--version")["spans"]}
         assert "cli.main" in names
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_traced_sample_spans_every_draw(self, workspace, tmp_path, threads):
+        traced = self.trace(tmp_path, "sample", "--model", str(workspace["model"]),
+                            "--n-samples", "7", "--seed", "3", "--threads", threads,
+                            "--output", str(tmp_path / "draws.bin"))
+        names = [span["name"] for span in traced["spans"]]
+        assert names.count("sampler.draw_sample") == 7
+        assert traced["counts"]["sampler.rows_scored"] == 7 * 60  # every row of each draw
+
+    def test_traced_sample_quantile_intervals(self, workspace, tmp_path):
+        # three distinct rows, each scored once per draw
+        traced = self.trace(tmp_path, "intervals", "--model", str(workspace["model"]),
+                            "--indices", "4,17,42", "--method", "sample_quantile",
+                            "--n-samples", "120", "--seed", "3", "--threads", "2",
+                            "--output", str(tmp_path / "iv.csv"))
+        names = [span["name"] for span in traced["spans"]]
+        assert names.count("sampler.sample_entry_stats") == 1
+        assert traced["counts"]["sampler.rows_scored"] == 3 * 120
+        assert traced["counts"]["sampler.rows_transformed"] == 3 * 120

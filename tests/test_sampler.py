@@ -20,12 +20,10 @@ from fable.linalg import StructuredCovariance, center_columns
 from fable.model import FableModel, fit
 import fable.sampler
 from fable.sampler import (
-    _RESERVOIR_TAG,
     _check_count,
     _draw_rows,
     _entry_set,
     _entry_values,
-    _iter_draws,
     CovarianceSample,
     EntryStats,
     RngSpec,
@@ -350,7 +348,7 @@ def gathered_entry_stats(model, n_samples, seed, pairs, *, rho=None,
     """Oracle for sample_entry_stats: every row of each draw from
     draw_sample, the pairs' rows gathered afterwards, then the same
     streaming sums (the second moments shifted and scaled by the first
-    draw) and Algorithm-R reservoir substream."""
+    draw); the quantiles come from the first ``reservoir`` draws."""
     if rho is not None:
         model = dataclasses.replace(model, rho=rho)
     u = np.array([a for a, _ in pairs])
@@ -358,7 +356,6 @@ def gathered_entry_stats(model, n_samples, seed, pairs, *, rho=None,
     diag = (u == v).astype(np.float64)
     cap = min(n_samples, reservoir)
     buf = np.empty((cap, len(pairs)))
-    res_rng = np.random.default_rng(np.random.SeedSequence((seed, _RESERVOIR_TAG)))
     s1, d1, d2 = np.zeros(len(pairs)), np.zeros(len(pairs)), np.zeros(len(pairs))
     for seen, t in enumerate(range(1, n_samples + 1)):
         d = draw_sample(model, t, RngSpec(seed))
@@ -371,10 +368,6 @@ def gathered_entry_stats(model, n_samples, seed, pairs, *, rho=None,
         d2 += dev * dev
         if seen < cap:
             buf[seen] = vals
-        else:
-            slot = int(res_rng.integers(0, seen + 1))
-            if slot < cap:
-                buf[slot] = vals
     mean = s1 / n_samples
     sd = np.ldexp(np.sqrt(np.maximum((d2 - d1 * d1 / n_samples) / (n_samples - 1), 0.0)),
                   -scale)
@@ -632,8 +625,7 @@ def reference_dense_mean(model, indices):
 
 
 def reference_sample_entry_stats(model, n_samples, rng, indices, *, rho=None,
-                                 quantiles=(0.025, 0.5, 0.975), threads=1,
-                                 reservoir=10_000):
+                                 quantiles=(0.025, 0.5, 0.975), reservoir=10_000):
     n_samples = _check_count(n_samples)
     if rho is not None:
         model = dataclasses.replace(model, rho=rho)
@@ -644,10 +636,9 @@ def reference_sample_entry_stats(model, n_samples, rng, indices, *, rho=None,
     diag_mask = (uv[:, 0] == uv[:, 1]).astype(np.float64)
     cap = min(n_samples, reservoir)
     buf = np.empty((cap, len(pairs)))
-    res_rng = np.random.default_rng(np.random.SeedSequence((rng.seed, _RESERVOIR_TAG)))
     s1, d1, d2 = np.zeros(len(pairs)), np.zeros(len(pairs)), np.zeros(len(pairs))
-    seen = 0
-    for sample in _iter_draws(model, range(1, n_samples + 1), rng, threads, rows):
+    for seen, t in enumerate(range(1, n_samples + 1)):
+        sample = _draw_rows(model, t, rng, rows)
         vals = (
             np.einsum("ek,ek->e", sample.loadings[u_loc], sample.loadings[v_loc])
             + diag_mask * sample.noise_sq[u_loc]
@@ -660,11 +651,6 @@ def reference_sample_entry_stats(model, n_samples, rng, indices, *, rho=None,
         d2 += dev * dev
         if seen < cap:
             buf[seen] = vals
-        else:
-            slot = int(res_rng.integers(0, seen + 1))
-            if slot < cap:
-                buf[slot] = vals
-        seen += 1
     mean = s1 / n_samples
     var = (d2 - d1 * d1 / n_samples) / (n_samples - 1)
     sd = np.ldexp(np.sqrt(np.maximum(var, 0.0)), -scale)
