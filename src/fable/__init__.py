@@ -21,7 +21,7 @@ from .linalg import (
     truncated_svd,
 )
 
-__version__ = "0.5.5"
+__version__ = "0.5.6"
 
 __all__ = [
     "FableError",

@@ -43,6 +43,7 @@ from .inference import (
 )
 from .io import (
     RunManifest,
+    _preprocess,
     _transformed,
     _write_json,
     _write_table,
@@ -50,7 +51,6 @@ from .io import (
     load_manifest,
     load_matrix,
     load_model,
-    preprocess,
     save_manifest,
     save_matrix,
     save_model,
@@ -169,14 +169,10 @@ def _fit_options(args) -> dict:
     }
 
 
-def _load_and_preprocess(args) -> tuple[DataMatrix, np.ndarray, str]:
+def _load_and_preprocess(args) -> tuple[DataMatrix, np.ndarray]:
+    """Load ``--input`` and preprocess it in the array the reader made."""
     loaded = load_matrix(args.input, format=args.format)
-    dm, kept = preprocess(
-        loaded.values,
-        transform=args.transform,
-        filter_top_variance_fraction=args.filter_fraction,
-    )
-    return dm, kept, file_sha256(args.input)
+    return _preprocess(loaded.values, args.transform, args.filter_fraction)
 
 
 def _save_manifest(
@@ -185,8 +181,9 @@ def _save_manifest(
     """Write the manifest of this run to ``path`` (nothing when it is None).
 
     ``outputs`` and ``measured`` map roles to written files (None entries
-    are skipped); ``fields`` are the other RunManifest fields (seed,
-    input_sha256, resolved).
+    are skipped); the SHA-256 of ``--input``, for the commands that take
+    one, is read only here; ``fields`` are the other RunManifest fields
+    (seed, resolved).
     """
     if path is None:
         return
@@ -198,6 +195,8 @@ def _save_manifest(
             if out is not None
         }
 
+    if getattr(args, "input", None) is not None:
+        fields["input_sha256"] = file_sha256(args.input)
     save_manifest(path, RunManifest(
         command=args.command,
         config={"argv": list(args._argv)},
@@ -217,7 +216,7 @@ def _index_pairs(text: str, p: int) -> np.ndarray:
 
 
 def _cmd_fit(args) -> int:
-    dm, kept, checksum = _load_and_preprocess(args)
+    dm, kept = _load_and_preprocess(args)
     model = fit(dm, **_fit_options(args))
     save_model(args.output, model)
     if args.output_columns is not None:
@@ -232,7 +231,7 @@ def _cmd_fit(args) -> int:
     _save_manifest(
         args, args.manifest or args.output + ".manifest.json",
         {"model": args.output, "columns": args.output_columns},
-        input_sha256=checksum, resolved=resolved,
+        resolved=resolved,
     )
     print(f"fit: k={model.k} tau_sq={model.tau_sq:.6g} rho={model.rho:.6g} "
           f"-> {args.output}")
@@ -300,7 +299,7 @@ def _cmd_intervals(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     model = load_model(args.model)
-    dm, kept, checksum = _load_and_preprocess(args)
+    dm, _ = _load_and_preprocess(args)
     pve = variance_explained(model)
     result = {
         "fitted_loglik": float(fitted_loglik(model, dm)),
@@ -315,7 +314,7 @@ def _cmd_diagnose(args) -> int:
     _write_json(args.output, result)
     keys = ("fitted_loglik", "variance_explained_mean", "predictive_coverage")
     _save_manifest(
-        args, args.manifest, {"report": args.output}, input_sha256=checksum,
+        args, args.manifest, {"report": args.output},
         resolved={key: result[key] for key in keys},
     )
     return 0
@@ -329,12 +328,9 @@ def _cmd_oos(args) -> int:
             f"train and test column counts differ "
             f"({train_loaded.values.shape[1]} vs {test_loaded.values.shape[1]})"
         )
-    train_dm, kept = preprocess(
-        train_loaded.values,
-        transform=args.transform,
-        filter_top_variance_fraction=args.filter_fraction,
+    train_dm, kept = _preprocess(
+        train_loaded.values, args.transform, args.filter_fraction
     )
-    checksum = file_sha256(args.input)
     # the test rows get the train-chosen transform and columns; target
     # indices refer to post-filter positions
     test_all = _transformed(test_loaded.values, args.transform)
@@ -351,7 +347,7 @@ def _cmd_oos(args) -> int:
     }
     _write_json(args.output, result)
     _save_manifest(
-        args, args.manifest, {"report": args.output}, input_sha256=checksum,
+        args, args.manifest, {"report": args.output},
         resolved={"oos_loglik": value},
     )
     return 0

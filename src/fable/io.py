@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
 )
 from .inference import IntervalGrid
-from .linalg import DataMatrix, _abs_max, center_columns
+from .linalg import DataMatrix, _abs_max, _center_in_place
 from .model import FableModel
 from .sampler import CovarianceSample
 from .simharness import BenchmarkRow, ConfigSummary, MetricRecord
@@ -226,9 +226,16 @@ def save_matrix(path: str | Path, values: np.ndarray) -> None:
         fh.write(arr.tobytes(order="C"))
 
 
+# Columns per block when the variance filter takes column variances:
+# the block's n x 256 temporary stays small next to the data.
+_VAR_BLOCK = 256
+
+
 def _transformed(values: np.ndarray, transform: str) -> np.ndarray:
-    """``values`` as a finite 2-d float64 array under ``transform``: a new
-    array for "log2_plus_one", the caller's own (as float64) for "none"."""
+    """``values`` as a finite 2-d float64 array under ``transform``. The
+    log2 transform is written into ``values`` itself when it is a float64
+    array, so callers pass an array that fable has made; "none" returns
+    it unchanged (as float64)."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"matrix must be 2-d, got shape {arr.shape}")
@@ -237,11 +244,23 @@ def _transformed(values: np.ndarray, transform: str) -> np.ndarray:
     if transform == "log2_plus_one":
         if arr.min(initial=0.0) < 0:
             raise NegativeCount("log2(1 + x) transform needs nonnegative counts")
-        arr = arr + 1.0
+        arr += 1.0
         np.log2(arr, out=arr)
     elif transform != "none":
         raise InvalidOption(f"unknown transform {transform!r}")
     return arr
+
+
+def _column_variances(arr: np.ndarray) -> np.ndarray:
+    """``arr.var(axis=0, ddof=1)``, bit for bit, one block of columns at a
+    time, so no n x p temporary is made. No block is a lone column: numpy
+    sums one column of a row-major array in another order."""
+    p = arr.shape[1]
+    variances = np.empty(p)
+    starts = range(0, max(p - 1, 1), _VAR_BLOCK)
+    for start, stop in zip(starts, [*starts[1:], p]):
+        variances[start:stop] = arr[:, start:stop].var(axis=0, ddof=1)
+    return variances
 
 
 def preprocess(
@@ -255,8 +274,21 @@ def preprocess(
     Returns the centered matrix plus the original indices of the kept
     columns (ascending, so relative column order is preserved). The top
     ceil(fraction * p) columns by post-transform sample variance are
-    kept; ties go to the lower original index.
+    kept; ties go to the lower original index. ``values`` is copied
+    once and left as it was; the transform and the centering then run
+    in that copy.
     """
+    return _preprocess(np.array(values, dtype=np.float64), transform,
+                       filter_top_variance_fraction)
+
+
+def _preprocess(
+    values: np.ndarray, transform: str, filter_top_variance_fraction: float
+) -> tuple[DataMatrix, np.ndarray]:
+    """:func:`preprocess` of an array that fable has just made and holds
+    no other reference to (the CLI's loaded matrix): the transform and the
+    centering write into ``values``, and the result holds it when every
+    column is kept."""
     f = float(filter_top_variance_fraction)
     if not 0.0 < f <= 1.0:
         raise InvalidOption(f"filter fraction must lie in (0, 1], got {f}")
@@ -265,13 +297,13 @@ def preprocess(
     # round before ceil so 0.1 * 5300 keeps 530 columns, not 531
     m = max(1, math.ceil(round(f * p, 9)))
     if m < p:
-        variances = arr.var(axis=0, ddof=1)
-        order = np.argsort(-variances, kind="stable")
+        order = np.argsort(-_column_variances(arr), kind="stable")
         kept = np.sort(order[:m])
         arr = np.take(arr, kept, axis=1)  # row-major, as centering writes
     else:
         kept = np.arange(p)
-    return center_columns(arr), kept
+    # the constant-column warning points at the caller of preprocess
+    return _center_in_place(arr, stacklevel=4), kept
 
 
 def _model_header(model: FableModel) -> dict:

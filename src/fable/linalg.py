@@ -246,29 +246,38 @@ MatrixLike = Union[np.ndarray, LinearMap]
 def center_columns(raw: np.ndarray) -> DataMatrix:
     """Subtract column means and return the centered matrix.
 
-    ``raw`` is left as it was: the centered values are one new row-major
-    array, which the returned :class:`DataMatrix` holds without a further
-    copy. The means are taken from a row-major view of the values (a
-    copy only when ``raw`` is in another layout), so the same values give
-    the same bits whatever ``raw``'s memory layout.
+    ``raw`` is left as it was: it is copied once, into a row-major array
+    that is centered in place and held by the returned
+    :class:`DataMatrix` without a further copy. The means are taken from
+    that row-major array, so the same values give the same bits whatever
+    ``raw``'s memory layout.
     Columns that are constant become identically zero; that is allowed
     but flagged with a warning because later noise-variance estimates
     will reject them.
     """
-    vals = np.ascontiguousarray(_as_float_matrix(raw, "data matrix"))
+    return _center_in_place(np.array(raw, dtype=np.float64, order="C"), stacklevel=3)
+
+
+def _center_in_place(vals: np.ndarray, stacklevel: int) -> DataMatrix:
+    """:func:`center_columns` of an array that fable has just made and
+    holds no other reference to: ``vals`` is centered in its own memory
+    (in a row-major copy when it has another layout) and adopted. The
+    constant-column warning is raised ``stacklevel`` frames up, as by
+    ``warnings.warn``."""
+    vals = np.ascontiguousarray(_as_float_matrix(vals, "data matrix"))
     if vals.shape[0] < 2:
         raise TooFewRows(f"need at least 2 rows to center, got {vals.shape[0]}")
     means = vals.mean(axis=0)
-    centered = vals - means
-    dead = np.flatnonzero((centered.max(axis=0) == 0.0) & (centered.min(axis=0) == 0.0))
+    vals -= means
+    dead = np.flatnonzero((vals.max(axis=0) == 0.0) & (vals.min(axis=0) == 0.0))
     if dead.size:
         warnings.warn(
             f"{dead.size} constant column(s) became identically zero after "
             f"centering (first index {dead[0]})",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
-    return DataMatrix._adopt(centered, means)
+    return DataMatrix._adopt(vals, means)
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from .linalg import (
     DataMatrix,
     LinearMap,
     StructuredCovariance,
-    center_columns,
+    _center_in_place,
     covariance_difference,
     spectral_norm,
 )
@@ -57,6 +57,10 @@ _TRUTH, _TRACKED, _DATA, _SAMPLER = 0, 1, 2, 3
 # a centered normal with sd _LOADING_SD; noise variances are uniform on
 # _NOISE_RANGE.
 _ZERO_PROB, _LOADING_SD, _NOISE_RANGE = 0.5, 0.5, (0.5, 5.0)
+
+# Noise values drawn per block (whole rows, at least one) when building
+# a data set: 256 KB, so the reused buffer stays small next to the data.
+_NOISE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -176,15 +180,27 @@ def generate_data_with_scores(
 ) -> tuple[DataMatrix, np.ndarray]:
     """Like :func:`generate_data`, but also return the n x k factor scores.
 
+    The data set is one n x p array: the loading product ``eta @ L'`` is
+    formed once, the noise is drawn in row blocks into one reused buffer,
+    scaled and added in place, and the sum is centered in place. The
+    generator fills in sequence, so every noise value is the one a single
+    (n, p) draw gives, and the data have the bits of
+    ``eps * sqrt(diag) + eta @ L'``, centered.
+
     The scores are the raw draws, not centered; callers comparing against
     the fitted column basis should center them the same way the data is.
     """
     eta = rng.standard_normal((n, truth.k))
-    # y is built in the noise draws' array: y = eps * sqrt(diag) + eta @ L'
-    y = rng.standard_normal((n, truth.p))
-    y *= np.sqrt(truth.diag)
-    y += eta @ truth.loadings.T
-    return center_columns(y), eta
+    y = eta @ truth.loadings.T
+    sd = np.sqrt(truth.diag)
+    rows = max(1, _NOISE_BLOCK // truth.p)
+    buf = np.empty((min(rows, n), truth.p))
+    for start in range(0, n, rows):
+        block = buf[: min(rows, n - start)]
+        rng.standard_normal(out=block)
+        block *= sd
+        y[start : start + len(block)] += block
+    return _center_in_place(y, stacklevel=3), eta
 
 
 def generate_data(

@@ -40,9 +40,11 @@ from fable.inference import (
     variance_explained,
 )
 from fable.io import (
+    _VAR_BLOCK,
     MODEL_MAGIC,
     LoadedMatrix,
     RunManifest,
+    _column_variances,
     file_sha256,
     load_manifest,
     load_matrix,
@@ -323,6 +325,20 @@ class TestPreprocess:
         variances = values.var(axis=0, ddof=1)
         dropped = np.setdiff1d(np.arange(5300), kept)
         assert variances[kept].min() >= variances[dropped].max()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("extra", [1, 2, 37], ids=lambda e: f"last-block-{e}")
+    def test_blocked_variances_are_numpys(self, order, extra):
+        # p is not a multiple of the block; a lone last column of a
+        # row-major array would sum in another order
+        p = 2 * _VAR_BLOCK + extra
+        counts = np.rint(np.random.default_rng(extra).gamma(2.0, 20.0, (45, p)))
+        x = np.asarray(np.log2(counts + 1.0), order=order)
+        variances = x.var(axis=0, ddof=1)
+        assert _column_variances(x).tobytes() == variances.tobytes()
+        _, kept = preprocess(x, filter_top_variance_fraction=0.5)
+        ranked = np.argsort(-variances, kind="stable")
+        npt.assert_array_equal(kept, np.sort(ranked[: (p + 1) // 2]))
 
     def test_ceil_rounds_up(self):
         values = np.random.default_rng(3).standard_normal((8, 10))
@@ -1184,6 +1200,25 @@ class TestCliDiagnose:
         assert 0.8 <= report["predictive_coverage"] <= 1.0
         assert 0.0 < report["variance_explained_mean"] < 1.0
         assert np.isfinite(report["fitted_loglik"])
+
+    def test_input_hashed_only_for_a_manifest(self, workspace, tmp_path, monkeypatch):
+        hashed = []
+
+        def counting(path):
+            hashed.append(str(path))
+            return file_sha256(path)
+
+        monkeypatch.setattr(fable.cli, "file_sha256", counting)
+        argv = ["diagnose", "--model", str(workspace["model"]),
+                "--input", str(workspace["train"])]
+        assert main([*argv, "--output", str(tmp_path / "d.json")]) == 0
+        assert hashed == []
+        manifest = tmp_path / "d.manifest.json"
+        assert main([*argv, "--output", str(tmp_path / "d2.json"),
+                     "--manifest", str(manifest)]) == 0
+        assert load_manifest(manifest).input_sha256 == file_sha256(workspace["train"])
+        assert main(["replay", "--manifest", str(manifest),
+                     "--outdir", str(tmp_path / "replayed")]) == 0
 
 
 class TestCliEmptyMatrix:

@@ -12,6 +12,7 @@ from fable.sampler import _entry_values
 from test_linalg import decompositions_fail, dense, lapack_reset  # noqa: F401 (fixtures)
 from test_sampler import counting_pool
 from fable.simharness import (
+    _NOISE_BLOCK,
     _TRACKED,
     _tracked_pairs,
     BenchmarkRow,
@@ -148,6 +149,23 @@ class TestGenerateData:
         # part must be centered white noise scaled by the truth diagonal.
         resid = dm.values - (scores - scores.mean(axis=0)) @ truth.loadings.T
         npt.assert_allclose(resid.mean(axis=0), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, p", [(100, 700), (5, _NOISE_BLOCK + 7)],
+                             ids=["partial-last-block", "one-row-blocks"])
+    def test_bits_of_a_one_shot_draw(self, n, p):
+        # a twin generator draws all the noise at once:
+        # y = eps * sqrt(diag) + eta @ L', then centered
+        rows = max(1, _NOISE_BLOCK // p)
+        assert n % rows if rows > 1 else p > _NOISE_BLOCK
+        truth = generate_truth(SimulationConfig(n=n, p=p, k_true=3, tracked=1), truth_rng(4))
+        dm, scores = generate_data_with_scores(truth, n, np.random.default_rng(21))
+        twin = np.random.default_rng(21)
+        eta = twin.standard_normal((n, 3))
+        y = twin.standard_normal((n, p)) * np.sqrt(truth.diag) + eta @ truth.loadings.T
+        means = y.mean(axis=0)
+        assert scores.tobytes() == eta.tobytes()
+        assert dm.column_means.tobytes() == means.tobytes()
+        assert dm.values.tobytes() == (y - means).tobytes()
 
     def test_zero_loadings_give_independent_noise(self):
         noise = np.random.default_rng(1).uniform(0.5, 5.0, 40)
