@@ -9,29 +9,4 @@ expensive steps are one SVD and (optionally) embarrassingly parallel
 sampling.
 """
 
-from .errors import FableError
-from .linalg import (
-    DataMatrix,
-    LinearMap,
-    StructuredCovariance,
-    TruncatedSvd,
-    center_columns,
-    gaussian_loglik,
-    spectral_norm,
-    truncated_svd,
-)
-
-__version__ = "0.5.6"
-
-__all__ = [
-    "FableError",
-    "DataMatrix",
-    "LinearMap",
-    "StructuredCovariance",
-    "TruncatedSvd",
-    "center_columns",
-    "gaussian_loglik",
-    "spectral_norm",
-    "truncated_svd",
-    "__version__",
-]
+__version__ = "0.5.7"

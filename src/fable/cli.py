@@ -76,11 +76,6 @@ def _parse_int(text: str, what: str) -> int:
         raise InvalidOption(f"{what} must be an integer, got {text!r}") from None
 
 
-def _default_threads() -> int:
-    env = os.environ.get("FABLE_THREADS", "")
-    return _parse_int(env, "FABLE_THREADS") if env.strip() else _cpu_count()
-
-
 def parse_indices(text: str, p: int) -> list[int]:
     """Parse "0,5,10-12" into [0, 5, 10, 11, 12], every index in [0, p).
 
@@ -572,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--alpha", type=float, default=0.05)
     p_int.add_argument("--method", choices=("asymptotic", "sample_quantile"),
                        default="asymptotic")
-    p_int.add_argument("--n-samples", type=int, default=None)
+    p_int.add_argument("--n-samples", type=int, default=None,
+                       help="sample_quantile draws; at most the first 10,000 are made")
     p_int.add_argument("--seed", type=int, default=None,
                        help="required for sample_quantile")
     p_int.add_argument("--threads", type=int, default=None)
@@ -644,11 +640,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args) -> None:
     if hasattr(args, "threads"):
-        option = "--threads"
         if args.threads is None:
-            args.threads, option = _default_threads(), "FABLE_THREADS"
+            args.threads = _cpu_count()
         if args.threads < 1:
-            raise InvalidOption(f"{option} must be at least 1, got {args.threads}")
+            raise InvalidOption(f"--threads must be at least 1, got {args.threads}")
     if getattr(args, "command", None) == "mean":
         if args.form == "factored":
             if args.output_loadings is None or args.output_noise is None:

@@ -29,7 +29,8 @@ from .errors import (
 )
 from .linalg import DataMatrix, StructuredCovariance, _as_float_matrix, _frozen, gaussian_loglik
 from .model import FableModel, fit
-from .sampler import RngSpec, _entry_set, _entry_values, posterior_mean, sample_entry_stats
+from .sampler import (_RESERVOIR, RngSpec, _entry_set, _entry_values, posterior_mean,
+                      sample_entry_stats)
 
 __all__ = [
     "AsymptoticVariances",
@@ -136,8 +137,9 @@ def credible_intervals(
     method="asymptotic" centers at mu_u . mu_v (plus delta_u^2 on the
     diagonal) and uses the closed-form sd over sqrt(n); no sampling.
     method="sample_quantile" takes empirical alpha/2 and 1 - alpha/2
-    quantiles over ``n_samples`` posterior draws (at least 100) from
-    ``rng``. Both report the same centers and asymptotic sd column.
+    quantiles over the first min(``n_samples``, 10,000) posterior draws
+    from ``rng`` (``n_samples`` at least 100). Both report the same
+    centers and asymptotic sd column.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
@@ -156,9 +158,10 @@ def credible_intervals(
             raise TooFewSamples(
                 f"sample_quantile needs at least {_MIN_QUANTILE_SAMPLES} draws"
             )
+        # the quantiles read only the first _RESERVOIR draws, so no more are made
         stats = sample_entry_stats(
             model,
-            n_samples,
+            min(n_samples, _RESERVOIR),
             rng,
             indices,
             quantiles=(alpha / 2.0, 1.0 - alpha / 2.0),

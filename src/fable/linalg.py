@@ -98,7 +98,7 @@ class DataMatrix:
     column_means: np.ndarray
 
     def __post_init__(self) -> None:
-        self._store(np.array(self.values, dtype=np.float64))
+        self._store(np.array(self.values, dtype=np.float64, order="C"))
 
     @classmethod
     def _adopt(cls, values: np.ndarray, column_means: np.ndarray) -> DataMatrix:
@@ -445,15 +445,11 @@ def gaussian_loglik(data: DataMatrix | np.ndarray, cov: StructuredCovariance) ->
     g = cov.loadings
     quad_diag = ((vals * vals) / delta).sum(axis=1)
     logdet = float(np.log(delta).sum())
-    if cov.k:
-        gd = g / delta[:, None]
-        cap = np.eye(cov.k) + g.T @ gd
-        chol = np.linalg.cholesky(cap)
-        w = np.linalg.solve(chol, (vals @ gd).T)
-        quad = quad_diag - (w * w).sum(axis=0)
-        logdet += 2.0 * float(np.log(np.diag(chol)).sum())
-    else:
-        quad = quad_diag
+    gd = g / delta[:, None]
+    chol = np.linalg.cholesky(np.eye(cov.k) + g.T @ gd)
+    w = np.linalg.solve(chol, (vals @ gd).T)
+    quad = quad_diag - (w * w).sum(axis=0)
+    logdet += 2.0 * float(np.log(np.diag(chol)).sum())
     loglik = float(-0.5 * (n * p * _LOG_2PI + n * logdet + quad.sum()))
     if not math.isfinite(loglik):
         raise NonFinite(f"log-likelihood of {n} x {p} data is {loglik}")

@@ -228,7 +228,7 @@ def fit(
     Parameters
     ----------
     data : DataMatrix
-        Centered observations (use :func:`fable.center_columns`).
+        Centered observations (use :func:`fable.linalg.center_columns`).
     k : int, optional
         Factor rank. When omitted the rank is selected by information
         criterion over 1..K0.

@@ -7,6 +7,8 @@ import pytest
 import scipy.stats
 from scipy.special import ndtri
 
+import fable.inference
+import fable.sampler
 from fable.errors import (
     DimensionMismatch,
     EmptyTarget,
@@ -186,6 +188,26 @@ class TestCredibleIntervals:
             rng=RngSpec(77),
         )
         assert np.median(samp.width / asym.width) == pytest.approx(1.0, abs=0.15)
+
+    def test_sample_quantile_draws_only_what_the_quantiles_read(self, fitted, monkeypatch):
+        # with the quantile buffer capped at 150 draws, asking for 400 makes
+        # 150, and the grid is the bytes of the call that makes all 400
+        m, _ = fitted
+        made = []
+        draw_rows = fable.sampler._draw_rows
+        monkeypatch.setattr(fable.sampler, "_draw_rows",
+                            lambda model, t, *a: made.append(t) or draw_rows(model, t, *a))
+        monkeypatch.setattr(fable.sampler, "_RESERVOIR", 150)
+        grids = {}
+        for cap in (10_000, 150):
+            monkeypatch.setattr(fable.inference, "_RESERVOIR", cap)
+            made.clear()
+            grids[cap] = credible_intervals(m, [(0, 0), (0, 1), (5, 9)], alpha=0.1,
+                                            method="sample_quantile", n_samples=400,
+                                            rng=RngSpec(3))
+            assert len(made) == min(cap, 400)
+        for name in ("u", "v", "center", "lower", "upper", "asym_sd"):
+            assert getattr(grids[150], name).tobytes() == getattr(grids[10_000], name).tobytes()
 
     def test_invalid_alpha(self, fitted):
         m, _ = fitted

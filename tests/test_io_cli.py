@@ -883,7 +883,8 @@ class TestCliSample:
                      "--n-samples", "4", "--seed", "21", "--threads", threads,
                      "--output", str(out)])
         assert code == 1
-        assert "--threads" in json.loads(capsys.readouterr().err)["message"]
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InvalidOption", "message": f"--threads must be at least 1, got {threads}"}
         assert not out.exists()
 
     def test_rho_zero_draws_at_the_posterior_mean(self, workspace, tmp_path):
@@ -1633,6 +1634,15 @@ class TestStartupImports:
         assert scipy_modules_after("import fable") == []
         assert scipy_modules_after("import fable.cli") == []
 
+    def test_package_root_holds_only_the_version(self):
+        # each name has one path: fable.linalg.<name>, fable.errors.FableError
+        src = str(Path(fable.__file__).resolve().parents[1])
+        code = ("import fable; assert fable.__version__\n"
+                "print(sorted(n for n in vars(fable) if not n.startswith('_')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.strip() == "[]"
+
     def test_table_lists_every_command(self):
         assert set(startup_table()) == set(STARTUP_ARGS)
         commands = {row.split()[0] for row in STARTUP_ARGS}
@@ -1744,47 +1754,15 @@ class TestTypedRefusals:
 
 
 class TestThreadsEnv:
-    def test_env_fallback_applies(self, workspace, tmp_path, monkeypatch):
-        monkeypatch.setenv("FABLE_THREADS", "2")
-        a = tmp_path / "a.bin"
-        assert main(["sample", "--model", str(workspace["model"]),
-                     "--n-samples", "4", "--seed", "21",
-                     "--output", str(a)]) == 0
-        monkeypatch.delenv("FABLE_THREADS")
-        b = tmp_path / "b.bin"
-        assert main(["sample", "--model", str(workspace["model"]),
-                     "--n-samples", "4", "--seed", "21",
-                     "--output", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_default_is_the_cpus_the_pool_is_capped_by(self, monkeypatch):
-        monkeypatch.delenv("FABLE_THREADS", raising=False)
-        assert fable.cli._default_threads() == fable.sampler._cpu_count()
+        def default_threads():
+            args = argparse.Namespace(threads=None)
+            fable.cli._validate(args)
+            return args.threads
+
+        assert default_threads() == fable.sampler._cpu_count()
         monkeypatch.setattr(fable.cli, "_cpu_count", lambda: 3)
-        assert fable.cli._default_threads() == 3
-
-    def test_invalid_env_is_an_error(self, workspace, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FABLE_THREADS", "lots")
-        code = main(["sample", "--model", str(workspace["model"]),
-                     "--n-samples", "2", "--seed", "1",
-                     "--output", str(tmp_path / "s.bin")])
-        assert code == 1
-        record = json.loads(capsys.readouterr().err)
-        assert record["error"] == "InvalidOption"
-        assert "FABLE_THREADS" in record["message"]
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_count_below_one_is_an_error(self, workspace, tmp_path, monkeypatch, capsys,
-                                         value):
-        monkeypatch.setenv("FABLE_THREADS", value)
-        out = tmp_path / "s.bin"
-        code = main(["sample", "--model", str(workspace["model"]),
-                     "--n-samples", "2", "--seed", "1", "--output", str(out)])
-        assert code == 1
-        record = json.loads(capsys.readouterr().err)
-        assert record == {"error": "InvalidOption",
-                          "message": f"FABLE_THREADS must be at least 1, got {value}"}
-        assert not out.exists()
+        assert default_threads() == 3
 
 
 class TestBenchmarkContract:

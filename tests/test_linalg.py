@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -734,6 +735,22 @@ class TestGaussianLoglik:
         logdet = np.log(cov.diag).sum() + 2.0 * np.log(np.diag(chol)).sum()
         want = -0.5 * (n * p * np.log(2.0 * np.pi) + n * logdet + quad)
         assert gaussian_loglik(y, cov) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n, p", [(5, 3), (40, 200), (1, 7), (3, 1)])
+    def test_zero_width_loadings_are_the_diagonal_gaussian(self, n, p):
+        rng = np.random.default_rng(55 + n * p)
+        d = rng.uniform(0.5, 2.0, p)
+        y = rng.normal(size=(n, p))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gaussian_loglik(y, StructuredCovariance(np.zeros((p, 0)), d))
+        want = scipy.stats.norm(scale=np.sqrt(d)).logpdf(y).sum()
+        assert got == pytest.approx(want, rel=1e-12)
+        # the bits of the diagonal formula that once ran for k = 0
+        quad = ((y * y) / d).sum(axis=1)
+        logdet = float(np.log(d).sum())
+        diagonal = float(-0.5 * (n * p * fable.linalg._LOG_2PI + n * logdet + quad.sum()))
+        assert got.hex() == diagonal.hex()
 
     def test_dimension_mismatch(self):
         cov = StructuredCovariance(np.zeros((3, 1)), np.ones(3))

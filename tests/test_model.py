@@ -21,6 +21,7 @@ from fable.errors import (
     ZeroResidual,
     ZeroResidualVariance,
 )
+from fable.io import save_model
 from fable.linalg import DataMatrix, center_columns, truncated_svd
 from fable.model import (
     RHO_STRATEGIES,
@@ -188,6 +189,21 @@ def test_fit_does_not_see_the_input_layout():
     assert a.rho == b.rho and a.k == b.k
     for name in ("mu", "delta_sq", "v_sq", "l_sq", "u", "spectrum"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+@pytest.mark.parametrize("n, p", [(60, 200), (300, 80)])
+def test_data_matrix_holds_one_layout(tmp_path, n, p):
+    # a DataMatrix built from a column-major array holds it row-major, so
+    # the same centred values fit to the same artifact bytes
+    _, _, y = make_factor_data(n, p, 5, seed=n + p)
+    dm = center_columns(y)
+    paths = []
+    for order in "CF":
+        held = DataMatrix(np.array(dm.values, order=order), dm.column_means)
+        assert held.values.flags.c_contiguous
+        paths.append(tmp_path / f"{order}.fablemodel")
+        save_model(paths[-1], fit(held, k=5))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestSelectRank:
