@@ -124,11 +124,6 @@ def _parse_p_grid(text: str) -> list[int]:
 def _add_pipeline_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", required=True, help="matrix file (text or FABLEMAT1)")
     sub.add_argument(
-        "--format",
-        choices=("auto", "delimited_text", "raw_binary"),
-        default="auto",
-    )
-    sub.add_argument(
         "--transform", choices=("none", "log2_plus_one"), default="none"
     )
     sub.add_argument(
@@ -148,8 +143,6 @@ def _add_fit_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--delta0-sq", type=float, default=1.0)
     sub.add_argument("--tau-sq", type=float, default=None,
                      help="prior loading scale; default is moment-matched")
-    sub.add_argument("--rho-strategy", choices=RHO_STRATEGIES, default="mean_b")
-    sub.add_argument("--alpha", type=float, default=0.05)
 
 
 def _fit_options(args) -> dict:
@@ -159,14 +152,12 @@ def _fit_options(args) -> dict:
         "gamma0": args.gamma0,
         "delta0_sq": args.delta0_sq,
         "tau_sq": args.tau_sq,
-        "rho_strategy": args.rho_strategy,
-        "coverage_alpha": args.alpha,
     }
 
 
 def _load_and_preprocess(args) -> tuple[DataMatrix, np.ndarray]:
     """Load ``--input`` and preprocess it in the array the reader made."""
-    loaded = load_matrix(args.input, format=args.format)
+    loaded = load_matrix(args.input)
     return _preprocess(loaded.values, args.transform, args.filter_fraction)
 
 
@@ -212,7 +203,8 @@ def _index_pairs(text: str, p: int) -> np.ndarray:
 
 def _cmd_fit(args) -> int:
     dm, kept = _load_and_preprocess(args)
-    model = fit(dm, **_fit_options(args))
+    model = fit(dm, **_fit_options(args), rho_strategy=args.rho_strategy,
+                coverage_alpha=args.alpha)
     save_model(args.output, model)
     if args.output_columns is not None:
         _write_table(args.output_columns, zip(kept.tolist()))  # one index a line
@@ -316,8 +308,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_oos(args) -> int:
-    train_loaded = load_matrix(args.input, format=args.format)
-    test_loaded = load_matrix(args.test, format=args.format)
+    train_loaded = load_matrix(args.input)
+    test_loaded = load_matrix(args.test)
     if test_loaded.values.shape[1] != train_loaded.values.shape[1]:
         raise DimensionMismatch(
             f"train and test column counts differ "
@@ -431,11 +423,11 @@ def _run_setting(version: str, blas_threads: str | None) -> str:
     return f"fable {version}, {threads}"
 
 
-def _recorded_manifest(argv: list[str]) -> str | None:
-    """The ``--manifest`` path a recorded argv names, if any."""
+def _recorded_args(argv: list[str]) -> argparse.Namespace | None:
+    """The options a recorded argv gives, None when it does not parse."""
     try:
         with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
-            return getattr(build_parser().parse_args(argv), "manifest", None)
+            return build_parser().parse_args(argv)
     except SystemExit:
         return None  # the replayed run reports the usage error itself
 
@@ -467,7 +459,8 @@ def _cmd_replay(args) -> int:
     written = [record["path"] for record in {**manifest.outputs, **manifest.measured}.values()]
     # the replayed run's own manifest goes under outdir too, so the
     # recorded one is not overwritten
-    if recorded := _recorded_manifest(argv):
+    recorded_args = _recorded_args(argv)
+    if recorded := getattr(recorded_args, "manifest", None):
         written.append(recorded)
     mapping = _replay_paths(written, outdir)
 
@@ -489,9 +482,14 @@ def _cmd_replay(args) -> int:
     if mismatched:
         recorded = _run_setting(manifest.software_version, manifest.openblas_num_threads)
         here = _run_setting(__version__, os.environ.get("OPENBLAS_NUM_THREADS", ""))
+        cause = f"recorded with {recorded}; replayed with {here}"
+        # the replayed run read --input, so it is there to hash again
+        input_path = getattr(recorded_args, "input", None)
+        if input_path is not None and manifest.input_sha256 not in (None, file_sha256(input_path)):
+            cause = f"input {input_path} changed since it was recorded; {cause}"
         raise ReplayMismatch(
             f"replay outputs differ from manifest for: {', '.join(sorted(mismatched))} "
-            f"(recorded with {recorded}; replayed with {here})"
+            f"({cause})"
         )
     missing = [
         role
@@ -522,6 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = subs.add_parser("fit", help="fit a model and write its artifact")
     _add_pipeline_flags(p_fit)
     _add_fit_flags(p_fit)
+    p_fit.add_argument("--rho-strategy", choices=RHO_STRATEGIES, default="mean_b")
+    p_fit.add_argument("--alpha", type=float, default=0.05)
     p_fit.add_argument("--output", required=True, help="model artifact path")
     p_fit.add_argument("--output-columns", default=None,
                        help="write kept column indices, one per line")

@@ -164,12 +164,11 @@ def _parse_delimited(text: str, path: str) -> LoadedMatrix:
 
 
 def _load_binary(fh, path: str) -> LoadedMatrix:
-    """Read the FABLEMAT1 file open at its start in ``fh`` straight into
-    one array; the size of the file is checked before it is allocated."""
+    """Read the FABLEMAT1 file open at its start in ``fh``, whose magic
+    the caller has seen, straight into one array; the size of the file
+    is checked before it is allocated."""
     header_end = len(MATRIX_MAGIC) + 16
     head = fh.read(header_end)
-    if head[: len(MATRIX_MAGIC)] != MATRIX_MAGIC:
-        raise MagicMismatch(f"{path}: not a FABLEMAT1 file")
     if len(head) < header_end:
         raise ShapeError(f"{path}: truncated header")
     n, p = struct.unpack_from("<QQ", head, len(MATRIX_MAGIC))
@@ -190,29 +189,25 @@ def _load_binary(fh, path: str) -> LoadedMatrix:
     return LoadedMatrix(values.astype(np.float64, copy=False))
 
 
-def load_matrix(path: str | Path, format: str = "auto") -> LoadedMatrix:
+def load_matrix(path: str | Path) -> LoadedMatrix:
     """Read a matrix file, binary or delimited text.
 
-    Text files may carry a header row of column labels and a leading
-    label column; both are detected by whether cells parse as numbers,
-    as ``np.loadtxt`` reads a float64. ``format="auto"`` sniffs the
-    binary magic. A binary file is read into the returned array itself.
+    A file that starts with the ``FABLEMAT1`` magic is binary and is read
+    into the returned array itself; any other file is text. Text files
+    may carry a header row of column labels and a leading label column;
+    both are detected by whether cells parse as numbers, as
+    ``np.loadtxt`` reads a float64.
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        if format == "auto":
-            magic = fh.peek(len(MATRIX_MAGIC))[: len(MATRIX_MAGIC)]
-            format = "raw_binary" if magic == MATRIX_MAGIC else "delimited_text"
-        if format == "raw_binary":
+        if fh.peek(len(MATRIX_MAGIC))[: len(MATRIX_MAGIC)] == MATRIX_MAGIC:
             return _load_binary(fh, str(path))
         raw = fh.read()
-    if format == "delimited_text":
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not valid UTF-8 text ({exc})") from exc
-        return _parse_delimited(text, str(path))
-    raise InvalidOption(f"unknown format {format!r}")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 text ({exc})") from exc
+    return _parse_delimited(text, str(path))
 
 
 def save_matrix(path: str | Path, values: np.ndarray) -> None:
@@ -450,8 +445,7 @@ def save_samples(
 def _load_samples_binary(path: Path) -> Iterator[CovarianceSample]:
     size = path.stat().st_size
     with open(path, "rb") as fh:
-        if fh.read(len(SAMPLE_MAGIC)) != SAMPLE_MAGIC:
-            raise MagicMismatch(f"{path}: not a FABLESAMP1 file")
+        fh.seek(len(SAMPLE_MAGIC))  # load_samples has read the magic
         while True:
             head = fh.read(24)
             if not head:
@@ -502,18 +496,14 @@ def _load_samples_text(path: Path) -> Iterator[CovarianceSample]:
         raise ParseError(f"{path}: malformed text sample stream ({exc})") from exc
 
 
-def load_samples(path: str | Path, *, format: str = "auto") -> Iterator[CovarianceSample]:
-    """Iterate records written by save_samples."""
+def load_samples(path: str | Path) -> Iterator[CovarianceSample]:
+    """Iterate records written by save_samples. A stream that starts with
+    the FABLESAMP1 magic is binary; any other is text, whose first line
+    is the digits of a t,k,p header."""
     path = Path(path)
-    if format == "auto":
-        with open(path, "rb") as fh:
-            sniff = fh.read(len(SAMPLE_MAGIC))
-        format = "binary" if sniff == SAMPLE_MAGIC else "text"
-    if format == "binary":
-        return _load_samples_binary(path)
-    if format == "text":
-        return _load_samples_text(path)
-    raise InvalidOption(f"unknown sample format {format!r}")
+    with open(path, "rb") as fh:
+        binary = fh.read(len(SAMPLE_MAGIC)) == SAMPLE_MAGIC
+    return _load_samples_binary(path) if binary else _load_samples_text(path)
 
 
 def write_intervals(path: str | Path, grid: IntervalGrid) -> None:

@@ -53,14 +53,16 @@ FIT_OPTIONS = [
     ("--gamma0", ["1", "2.5"], "number"),
     ("--delta0-sq", ["1", "0.5"], "number"),
     ("--tau-sq", ["0.5", "2"], "number"),
-    ("--rho-strategy", ["mean_b", "max_b", "one"], "choice"),
-    ("--alpha", ["0.05", "0.2"], "number"),
     ("--filter-fraction", ["1", "0.5"], "number"),
     ("--transform", ["none", "log2_plus_one"], "choice"),
-    ("--format", ["auto", "raw_binary"], "choice"),
+]
+# only fit computes a rho
+RHO_OPTIONS = [
+    ("--rho-strategy", ["mean_b", "max_b", "one"], "choice"),
+    ("--alpha", ["0.05", "0.2"], "number"),
 ]
 COMMANDS = {
-    "fit": (["--input", "{train}", "--output", "{out}/m.bin"], FIT_OPTIONS),
+    "fit": (["--input", "{train}", "--output", "{out}/m.bin"], FIT_OPTIONS + RHO_OPTIONS),
     "sample": (["--model", "{model}", "--output", "{out}/s.bin"], [
         ("--n-samples", ["3", "1"], "count"),
         ("--seed", ["0", "5"], "number"),

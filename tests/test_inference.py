@@ -29,7 +29,7 @@ from fable.inference import (
     variance_explained,
 )
 from fable.linalg import DataMatrix, center_columns, gaussian_loglik
-from fable.model import FableModel, fit
+from fable.model import RHO_STRATEGIES, FableModel, fit
 from fable.sampler import RngSpec, posterior_mean
 from test_linalg import dense
 from test_model import compute_b_matrix, make_factor_data
@@ -315,6 +315,16 @@ class TestOosLoglik:
             StructuredCovariance(m.mu, m.delta_sq),
         )
         assert got == want
+
+    def test_rho_options_leave_the_score(self):
+        # the score reads mu and delta_sq, which fit computes before rho
+        train, test, targets, extras = shared_factor_split(908)
+        want = oos_loglik(train, test, targets, extras, k=4)
+        for strategy in RHO_STRATEGIES:
+            for alpha in (0.05, 0.3, 1e-17):
+                got = oos_loglik(train, test, targets, extras, k=4,
+                                 rho_strategy=strategy, coverage_alpha=alpha)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (strategy, alpha)
 
     def test_extra_order_irrelevant(self):
         train, test, targets, extras = shared_factor_split(902)

@@ -200,12 +200,6 @@ class TestLoadMatrixText:
         with pytest.raises(ParseError, match="no data"):
             load_matrix(path)
 
-    def test_unknown_format(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("1\n")
-        with pytest.raises(ValueError, match="format"):
-            load_matrix(path, format="parquet")
-
 
 class TestTextFastPath:
     """A valid text matrix goes to np.loadtxt in one call: Python looks
@@ -270,14 +264,15 @@ class TestLoadMatrixBinary:
     def test_auto_sniffs_binary(self, tmp_path):
         path = tmp_path / "x.dat"
         save_matrix(path, np.eye(2))
-        loaded = load_matrix(path, format="auto")
+        loaded = load_matrix(path)
         npt.assert_array_equal(loaded.values, np.eye(2))
 
     def test_magic_mismatch(self, tmp_path):
+        # a file without the magic is text, whatever its name
         path = tmp_path / "x.mat"
         path.write_bytes(b"NOTAMAGIC" + b"\x00" * 32)
-        with pytest.raises(MagicMismatch):
-            load_matrix(path, format="raw_binary")
+        with pytest.raises(ParseError, match="header but no data rows"):
+            load_matrix(path)
 
     def test_truncated_body(self, tmp_path):
         path = tmp_path / "x.mat"
@@ -596,10 +591,11 @@ class TestSampleStreams:
             list(load_samples(path))
 
     def test_bad_magic(self, tmp_path):
+        # a stream without the magic is text, whatever its name
         path = tmp_path / "s.bin"
         path.write_bytes(b"JUNKJUNKJUNK")
-        with pytest.raises(MagicMismatch):
-            list(load_samples(path, format="binary"))
+        with pytest.raises(ParseError, match="expected t,k,p header"):
+            list(load_samples(path))
 
     @pytest.mark.parametrize("format", ["binary", "text"])
     def test_refusals_leave_no_partial_file(self, draws, tmp_path, format):
@@ -848,16 +844,23 @@ class TestCliFit:
         assert main(["fit", "--output", "x.bin"]) == 2
         assert main([]) == 2
 
-    @pytest.mark.parametrize("flag", [["--svd-method", "exact"], ["--seed", "0"]])
-    @pytest.mark.parametrize("command", ["fit", "oos"])
+    @pytest.mark.parametrize("flag", [["--svd-method", "exact"], ["--seed", "0"],
+                                      ["--format", "auto"], ["--rho-strategy", "mean_b"],
+                                      ["--alpha", "0.05"]])
+    @pytest.mark.parametrize("command", ["fit", "oos", "diagnose"])
     def test_removed_svd_flags_are_usage_errors(self, workspace, tmp_path, command, flag):
-        # the SVD is always exact and unseeded; fit and oos take neither flag
-        argv = [command, "--input", str(workspace["train"]), "--k", "3",
-                "--output", str(tmp_path / "out")]
-        if command == "oos":
-            argv += ["--test", str(workspace["test"]), "--targets", "0-29"]
+        # the SVD is always exact and unseeded and the matrix format is
+        # read from the file; of these flags only fit's rho options and
+        # diagnose's --alpha remain
+        argv = [command, "--input", str(workspace["train"]), "--output", str(tmp_path / "out")]
+        argv += {
+            "fit": ["--k", "3"],
+            "oos": ["--k", "3", "--test", str(workspace["test"]), "--targets", "0-29"],
+            "diagnose": ["--model", str(workspace["model"])],
+        }[command]
+        kept = {"fit": ["--rho-strategy", "--alpha"], "diagnose": ["--alpha"]}.get(command, [])
         assert main(argv) == 0
-        assert main(argv + flag) == 2
+        assert main(argv + flag) == (0 if flag[0] in kept else 2)
 
 
 class TestCliSample:
@@ -1450,6 +1453,33 @@ class TestCliReplay:
         assert code == 1
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "differ" in record["message"]
+
+    def test_mismatch_names_a_changed_text_input(self, tmp_path, monkeypatch, capsys):
+        # values moved in their seventh digit: the settings match, the input does not
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        values = np.random.default_rng(12).standard_normal((40, 200))
+        input_path = tmp_path / "x.csv"
+
+        def write(rows):
+            input_path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+
+        write(values.tolist())
+        model_path = tmp_path / "m.bin"
+        assert main(["fit", "--input", str(input_path), "--k", "3",
+                     "--output", str(model_path)]) == 0
+        manifest_path = Path(str(model_path) + ".manifest.json")
+        assert main(["replay", "--manifest", str(manifest_path),
+                     "--outdir", str(tmp_path / "same")]) == 0
+        write((values * 1.0000001).tolist())
+        record = self.replay_error(manifest_path, tmp_path, capsys)
+        version = f"fable {fable.__version__}"
+        assert record == {
+            "error": "ReplayMismatch",
+            "message": f"replay outputs differ from manifest for: model (input {input_path} "
+                       f"changed since it was recorded; recorded with {version}, "
+                       f"OPENBLAS_NUM_THREADS=1; replayed with {version}, "
+                       f"OPENBLAS_NUM_THREADS=1)",
+        }
 
     @staticmethod
     def recorded_fit(tmp_path, monkeypatch, blas_threads):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,8 @@ from scipy.special import ndtr, ndtri
 import fable._lapack
 from fable.errors import (
     AllZeroSpectrum,
+    BracketFailure,
+    ConvergenceFailure,
     DegenerateDenominator,
     DimensionMismatch,
     InvalidAlpha,
@@ -633,6 +636,12 @@ class TestComputeRho:
         want = float(rows.sum()) / (m.p * (m.p + 1) / 2)
         assert m.rho == pytest.approx(want, rel=1e-14)
 
+    def test_solve_at_an_alpha_that_rounds_away(self):
+        # 1 - alpha / 2 rounds to 1, so z is infinite and every interval covers
+        _, _, y = make_factor_data(60, 25, 2, seed=91)
+        m = fit(center_columns(y), k=2)
+        assert compute_rho(m.mu, m.v_sq, strategy="solve_mean_coverage", alpha=1e-17) == 1.0
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, np.nan])
     def test_solve_refuses_alpha_as_fit_does(self, alpha):
         mu, v_sq = np.ones((3, 2)), np.ones(3)
@@ -641,6 +650,74 @@ class TestComputeRho:
         _, _, y = make_factor_data(40, 10, 2, seed=61)
         with pytest.raises(InvalidAlpha, match="alpha"):
             fit(center_columns(y), k=2, coverage_alpha=alpha)
+
+
+class TestSolveFallbacks:
+    """The coverage solve's safeguards, each reached by replacing erfc or
+    the normal quantile in fable.model with one that breaks the Newton
+    iteration in one way."""
+
+    @pytest.fixture(scope="class")
+    def m(self):
+        _, _, y = make_factor_data(200, 120, 4, seed=97)
+        return fit(center_columns(y), k=4)
+
+    @staticmethod
+    def never_covers(x, out=None):
+        """erfc of 0: every interval misses, at any rho."""
+        if out is None:
+            return np.ones_like(x)
+        out[...] = 1.0
+        return out
+
+    @staticmethod
+    def patch_h(monkeypatch, h_of):
+        """Keep the two quantiles the solve starts from (z and the goal)
+        and give h = h_of(goal) at every later call."""
+        import fable.model as model
+
+        real, calls = model.norm_ppf, []
+
+        def quantile(y):
+            calls.append(y)
+            if len(calls) <= 2:
+                return real(y)
+            return -h_of(-real(calls[1]))
+
+        monkeypatch.setattr(model, "norm_ppf", quantile)
+
+    def test_bracket_failure_at_the_top(self, m, monkeypatch):
+        # Newton steps leave the bracket before its top is seen, so the
+        # solve jumps to the top, where coverage still falls short
+        import fable.model as model
+
+        top = 4.0 * compute_rho(m.mu, m.v_sq, strategy="sup_b")
+        monkeypatch.setattr(model, "erfc", self.never_covers)
+        with pytest.raises(BracketFailure, match=re.escape(
+                f"mean coverage 0.0000 at rho={top:.3f} never reaches 0.95")):
+            compute_rho(m.mu, m.v_sq, strategy="solve_mean_coverage")
+
+    def test_bisection_closes_on_the_root(self, m, monkeypatch):
+        # an infinite h gives no Newton step, so every step bisects (after
+        # a jump to the top) until the bracket closes on the same root
+        want = compute_rho(m.mu, m.v_sq, strategy="solve_mean_coverage")
+        passes = count_b_passes(monkeypatch)
+        self.patch_h(monkeypatch, lambda goal: -math.inf)
+        got = compute_rho(m.mu, m.v_sq, strategy="solve_mean_coverage")
+        assert got == pytest.approx(want, rel=1e-13)
+        assert len(passes) > 40  # one halving per pass, from [1, 4 sup B] to 1e-14
+
+    def test_evaluation_cap(self, m, monkeypatch):
+        # h stuck just below the goal: each step is short but not short
+        # enough to stop, and the top is never reached
+        import fable.model as model
+
+        passes = count_b_passes(monkeypatch)
+        monkeypatch.setattr(model, "erfc", self.never_covers)
+        self.patch_h(monkeypatch, lambda goal: goal - 1e-3)
+        with pytest.raises(ConvergenceFailure, match="did not converge in 100 evaluations"):
+            compute_rho(m.mu, m.v_sq, strategy="solve_mean_coverage")
+        assert len(passes) == 101
 
 
 def rho_at_block(block, *args, **kwargs):

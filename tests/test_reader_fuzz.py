@@ -34,6 +34,7 @@ from fable.io import (
     MODEL_MAGIC,
     SAMPLE_MAGIC,
     LoadedMatrix,
+    _load_samples_text,
     load_manifest,
     load_matrix,
     load_model,
@@ -107,7 +108,7 @@ def read_samples(path):
 
 
 def read_text_samples(path):
-    return list(load_samples(path, format="text"))
+    return list(_load_samples_text(path))
 
 
 def reference_parse_delimited(text, path):
@@ -180,8 +181,7 @@ class TestMatrixReader:
     def test_truncation_is_rejected(self, originals, cut):
         raw = originals["matrix"]
         got = load_damaged(
-            originals, "matrix", raw[: cut % len(raw)],
-            lambda p: load_matrix(p, format="raw_binary"),
+            originals, "matrix", raw[: cut % len(raw)], load_matrix
         )
         assert got is None
 
@@ -197,16 +197,12 @@ class TestMatrixReader:
     @given(dim=st.sampled_from([0, 1]), word=words)
     def test_dimension_overwrite_loads_or_raises(self, originals, dim, word):
         raw = overwritten(originals["matrix"], len(MATRIX_MAGIC) + 8 * dim, word)
-        got = load_damaged(
-            originals, "matrix", raw, lambda p: load_matrix(p, format="raw_binary")
-        )
+        got = load_damaged(originals, "matrix", raw, load_matrix)
         assert got is None or got.values.size * 8 == len(raw) - len(MATRIX_MAGIC) - 16
 
     def test_empty_body_with_huge_dimension(self, originals):
         raw = MATRIX_MAGIC + struct.pack("<QQ", 0, 2**64 - 1)
-        got = load_damaged(
-            originals, "matrix", raw, lambda p: load_matrix(p, format="raw_binary")
-        )
+        got = load_damaged(originals, "matrix", raw, load_matrix)
         assert got is None
 
 
@@ -241,8 +237,7 @@ class TestDelimitedTextReader:
     @given(text=st.one_of(st.text(max_size=200), text_cells))
     def test_any_text_loads_or_raises(self, originals, text):
         got = load_damaged(
-            originals, "matrix.txt", text.encode("utf-8"),
-            lambda p: load_matrix(p, format="delimited_text"),
+            originals, "matrix.txt", text.encode("utf-8"), load_matrix
         )
         assert got is None or (
             isinstance(got, LoadedMatrix) and got.values.ndim == 2 and got.values.size > 0
@@ -374,7 +369,7 @@ class TestReaderMatchesOracle:
     def test_whatever_loads_loads_as_the_oracle_does(self, originals, text):
         path = originals["root"] / "any.txt"
         path.write_bytes(text.encode("utf-8"))
-        got = outcome(lambda p: load_matrix(p, format="delimited_text"), path)
+        got = outcome(load_matrix, path)
         want = outcome(oracle_read, path)
         # a text without such cells gets the same values, or the same
         # error with the same message
