@@ -67,6 +67,8 @@ from .simharness import SimulationConfig, run_study, runtime_benchmark
 
 # the four (n, p) cells of the headline study, all at rank 10
 PAPER_TABLE1_CELLS = ((500, 1000), (1000, 1000), (500, 5000), (1000, 5000))
+# the options that name files a command reads, in the order replay names them
+_INPUT_ROLES = ("input", "test", "model")
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -167,9 +169,8 @@ def _save_manifest(
     """Write the manifest of this run to ``path`` (nothing when it is None).
 
     ``outputs`` and ``measured`` map roles to written files (None entries
-    are skipped); the SHA-256 of ``--input``, for the commands that take
-    one, is read only here; ``fields`` are the other RunManifest fields
-    (seed, resolved).
+    are skipped); the files the command read are hashed only here;
+    ``fields`` are the other RunManifest fields (seed, resolved).
     """
     if path is None:
         return
@@ -181,12 +182,11 @@ def _save_manifest(
             if out is not None
         }
 
-    if getattr(args, "input", None) is not None:
-        fields["input_sha256"] = file_sha256(args.input)
     save_manifest(path, RunManifest(
         command=args.command,
         config={"argv": list(args._argv)},
         software_version=__version__,
+        inputs=hashed({role: getattr(args, role, None) for role in _INPUT_ROLES}),
         outputs=hashed(outputs),
         measured=hashed(measured or {}),
         created_unix=time.time(),
@@ -483,10 +483,11 @@ def _cmd_replay(args) -> int:
         recorded = _run_setting(manifest.software_version, manifest.openblas_num_threads)
         here = _run_setting(__version__, os.environ.get("OPENBLAS_NUM_THREADS", ""))
         cause = f"recorded with {recorded}; replayed with {here}"
-        # the replayed run read --input, so it is there to hash again
-        input_path = getattr(recorded_args, "input", None)
-        if input_path is not None and manifest.input_sha256 not in (None, file_sha256(input_path)):
-            cause = f"input {input_path} changed since it was recorded; {cause}"
+        # the replayed run read each input where the recorded argv names it
+        for role in reversed(_INPUT_ROLES):
+            path, record = getattr(recorded_args, role, None), manifest.inputs.get(role)
+            if path and record and file_sha256(path) != record["sha256"]:
+                cause = f"input {path} changed since it was recorded; {cause}"
         raise ReplayMismatch(
             f"replay outputs differ from manifest for: {', '.join(sorted(mismatched))} "
             f"({cause})"

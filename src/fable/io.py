@@ -76,15 +76,22 @@ class LoadedMatrix:
     col_labels: tuple[str, ...] | None = None
 
 
-def _f8_array(buf: bytes, shape: Sequence[int], offset: int, path) -> np.ndarray:
-    """The little-endian float64 values of ``shape`` at ``buf[offset:]``,
-    copied; the caller has checked that enough bytes remain."""
+def _read_f8(fh, shape: Sequence[int], path, what: str, end: int) -> np.ndarray:
+    """The little-endian float64 block of ``shape`` read from ``fh`` into a fresh
+    array. A block past offset ``end`` (refused before anything is allocated)
+    and a short read both raise ``ShapeError`` with the message ``what``."""
+    nbytes = math.prod(shape) * 8
+    if nbytes > end - fh.tell():
+        raise ShapeError(f"{path}: {what}")
     try:
-        flat = np.frombuffer(buf, dtype="<f8", count=math.prod(shape), offset=offset)
-        return flat.reshape(shape).astype(np.float64)
+        values = np.empty(shape, dtype="<f8")
     except ValueError as exc:
         # a zero-size array with a dimension past numpy's limit
         raise ShapeError(f"{path}: unsupported shape {tuple(shape)} ({exc})") from exc
+    # nothing to read into an empty array, which memoryview cannot cast
+    if nbytes and fh.readinto(memoryview(values).cast("B")) != nbytes:
+        raise ShapeError(f"{path}: {what}")
+    return values.astype(np.float64, copy=False)
 
 
 def _cell_error(path: str, line: int, col: int, cell: str) -> ParseError:
@@ -165,28 +172,17 @@ def _parse_delimited(text: str, path: str) -> LoadedMatrix:
 
 def _load_binary(fh, path: str) -> LoadedMatrix:
     """Read the FABLEMAT1 file open at its start in ``fh``, whose magic
-    the caller has seen, straight into one array; the size of the file
-    is checked before it is allocated."""
+    the caller has seen, straight into one array."""
     header_end = len(MATRIX_MAGIC) + 16
     head = fh.read(header_end)
     if len(head) < header_end:
         raise ShapeError(f"{path}: truncated header")
     n, p = struct.unpack_from("<QQ", head, len(MATRIX_MAGIC))
     body = os.fstat(fh.fileno()).st_size - header_end
-    expected = n * p * 8
-    if body != expected:
-        raise ShapeError(
-            f"{path}: body holds {body} bytes, expected {expected} for {n}x{p}"
-        )
-    try:
-        values = np.empty((n, p), dtype="<f8")
-    except ValueError as exc:
-        # a zero-size array with a dimension past numpy's limit
-        raise ShapeError(f"{path}: unsupported shape {(n, p)} ({exc})") from exc
-    # nothing to read into an empty array, which memoryview cannot cast
-    if expected and fh.readinto(memoryview(values).cast("B")) != expected:
-        raise ShapeError(f"{path}: the body changed while it was read")
-    return LoadedMatrix(values.astype(np.float64, copy=False))
+    if body != n * p * 8:
+        raise ShapeError(f"{path}: body holds {body} bytes, expected {n * p * 8} for {n}x{p}")
+    return LoadedMatrix(_read_f8(fh, (n, p), path, "the body changed while it was read",
+                                 header_end + body))
 
 
 def load_matrix(path: str | Path) -> LoadedMatrix:
@@ -218,7 +214,7 @@ def save_matrix(path: str | Path, values: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes(order="C"))
+        fh.write(arr)
 
 
 # Columns per block when the variance filter takes column variances:
@@ -323,47 +319,44 @@ def save_model(path: str | Path, model: FableModel) -> None:
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for name in _MODEL_ARRAYS:
-            arr = np.ascontiguousarray(getattr(model, name), dtype="<f8")
-            fh.write(arr.tobytes(order="C"))
+            fh.write(np.ascontiguousarray(getattr(model, name), dtype="<f8"))
 
 
 def load_model(path: str | Path) -> FableModel:
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise MagicMismatch(f"{path}: not a FABLE-MODEL-v1 file")
-    offset = len(MODEL_MAGIC)
-    if len(raw) < offset + 8:
-        raise ShapeError(f"{path}: truncated header length")
-    (hlen,) = struct.unpack_from("<Q", raw, offset)
-    offset += 8
-    try:
-        header = json.loads(raw[offset : offset + hlen].decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: bad model header ({exc})") from exc
-    if not isinstance(header, dict):
-        raise ParseError(f"{path}: model header is not a JSON object")
-    if header.get("version") != 1:
-        raise ParseError(f"{path}: unsupported model version {header.get('version')!r}")
-    try:
-        scalars = {key: header[key] for key in _MODEL_SCALARS}
-        shapes = {name: [int(d) for d in header["shapes"][name]] for name in _MODEL_ARRAYS}
-    except KeyError as exc:
-        raise ParseError(f"{path}: model header missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: malformed model header ({exc})") from exc
-    offset += hlen
-    arrays = {}
-    for name, shape in shapes.items():
-        if any(d < 0 for d in shape):
-            raise ShapeError(f"{path}: negative dimension in shape of {name!r}")
-        nbytes = math.prod(shape) * 8
-        if len(raw) < offset + nbytes:
-            raise ShapeError(f"{path}: truncated array {name!r}")
-        arrays[name] = _f8_array(raw, shape, offset, path)
-        offset += nbytes
-    if offset != len(raw):
-        raise ShapeError(f"{path}: {len(raw) - offset} trailing bytes")
+    with open(path, "rb") as fh:
+        if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
+            raise MagicMismatch(f"{path}: not a FABLE-MODEL-v1 file")
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if len(head) < 8:
+            raise ShapeError(f"{path}: truncated header length")
+        (hlen,) = struct.unpack("<Q", head)
+        blob = fh.read(min(hlen, size))
+        # where the arrays end; a header length past the file moves it before them
+        end = size - (hlen - len(blob))
+        try:
+            header = json.loads(blob.decode("ascii"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParseError(f"{path}: bad model header ({exc})") from exc
+        if not isinstance(header, dict):
+            raise ParseError(f"{path}: model header is not a JSON object")
+        if header.get("version") != 1:
+            raise ParseError(f"{path}: unsupported model version {header.get('version')!r}")
+        try:
+            scalars = {key: header[key] for key in _MODEL_SCALARS}
+            shapes = {name: [int(d) for d in header["shapes"][name]] for name in _MODEL_ARRAYS}
+        except KeyError as exc:
+            raise ParseError(f"{path}: model header missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}: malformed model header ({exc})") from exc
+        arrays = {}
+        for name, shape in shapes.items():
+            if any(d < 0 for d in shape):
+                raise ShapeError(f"{path}: negative dimension in shape of {name!r}")
+            arrays[name] = _read_f8(fh, shape, path, f"truncated array {name!r}", end)
+        if fh.tell() != end:
+            raise ShapeError(f"{path}: {end - fh.tell()} trailing bytes")
     try:
         return FableModel(**scalars, **arrays)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -424,8 +417,8 @@ def save_samples(
                 p, k = sample.loadings.shape
                 if binary:
                     fh.write(struct.pack("<QQQ", sample.index, k, p))
-                    fh.write(np.ascontiguousarray(sample.loadings, dtype="<f8").tobytes())
-                    fh.write(np.ascontiguousarray(sample.noise_sq, dtype="<f8").tobytes())
+                    fh.write(np.ascontiguousarray(sample.loadings, dtype="<f8"))
+                    fh.write(np.ascontiguousarray(sample.noise_sq, dtype="<f8"))
                 else:
                     _write_rows(fh, chain(
                         [(sample.index, k, p)], sample.loadings.tolist(),
@@ -443,25 +436,17 @@ def save_samples(
 
 
 def _load_samples_binary(path: Path) -> Iterator[CovarianceSample]:
-    size = path.stat().st_size
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
         fh.seek(len(SAMPLE_MAGIC))  # load_samples has read the magic
-        while True:
-            head = fh.read(24)
-            if not head:
-                return
+        while head := fh.read(24):
             if len(head) < 24:
                 raise ShapeError(f"{path}: truncated record header")
             t, k, p = struct.unpack("<QQQ", head)
-            # checked against the file before reading, so a damaged
-            # header cannot ask for an impossible buffer
-            if (p * k + p) * 8 > size - fh.tell():
-                raise ShapeError(f"{path}: truncated record {t}")
-            body = fh.read((p * k + p) * 8)
             yield CovarianceSample(
-                index=int(t),
-                loadings=_f8_array(body, (p, k), 0, path),
-                noise_sq=_f8_array(body, (p,), p * k * 8, path),
+                index=t,
+                loadings=_read_f8(fh, (p, k), path, f"truncated record {t}", end),
+                noise_sq=_read_f8(fh, (p,), path, f"truncated record {t}", end),
             )
 
 
@@ -480,6 +465,8 @@ def _load_samples_text(path: Path) -> Iterator[CovarianceSample]:
                 if len(parts) != 3:
                     raise ParseError(f"{path}: line {lineno}: expected t,k,p header")
                 t, k, p = (int(x) for x in parts)
+                if min(t, k, p) < 0 or t >= 2**64:  # u64 fields in the binary stream
+                    raise ParseError(f"{path}: line {lineno}: t,k,p header out of range")
                 # p loading rows, then the noise row; arrays are built
                 # from the lines read, never sized from the header alone
                 rows = []
@@ -541,7 +528,8 @@ class RunManifest:
 
     ``config`` echoes the resolved options, ``resolved`` the fitted
     quantities (rank, tau_sq, rho, gamma_n), ``outputs`` maps each
-    deterministic written file to its sha256. Files whose content
+    deterministic written file to its sha256, ``inputs`` each file the
+    command read (``input``, ``test``, ``model``). Files whose content
     embeds wall-clock measurements (timing tables, per-replicate
     records) go in ``measured`` instead: a replay rewrites them but
     only the ``outputs`` hashes are compared. Timestamps never feed
@@ -556,7 +544,7 @@ class RunManifest:
     config: dict
     software_version: str
     seed: int | None = None
-    input_sha256: str | None = None
+    inputs: dict = field(default_factory=dict)
     resolved: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
     measured: dict = field(default_factory=dict)
@@ -597,7 +585,7 @@ def load_manifest(path: str | Path) -> RunManifest:
         isinstance(argv, list) and all(isinstance(arg, str) for arg in argv),
         "config.argv", "a list of strings",
     )
-    for name in ("outputs", "measured"):
+    for name in ("inputs", "outputs", "measured"):
         records = getattr(manifest, name)
         require(isinstance(records, dict), name, "an object")
         for role, record in records.items():
@@ -607,6 +595,9 @@ def load_manifest(path: str | Path) -> RunManifest:
                 and isinstance(record.get("sha256"), str),
                 f"{name}.{role}", "an object with string path and sha256",
             )
+    if not manifest.inputs and isinstance(payload.get("input_sha256"), str):
+        # fable 0.5.8 and earlier hashed --input alone; replay takes paths from argv
+        return replace(manifest, inputs={"input": {"sha256": payload["input_sha256"]}})
     return manifest
 
 

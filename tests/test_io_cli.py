@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -41,7 +42,9 @@ from fable.inference import (
 )
 from fable.io import (
     _VAR_BLOCK,
+    MATRIX_MAGIC,
     MODEL_MAGIC,
+    SAMPLE_MAGIC,
     LoadedMatrix,
     RunManifest,
     _column_variances,
@@ -613,6 +616,83 @@ class TestSampleStreams:
         assert tmp_path.is_dir()
 
 
+@pytest.fixture(scope="module")
+def block_files(model, draws, tmp_path_factory):
+    """The bytes of a FABLEMAT1 matrix, a model artifact and a two-record
+    binary sample stream, each with the reader that loads it."""
+    root = tmp_path_factory.mktemp("blocks")
+    save_matrix(root / "x", np.eye(3))
+    save_model(root / "m", model)
+    save_samples(root / "s", draws[:2])
+    return {
+        "matrix": ((root / "x").read_bytes(), load_matrix),
+        "model": ((root / "m").read_bytes(), load_model),
+        "samples": ((root / "s").read_bytes(), lambda path: list(load_samples(path))),
+    }
+
+
+def model_header(raw, edit, extra_length=0):
+    """Model artifact bytes whose JSON header is ``edit(header)`` and whose
+    header length is ``extra_length`` past it; no array bytes follow."""
+    (hlen,) = struct.unpack_from("<Q", raw, len(MODEL_MAGIC))
+    header = json.loads(raw[len(MODEL_MAGIC) + 8 : len(MODEL_MAGIC) + 8 + hlen])
+    blob = json.dumps(edit(header)).encode("ascii")
+    return MODEL_MAGIC + struct.pack("<Q", len(blob) + extra_length) + blob
+
+
+def zero_shapes(header):
+    return {**header, "shapes": {name: [0] for name in header["shapes"]}}
+
+
+def over_limit_mu(header):
+    return {**header, "shapes": {**header["shapes"], "mu": [0, 2**62]}}
+
+
+OVER_LIMIT = "unsupported shape (0, 4611686018427387904)"
+# format, damage to the written bytes, whether fstat still reports the
+# written size (the file shrank while it was read), message after the path
+BLOCK_REFUSALS = {
+    "matrix-truncated-body": ("matrix", lambda raw: raw[:-8], False,
+                              "body holds 64 bytes, expected 72 for 3x3"),
+    "matrix-trailing-bytes": ("matrix", lambda raw: raw + bytes(8), False,
+                              "body holds 80 bytes, expected 72 for 3x3"),
+    "matrix-shape-past-numpy": ("matrix", lambda raw: MATRIX_MAGIC + struct.pack("<QQ", 0, 2**62),
+                                False, OVER_LIMIT),
+    "matrix-short-read": ("matrix", lambda raw: raw[:-8], True,
+                          "the body changed while it was read"),
+    "model-truncated-array": ("model", lambda raw: raw[:-8], False, "truncated array 'spectrum'"),
+    "model-trailing-bytes": ("model", lambda raw: raw + bytes(8), False, "8 trailing bytes"),
+    "model-shape-past-numpy": ("model", lambda raw: model_header(raw, over_limit_mu), False,
+                               OVER_LIMIT),
+    "model-header-length-past-the-file": (
+        "model", lambda raw: model_header(raw, zero_shapes, extra_length=5), False,
+        "truncated array 'mu'"),
+    "model-short-read": ("model", lambda raw: raw[:-8], True, "truncated array 'spectrum'"),
+    "samples-truncated-record": ("samples", lambda raw: raw[:-8], False, "truncated record 2"),
+    "samples-trailing-bytes": ("samples", lambda raw: raw + bytes(8), False,
+                               "truncated record header"),
+    "samples-shape-past-numpy": ("samples",
+                                 lambda raw: SAMPLE_MAGIC + struct.pack("<QQQ", 1, 2**62, 0),
+                                 False, OVER_LIMIT),
+    "samples-short-read": ("samples", lambda raw: raw[:-8], True, "truncated record 2"),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_REFUSALS.values(), ids=BLOCK_REFUSALS)
+def test_block_refusal(case, block_files, tmp_path, monkeypatch):
+    """Every binary reader reads its float64 blocks one way, and refuses a
+    damaged one as a ShapeError that names the file."""
+    kind, damage, stale_size, message = case
+    raw, load = block_files[kind]
+    path = tmp_path / kind
+    path.write_bytes(damage(raw))
+    if stale_size:
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=len(raw)))
+    with pytest.raises(ShapeError) as refused:
+        load(path)
+    assert str(refused.value).startswith(f"{path}: {message}")
+
+
 class TestIntervalTable:
     def test_written_values_parse_back_exactly(self, tmp_path):
         _, _, y = make_factor_data(60, 15, 2, seed=9)
@@ -640,7 +720,7 @@ class TestManifest:
             config={"argv": ["fit", "--input", "x.mat"]},
             software_version="0.1.0",
             seed=3,
-            input_sha256="ab" * 32,
+            inputs={"input": {"path": "x.mat", "sha256": "ab" * 32}},
             resolved={"k": 4},
             outputs={"model": {"path": "m.bin", "sha256": "cd" * 32}},
             measured={"table": {"path": "t.csv", "sha256": "ef" * 32}},
@@ -782,7 +862,9 @@ class TestCliFit:
         manifest = load_manifest(str(workspace["model"]) + ".manifest.json")
         assert manifest.command == "fit"
         assert manifest.resolved["k"] == 3
-        assert manifest.input_sha256 == file_sha256(workspace["train"])
+        assert manifest.inputs == {
+            "input": {"path": str(workspace["train"]), "sha256": file_sha256(workspace["train"])}
+        }
         assert manifest.outputs["model"]["sha256"] == file_sha256(workspace["model"])
 
     def test_matches_library_composition(self, workspace):
@@ -1220,7 +1302,10 @@ class TestCliDiagnose:
         manifest = tmp_path / "d.manifest.json"
         assert main([*argv, "--output", str(tmp_path / "d2.json"),
                      "--manifest", str(manifest)]) == 0
-        assert load_manifest(manifest).input_sha256 == file_sha256(workspace["train"])
+        assert load_manifest(manifest).inputs == {
+            "input": {"path": str(workspace["train"]), "sha256": file_sha256(workspace["train"])},
+            "model": {"path": str(workspace["model"]), "sha256": file_sha256(workspace["model"])},
+        }
         assert main(["replay", "--manifest", str(manifest),
                      "--outdir", str(tmp_path / "replayed")]) == 0
 
@@ -1480,6 +1565,90 @@ class TestCliReplay:
                        f"OPENBLAS_NUM_THREADS=1; replayed with {version}, "
                        f"OPENBLAS_NUM_THREADS=1)",
         }
+
+    @staticmethod
+    def settings():
+        version = f"fable {fable.__version__}"
+        return (f"recorded with {version}, OPENBLAS_NUM_THREADS=1; "
+                f"replayed with {version}, OPENBLAS_NUM_THREADS=1")
+
+    @staticmethod
+    def fit_to(model_path, values):
+        data = model_path.with_suffix(".mat")
+        save_matrix(data, values)
+        assert main(["fit", "--input", str(data), "--k", "3", "--output", str(model_path)]) == 0
+        return data
+
+    def test_mismatch_names_a_changed_model(self, tmp_path, monkeypatch, capsys):
+        # the model refitted from other data to the same path
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        rng = np.random.default_rng(14)
+        model_path = tmp_path / "m.fable"
+        self.fit_to(model_path, rng.standard_normal((40, 200)))
+        manifest_path = tmp_path / "s.json"
+        assert main(["sample", "--model", str(model_path), "--n-samples", "3", "--seed", "5",
+                     "--output", str(tmp_path / "s.bin"), "--manifest", str(manifest_path)]) == 0
+        self.fit_to(model_path, rng.standard_normal((40, 200)))
+        record = self.replay_error(manifest_path, tmp_path, capsys)
+        assert record == {
+            "error": "ReplayMismatch",
+            "message": f"replay outputs differ from manifest for: samples (input {model_path} "
+                       f"changed since it was recorded; {self.settings()})",
+        }
+
+    def test_mismatch_names_a_changed_test_set(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        rng = np.random.default_rng(15)
+        train, test = tmp_path / "a.mat", tmp_path / "b.mat"
+        save_matrix(train, rng.standard_normal((40, 200)))
+        test_values = rng.standard_normal((10, 200))
+        save_matrix(test, test_values)
+        manifest_path = tmp_path / "o.json"
+        assert main(["oos", "--input", str(train), "--test", str(test), "--targets", "0-49",
+                     "--k", "3", "--output", str(tmp_path / "r.json"),
+                     "--manifest", str(manifest_path)]) == 0
+        save_matrix(test, test_values * 1.0000001)
+        record = self.replay_error(manifest_path, tmp_path, capsys)
+        assert record["message"] == (
+            f"replay outputs differ from manifest for: report (input {test} changed since it "
+            f"was recorded; {self.settings()})"
+        )
+
+    def test_mismatch_names_each_changed_input_in_role_order(self, tmp_path, monkeypatch,
+                                                            capsys):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        rng = np.random.default_rng(16)
+        model_path = tmp_path / "m.fable"
+        data = self.fit_to(model_path, rng.standard_normal((40, 200)))
+        manifest_path = tmp_path / "d.json"
+        assert main(["diagnose", "--model", str(model_path), "--input", str(data),
+                     "--output", str(tmp_path / "d.out"), "--manifest", str(manifest_path)]) == 0
+        assert set(load_manifest(manifest_path).inputs) == {"input", "model"}
+        self.fit_to(model_path, rng.standard_normal((40, 200)))  # rewrites both
+        record = self.replay_error(manifest_path, tmp_path, capsys)
+        assert record["message"] == (
+            f"replay outputs differ from manifest for: report (input {data} changed since it "
+            f"was recorded; input {model_path} changed since it was recorded; "
+            f"{self.settings()})"
+        )
+
+    def test_mismatch_names_a_changed_input_of_a_0_5_8_manifest(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # fable 0.5.8 recorded the hash of --input alone, as input_sha256
+        path = self.recorded_fit(tmp_path, monkeypatch, "1")
+        payload = json.loads(path.read_text())
+        payload["input_sha256"] = payload.pop("inputs")["input"]["sha256"]
+        payload["software_version"] = "0.5.8"
+        path.write_text(json.dumps(payload))
+        input_path = tmp_path / "x.mat"
+        save_matrix(input_path, np.random.default_rng(10).standard_normal((40, 10)))
+        record = self.replay_error(path, tmp_path, capsys)
+        version = f"fable {fable.__version__}"
+        assert record["message"] == (
+            f"replay outputs differ from manifest for: model (input {input_path} changed since "
+            f"it was recorded; recorded with fable 0.5.8, OPENBLAS_NUM_THREADS=1; "
+            f"replayed with {version}, OPENBLAS_NUM_THREADS=1)"
+        )
 
     @staticmethod
     def recorded_fit(tmp_path, monkeypatch, blas_threads):

@@ -10,7 +10,9 @@ loading product, with the noise added through a small reused buffer);
 ``preprocess`` one, with or without the log2 transform (the copy it
 transforms and centers in), plus the kept columns when the variance
 filter drops some (its variances are taken a block of columns at a
-time); the CLI none beyond the array its binary reader fills. The
+time); the CLI none beyond the array its binary reader fills.
+``load_model`` refuses a file of another kind after its magic, and holds
+an artifact's arrays once before the model's frozen copies. The
 sample-quantile reservoir is partitioned in place, and a dense spectral
 norm copies nothing of its operand. An entry set is two index arrays,
 never a Python tuple per entry.
@@ -27,9 +29,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fable.cli import _index_pairs, _load_and_preprocess
-from fable.errors import InvalidOption, NonFinite, TooFewRows
+from fable.errors import InvalidOption, MagicMismatch, NonFinite, TooFewRows
 from fable.inference import credible_intervals
-from fable.io import _preprocess, load_matrix, preprocess, save_matrix
+from fable.io import _preprocess, load_matrix, load_model, preprocess, save_matrix, save_model
 from fable.linalg import DataMatrix, center_columns, spectral_norm
 from fable.model import fit
 from fable.sampler import RngSpec, sample_entry_stats
@@ -97,6 +99,25 @@ class TestPeakMemory:
         path = tmp_path / "x.mat"
         save_matrix(path, counts)
         assert peak_ratio(load_matrix, path) < 1.25
+
+    def test_model_reader_checks_the_magic_first(self, counts, tmp_path):
+        # measured 0.002; 1.00 when the whole file was read before its magic
+        path = tmp_path / "x.mat"
+        save_matrix(path, counts)
+
+        def refused():
+            with pytest.raises(MagicMismatch, match="not a FABLE-MODEL-v1 file"):
+                load_model(path)
+
+        assert peak_ratio(refused, size=path.stat().st_size) < 0.05
+
+    def test_model_reader_holds_the_arrays_once_before_the_model(self, tmp_path):
+        # measured 2.04, the arrays read and FableModel's frozen copies of
+        # them; 3.03 when the whole file was read first and copied out
+        path = tmp_path / "m.fable"
+        save_model(path, fit(center_columns(np.random.default_rng(1).normal(size=(N, P))), k=10))
+        load_model(path)  # imports and caches outside the measurement
+        assert peak_ratio(load_model, path, size=path.stat().st_size) < 2.25
 
     def test_spectral_norm_copies_no_operand(self):
         # measured 0.23, ARPACK's Lanczos basis; 1.23 when the operand's

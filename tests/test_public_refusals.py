@@ -18,6 +18,7 @@ from fable.errors import (
     InvalidOption,
     NonFinite,
     OverlappingIndexSets,
+    ParseError,
     ShapeError,
 )
 from fable.inference import IntervalGrid, credible_intervals, oos_loglik, predictive_coverage
@@ -25,6 +26,7 @@ from fable.io import (
     MODEL_MAGIC,
     load_matrix,
     load_model,
+    load_samples,
     preprocess,
     save_matrix,
     save_model,
@@ -170,6 +172,22 @@ def changed_while_read(ctx):
         return load_matrix(path)
 
 
+def model_of_version_2(ctx):
+    path = ctx.tmp / "m.bin"
+    save_model(path, ctx.model)
+    raw = path.read_bytes()
+    assert raw.count(b'"version":1}') == 1  # the last key of the sorted header
+    path.write_bytes(raw.replace(b'"version":1}', b'"version":2}'))
+    return load_model(path)
+
+
+def text_stream(ctx, text):
+    """Read every record of the text sample stream ``text``."""
+    path = ctx.tmp / "s.txt"
+    path.write_text(text)
+    return list(load_samples(path))
+
+
 IO = {
     "model-shape-past-numpy": (lambda c: model_with_shape(c, "mu", [0, 2**62]), ShapeError,
                                "unsupported shape (0, 4611686018427387904)"),
@@ -183,6 +201,15 @@ IO = {
                              "negative dimension in shape of 'v_sq'"),
     "sample-format": (lambda c: save_samples(c.tmp / "s", [], format="parquet"), InvalidOption,
                       "unknown sample format 'parquet'"),
+    "model-version": (model_of_version_2, ParseError, "unsupported model version 2"),
+    # reshape(p, -1) would infer k = 3 from the loading rows
+    "text-stream-negative-k": (lambda c: text_stream(c, "1,-1,2\n1.0,2.0,3.0\n4.0,5.0,6.0\n"
+                                                        "0.5,0.5\n"),
+                               ParseError, "s.txt: line 1: t,k,p header out of range"),
+    "text-stream-negative-t": (lambda c: text_stream(c, "1,1,1\n1.0\n1.0\n-3,2,2\n"),
+                               ParseError, "s.txt: line 4: t,k,p header out of range"),
+    "text-stream-t-past-u64": (lambda c: text_stream(c, f"{2**64},1,1\n1.0\n1.0\n"),
+                               ParseError, "s.txt: line 1: t,k,p header out of range"),
 }
 
 

@@ -543,7 +543,8 @@ def replay_damaged(manifest, data):
 MANIFEST_FIELDS = [
     ("command",), ("config",), ("config", "argv"), ("config", "argv", 0),
     ("config", "argv", 2), ("config", "argv", 8), ("software_version",), ("seed",),
-    ("input_sha256",), ("resolved",), ("outputs",), ("outputs", "intervals"),
+    ("inputs",), ("inputs", "model"), ("inputs", "model", "sha256"), ("resolved",),
+    ("outputs",), ("outputs", "intervals"),
     ("outputs", "intervals", "path"), ("outputs", "intervals", "sha256"),
     ("measured",), ("created_unix",), ("openblas_num_threads",),
 ]

@@ -116,7 +116,7 @@ def test_manifest(tmp_path):
         command="fit",
         config={"argv": ["fit", "--input", "a,b.csv"]},
         software_version="0.4.0",
-        input_sha256="ab",
+        inputs={"input": {"path": "a,b.csv", "sha256": "ab"}},
         resolved={"tau_sq": SUM, "rho": 1e16, "k": 2, "z": -0.0, "tiny": TINY,
                   "bad": NAN, "big": INF},
         outputs={"model": {"path": "m.bin", "sha256": "cd"}},
@@ -135,7 +135,12 @@ def test_manifest(tmp_path):
     ]
   },
   "created_unix": 1.5,
-  "input_sha256": "ab",
+  "inputs": {
+    "input": {
+      "path": "a,b.csv",
+      "sha256": "ab"
+    }
+  },
   "measured": {},
   "openblas_num_threads": "",
   "outputs": {
