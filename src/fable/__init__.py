@@ -9,4 +9,4 @@ expensive steps are one SVD and (optionally) embarrassingly parallel
 sampling.
 """
 
-__version__ = "0.5.9"
+__version__ = "0.5.10"

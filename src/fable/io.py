@@ -464,6 +464,8 @@ def _load_samples_text(path: Path) -> Iterator[CovarianceSample]:
                 parts = head.strip().split(",")
                 if len(parts) != 3:
                     raise ParseError(f"{path}: line {lineno}: expected t,k,p header")
+                if not all(x.isascii() and x.lstrip("-").isdigit() for x in parts):
+                    raise ParseError(f"{path}: line {lineno}: t,k,p header takes ASCII digits")
                 t, k, p = (int(x) for x in parts)
                 if min(t, k, p) < 0 or t >= 2**64:  # u64 fields in the binary stream
                     raise ParseError(f"{path}: line {lineno}: t,k,p header out of range")

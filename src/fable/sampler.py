@@ -16,7 +16,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -50,6 +50,22 @@ _UNIFORM_HI = 1.0 - 2.0**-53
 
 # Draws kept for the quantiles of sample_entry_stats: the first ones.
 _RESERVOIR = 10_000
+# What one chunk of sample_entry_stats' draws may hold (README, "Sampling").
+_CHUNK_BYTES = 2**22
+# From rows * _CROSSOVER >= p on, numpy's C generator makes the whole block
+# faster than the kernel makes the rows (a sweep at p = 5000 and 20000).
+_CROSSOVER = 10
+# Philox4x64-10 (Salmon et al., SC 2011): round multipliers, key bumps.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _mulhilo(m: int, x):
+    """High and low words of the 128-bit products m * x, from 32-bit halves."""
+    m_lo, m_hi, x_lo, x_hi = m & 0xFFFFFFFF, m >> 32, x & 0xFFFFFFFF, x >> 32
+    t = x_hi * m_lo + (x_lo * m_lo >> 32)
+    w = (t & 0xFFFFFFFF) + x_lo * m_hi
+    return x_hi * m_hi + (t >> 32) + (w >> 32), x * m
 
 
 @dataclass(frozen=True)
@@ -58,7 +74,8 @@ class RngSpec:
 
     ``uniform_block(t, p, k, rows)`` returns rows ``rows`` (default all)
     of the (p, k + 1) uniform block that draw t consumes: column 0 drives
-    the noise variances, the rest the loading rows.
+    the noise variances, the rest the loading rows. For a sequence of
+    draws t it returns their blocks' rows as one (len(t), r, k + 1) array.
     """
 
     seed: int
@@ -75,12 +92,34 @@ class RngSpec:
         )
 
     def uniform_block(
-        self, t: int, p: int, k: int, rows: slice | np.ndarray = slice(None)
+        self, t: int | Sequence[int], p: int, k: int, rows: slice | np.ndarray = slice(None)
     ) -> np.ndarray:
-        # The whole block is drawn, so row j reads the same uniforms
-        # whichever rows are asked for; only those rows are clipped.
-        block = self.generator(t).random((p, k + 1))[rows]
-        return np.clip(block, _UNIFORM_LO, _UNIFORM_HI, out=block)
+        # Row j reads the same uniforms whichever rows are asked for, from
+        # the whole block or from its own counters; only they are clipped.
+        ts, picked = ([t] if np.ndim(t) == 0 else t), np.arange(p)[rows]
+        if len(picked) * _CROSSOVER < p and min(ts) >= 0:  # generator refuses t < 0
+            block = self._philox_rows(ts, k, picked)
+        else:
+            blocks = [self.generator(s).random((p, k + 1))[rows] for s in ts]
+            block = np.stack(blocks) if len(blocks) > 1 else blocks[0][None]
+        np.clip(block, _UNIFORM_LO, _UNIFORM_HI, out=block)
+        return block if np.ndim(t) else block[0]
+
+    def _philox_rows(self, ts: Sequence[int], k: int, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of the blocks of draws ``ts`` as numpy's Philox fills
+        them, running only their counters: word i = j (k + 1) + c of draw t is
+        word i % 4 at counter (i // 4 + 1, 0, 0, 0), keyed by SeedSequence((seed, t))."""
+        words = rows[:, None] * (k + 1) + np.arange(k + 1)
+        counters, at = np.unique(words // 4, return_inverse=True)
+        keys = [np.random.SeedSequence((self.seed, t)).generate_state(2, np.uint64) for t in ts]
+        k0, k1 = np.array(keys).reshape(-1, 2).T[:, :, None]
+        x0, x1, x2, x3 = counters.astype(np.uint64) + 1, 0, 0, 0
+        for _ in range(10):  # the key is bumped after each round
+            (hi0, lo0), (hi1, lo1) = _mulhilo(_PHILOX_M[0], x0), _mulhilo(_PHILOX_M[1], x2)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        out = np.stack((x0, x1, x2, x3), axis=-1).reshape(len(ts), -1)
+        return (out[:, at.reshape(words.shape) * 4 + words % 4] >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -123,21 +162,30 @@ def draw_sample(model: FableModel, t: int, rng: RngSpec) -> CovarianceSample:
 def _draw_rows(
     model: FableModel, t: int, rng: RngSpec, rows: slice | np.ndarray
 ) -> CovarianceSample:
-    """Rows ``rows`` of draw t, in that order.
+    """Rows ``rows`` of draw t, in that order."""
+    loadings, noise_sq = _draw_chunk(model, [t], rng, rows)
+    return CovarianceSample(index=t, loadings=loadings[0], noise_sq=noise_sq[0])
+
+
+def _draw_chunk(
+    model: FableModel, ts: Sequence[int], rng: RngSpec, rows: slice | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of each draw in ``ts``: loadings (len(ts), r, k) and
+    noise variances (len(ts), r).
 
     Only the rows' uniforms go through the inverse CDFs. Every step is
-    elementwise, so the result equals the same rows of the full draw bit
+    elementwise, so the result equals the same rows of the full draws bit
     for bit. A draw past the double range raises :class:`NonFinite`.
     """
-    block = rng.uniform_block(t, model.p, model.k, rows)
-    gamma_draw = gammaincinv(model.gamma_n / 2.0, block[:, 0])
+    block = rng.uniform_block(ts, model.p, model.k, rows)
+    gamma_draw = gammaincinv(model.gamma_n / 2.0, block[..., 0].ravel()).reshape(block.shape[:2])
     noise_sq = (model.gamma_n * model.delta_sq[rows] / 2.0) / gamma_draw
     scale = model.rho * np.sqrt(noise_sq * model.posterior_scale_sq)
-    loadings = model.mu[rows] + scale[:, None] * ndtri(block[:, 1:])
+    loadings = model.mu[rows] + scale[..., None] * ndtri(block[..., 1:])
     if not (np.isfinite(noise_sq).all() and np.isfinite(loadings).all()):
-        j = np.flatnonzero(~(np.isfinite(noise_sq) & np.isfinite(loadings).all(axis=1)))[0]
-        raise NonFinite(f"draw {t} is not finite at row {np.arange(model.p)[rows][j]}")
-    return CovarianceSample(index=t, loadings=loadings, noise_sq=noise_sq)
+        i, j = np.argwhere(~(np.isfinite(noise_sq) & np.isfinite(loadings).all(axis=-1)))[0]
+        raise NonFinite(f"draw {ts[i]} is not finite at row {np.arange(model.p)[rows][j]}")
+    return loadings, noise_sq
 
 
 def _check_count(n_samples: int) -> int:
@@ -227,7 +275,7 @@ def _entry_values(
 ) -> np.ndarray:
     """Entries (u[e], v[e]) of loadings @ loadings.T + diag(diag): the one
     kernel every covariance entry fable reports goes through."""
-    out = np.einsum("ek,ek->e", loadings[u], loadings[v])
+    out = np.einsum("ek,ek->e", loadings.take(u, axis=0), loadings.take(v, axis=0))
     on_diag = u == v
     out[on_diag] += diag[u[on_diag]]
     return out
@@ -290,9 +338,9 @@ def sample_entry_stats(
     the double range is refused as :class:`NonFinite`. Quantiles use
     every draw when n_samples <= 10,000 and the first 10,000 otherwise
     (results then carry exact=False): the draws are independent, so any
-    fixed 10,000 of them are a simple random sample. Each draw runs the
-    inverse CDFs on the distinct rows of ``indices`` only; the values
-    equal those of :func:`draw_sample`.
+    fixed 10,000 of them are a simple random sample. Draws are made a
+    chunk at a time, each running the inverse CDFs on the distinct rows
+    of ``indices`` only; the values equal those of :func:`draw_sample`.
     """
     n_samples = _check_count(n_samples)
     if n_samples < 2:
@@ -307,11 +355,22 @@ def sample_entry_stats(
 
     cap = min(n_samples, _RESERVOIR)
     buf = np.empty((cap, len(u)))
+    # chunks of about _CHUNK_BYTES, none running past the reservoir's end
+    size = max(1, _CHUNK_BYTES // (8 * len(u) + 48 * len(rows) * (model.k + 1)))
+    starts = [*range(1, cap + 1, size), *range(cap + 1, n_samples + 1, size)]
+
+    def entries(ts: range) -> np.ndarray:  # in the reservoir while it lasts
+        loadings, noise_sq = _draw_chunk(model, ts, rng, rows)
+        vals = buf[ts[0] - 1 : ts[-1]] if ts[-1] <= cap else np.empty((len(ts), len(u)))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            for i in range(len(ts)):
+                vals[i] = _entry_values(loadings[i], noise_sq[i], u_loc, v_loc)
+        return vals
+
     s1, d1, d2 = np.zeros(len(u)), np.zeros(len(u)), np.zeros(len(u))
-    draws = _in_order(lambda t: _draw_rows(model, t, rng, rows), range(1, n_samples + 1), threads)
+    chunks = _in_order(entries, map(range, starts, [*starts[1:], n_samples + 1]), threads)
     with np.errstate(over="ignore", invalid="ignore"):  # refused or mended below
-        for seen, sample in enumerate(draws):
-            vals = _entry_values(sample.loadings, sample.noise_sq, u_loc, v_loc)
+        for seen, vals in enumerate(chain.from_iterable(chunks)):
             s1 += vals
             # deviations from the first draw, at the power of two of its values,
             # so their squares stay in range whatever the entries' scale
@@ -320,8 +379,6 @@ def sample_entry_stats(
             dev = np.ldexp(vals - shift, scale)
             d1 += dev
             d2 += dev * dev
-            if seen < cap:
-                buf[seen] = vals
 
         mean, var = s1 / n_samples, (d2 - d1 * d1 / n_samples) / (n_samples - 1)
         # where only the sum overflows, the mean comes from the deviations

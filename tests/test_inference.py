@@ -194,9 +194,9 @@ class TestCredibleIntervals:
         # 150, and the grid is the bytes of the call that makes all 400
         m, _ = fitted
         made = []
-        draw_rows = fable.sampler._draw_rows
-        monkeypatch.setattr(fable.sampler, "_draw_rows",
-                            lambda model, t, *a: made.append(t) or draw_rows(model, t, *a))
+        draw_chunk = fable.sampler._draw_chunk
+        monkeypatch.setattr(fable.sampler, "_draw_chunk",
+                            lambda model, ts, *a: made.extend(ts) or draw_chunk(model, ts, *a))
         monkeypatch.setattr(fable.sampler, "_RESERVOIR", 150)
         grids = {}
         for cap in (10_000, 150):

@@ -210,6 +210,12 @@ IO = {
                                ParseError, "s.txt: line 4: t,k,p header out of range"),
     "text-stream-t-past-u64": (lambda c: text_stream(c, f"{2**64},1,1\n1.0\n1.0\n"),
                                ParseError, "s.txt: line 1: t,k,p header out of range"),
+    # int() takes digit-group underscores and non-ASCII digits; save_samples writes neither
+    "text-stream-underscore-t": (lambda c: text_stream(c, "1_0,1,1\n1.0\n1.0\n"),
+                                 ParseError, "s.txt: line 1: t,k,p header takes ASCII digits"),
+    "text-stream-arabic-indic-t": (lambda c: text_stream(c, "1,1,1\n1.0\n1.0\n\u0661,1,1\n"
+                                                             "1.0\n1.0\n"),
+                                   ParseError, "s.txt: line 4: t,k,p header takes ASCII digits"),
 }
 
 

@@ -404,7 +404,8 @@ class TestSampleEntryStats:
         monkeypatch.setattr(fable.sampler, "gammaincinv", counting)
         pairs = [(5, 1), (1, 5), (3, 3), (5, 3)]  # rows {1, 3, 5} of 8
         sample_entry_stats(mid_model, 40, RngSpec(73), pairs, threads=2)
-        assert calls == [3] * 40
+        # draws come a chunk at a time, each call on 3 rows per draw
+        assert sum(calls) == 3 * 40 and all(n % 3 == 0 for n in calls)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -588,6 +589,87 @@ class TestUniformBlocks:
         loadings, noise_sq = self.transformed(mid_model, block, rows, mid_model.rho)
         assert draw.loadings.tobytes() == loadings.tobytes()
         assert draw.noise_sq.tobytes() == noise_sq.tobytes()
+
+
+def numpy_rows(seed, ts, p, k, rows):
+    """Rows ``rows`` of numpy's whole (p, k + 1) Philox block for each
+    draw t of ``ts``: the stream the row kernel must reproduce."""
+    return np.stack([
+        np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, t))))
+        .random((p, k + 1))[rows] for t in ts
+    ])
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    # 3 or 4 rows of 48 stay under the crossover, so they take the kernel
+    _, _, y = make_factor_data(60, 48, 2, seed=105)
+    return fit(center_columns(y), k=2)
+
+
+class TestPhiloxRows:
+    """The row kernel gives numpy's Philox uniforms bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63, 2**99 + 12345])
+    @pytest.mark.parametrize("k", [1, 3, 10, 17])
+    @pytest.mark.parametrize(
+        "rows",
+        [[40, 3, 3, 0], [], [96], [1, 2, 3, 4, 5], [33, 7, 61]],
+        ids=["unsorted-duplicated", "empty", "last", "consecutive", "straddling"],
+    )
+    def test_equals_numpy_block(self, seed, k, rows):
+        # at k + 1 = 2, 4, 11 and 18 words a row, rows 1-5 and 7, 33 and 61
+        # begin and end inside Philox's 4-word blocks
+        ts = [0, 1, 2**40, 2**64 - 1]
+        rows = np.array(rows, dtype=np.intp)
+        got = RngSpec(seed)._philox_rows(ts, k, rows)
+        assert got.shape == (len(ts), len(rows), k + 1)
+        assert got.tobytes() == numpy_rows(seed, ts, 97, k, rows).tobytes()
+
+    @pytest.mark.parametrize("rows", [np.array([9]), np.array([60, 2, 2, 30])])
+    def test_both_routes_clip_the_same_rows(self, rows):
+        # 1 and 4 rows of 97 take the kernel, and the same rows of 12 the
+        # whole block; both equal numpy's block, clipped
+        rng = RngSpec(5)
+        for p in (97, 72):
+            got = rng.uniform_block(range(3, 7), p, 4, rows)
+            want = np.clip(numpy_rows(5, range(3, 7), p, 4, rows), 2.0**-53, 1.0 - 2.0**-53)
+            assert got.tobytes() == want.tobytes()
+            assert rng.uniform_block(4, p, 4, rows).tobytes() == want[1].tobytes()
+
+    def test_negative_draw_refused_on_either_route(self):
+        for rows in (np.array([1]), slice(None)):
+            with pytest.raises(InvalidOption, match="draw index must be nonnegative, got -1"):
+                RngSpec(0).uniform_block([2, -1], 97, 2, rows)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n_samples", [37, 120])
+    @pytest.mark.parametrize("reservoir", [10_000, 50])
+    def test_entry_stats_equal_gathered_full_draws(self, wide_model, threads, n_samples,
+                                                   reservoir, monkeypatch):
+        # chunks of 8 draws: the last one short, and one cut short at the
+        # reservoir's end
+        monkeypatch.setattr(fable.sampler, "_CHUNK_BYTES", 8 * (8 * 6 + 48 * 3 * 3))
+        monkeypatch.setattr(fable.sampler, "_RESERVOIR", reservoir)
+        pairs = [(40, 3), (3, 3), (17, 40), (40, 40), (3, 17), (17, 3)]
+        got = sample_entry_stats(wide_model, n_samples, RngSpec(81), pairs, threads=threads)
+        want = gathered_entry_stats(wide_model, n_samples, 81, pairs, reservoir=reservoir)
+        assert same_stats(got, want)
+        assert got.exact == (n_samples <= reservoir)
+
+    def test_non_finite_names_the_draw_and_row(self, wide_model, monkeypatch):
+        monkeypatch.setattr(fable.sampler, "_CHUNK_BYTES", 8 * (8 * 3 + 48 * 2 * 3))
+        delta_sq = wide_model.delta_sq.copy()
+        delta_sq[30] = 1e308  # gamma_n * delta_sq / 2 overflows in row 30 alone
+        model = dataclasses.replace(wide_model, delta_sq=delta_sq)
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # pool threads' overflow
+            with pytest.raises(NonFinite, match="draw 3 is not finite at row 30"):
+                draw_sample(model, 3, RngSpec(9))
+            for threads in (1, 2):
+                with pytest.raises(NonFinite, match="draw 1 is not finite at row 30"):
+                    sample_entry_stats(model, 20, RngSpec(9), [(5, 30), (30, 30)],
+                                       threads=threads)
 
 
 # Oracles: the entry-set code as it was before an entry set became two
